@@ -22,7 +22,6 @@ __all__ = [
     "from_cyclic_orders",
     "homology_at",
     "homology",
-    "iso_test",
 ]
 
 
@@ -68,11 +67,6 @@ class FgAbGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.invariant_factors)
         return " + ".join(parts) if parts else "0"
-
-
-def iso_test(a: FgAbGroup, b: FgAbGroup) -> bool:
-    """Whether a and b are isomorphic; canonical form makes this equality."""
-    return a == b
 
 
 def canonical_form(presentation: IntMatrix) -> FgAbGroup:

@@ -39,7 +39,6 @@ __all__ = [
     "run",
     "main",
     "parse_group",
-    "render_group",
     "encode_matrix",
     "decode_matrix",
     "encode_group",
@@ -48,16 +47,11 @@ __all__ = [
 DEFAULT_SEED = 42  # every seeded verify suite uses this unless --seed overrides
 
 
-def render_group(a: FgAbGroup) -> str:
-    """Canonical text form: "Z^r + Z/d1 + Z/d2 ..." ("0" when trivial)."""
-    return str(a)
-
-
 def parse_group(text: str) -> FgAbGroup:
     """Parse the group grammar: `Z`, `Z^k`, `Z/k` joined by `+`, or `0`.
 
     The result is canonicalized, so "Z/2 + Z/3" comes back as Z/6 and
-    render_group(parse_group(s)) == s exactly on canonical strings.
+    str(parse_group(s)) == s exactly on canonical strings.
     """
     s = text.strip()
     if s == "0":
@@ -83,12 +77,42 @@ def parse_group(text: str) -> FgAbGroup:
     return from_cyclic_orders(orders)
 
 
+# Python refuses int <-> str conversions past 4300 digits by default, and
+# the Smith transforms of 11 x 11 inputs with one-digit entries already pass
+# that. Longer numbers are split in halves until each half converts.
+# encode_matrix tries plain str on the whole grid first, so ordinary
+# reports pay only that try.
+def _int_to_decimal(x: int) -> str:
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + _int_to_decimal(-x)
+    k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(x, 10**k)
+    return _int_to_decimal(high) + _int_to_decimal(low).zfill(k)
+
+
+def _decimal_to_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    k = len(digits) // 2
+    value = _decimal_to_int(digits[:-k]) * 10**k + _decimal_to_int(digits[-k:])
+    return -value if body[0] == "-" else value
+
+
 def encode_matrix(m: IntMatrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[str(x) for x in row] for row in m.entries],
-    }
+    try:
+        entries = [[str(x) for x in row] for row in m.entries]
+    except ValueError:  # some entry is past the int -> str digit limit
+        entries = [[_int_to_decimal(x) for x in row] for row in m.entries]
+    return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
 def decode_matrix(obj: Any) -> IntMatrix:
@@ -113,7 +137,7 @@ def decode_matrix(obj: Any) -> IntMatrix:
             if isinstance(x, bool) or not isinstance(x, (int, str)):
                 raise InputError("matrix entries must be integers or decimal strings")
             try:
-                parsed.append(int(x))
+                parsed.append(x if isinstance(x, int) else _decimal_to_int(x))
             except ValueError:
                 raise InputError(f"bad matrix entry {x!r}") from None
         grid.append(parsed)
@@ -143,7 +167,7 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or a bare int too long to parse
         raise InputError(f"{path} is not valid JSON: {err}") from None
 
 
@@ -153,11 +177,11 @@ def _run_snf(params: dict) -> tuple[int, dict]:
     report = {
         "command": "snf",
         "rank": dec.rank,
-        "diagonal": [str(x) for x in dec.diagonal],
+        "diagonal": [_int_to_decimal(x) for x in dec.diagonal],
         "u": encode_matrix(dec.u),
         "d": encode_matrix(dec.d),
         "v": encode_matrix(dec.v),
-        "cokernel": render_group(
+        "cokernel": str(
             FgAbGroup(
                 matrix.rows - dec.rank,
                 tuple(x for x in dec.diagonal if x > 1),
@@ -193,7 +217,7 @@ def _run_derive(params: dict) -> tuple[int, dict]:
     report: dict[str, Any] = {
         "command": "derive",
         "functor": str(functor),
-        "group": render_group(group),
+        "group": str(group),
     }
     if params["check_independence"]:
         paddings = _parse_paddings(params["paddings"])
@@ -209,7 +233,7 @@ def _run_derive(params: dict) -> tuple[int, dict]:
             runs.append(
                 {
                     "padding": padding,
-                    "values": [render_group(v) for v in values],
+                    "values": [str(v) for v in values],
                 }
             )
         report["paddings"] = runs
@@ -220,7 +244,7 @@ def _run_derive(params: dict) -> tuple[int, dict]:
     result = derived(functor, group, padding=params["padding"])
     report["padding"] = params["padding"]
     report["values"] = [
-        {"degree": i, "group": render_group(v), "json": encode_group(v)}
+        {"degree": i, "group": str(v), "json": encode_group(v)}
         for i, v in enumerate(result.values)
     ]
     return 0, report
@@ -275,8 +299,8 @@ def _run_grouphom(params: dict) -> tuple[int, dict]:
             rows.append(
                 {
                     "degree": i,
-                    "periodic": render_group(periodic),
-                    "bar": render_group(bar),
+                    "periodic": str(periodic),
+                    "bar": str(bar),
                     "agree": agree,
                 }
             )
@@ -285,7 +309,7 @@ def _run_grouphom(params: dict) -> tuple[int, dict]:
             rows.append(
                 {
                     "degree": i,
-                    "group": render_group(value),
+                    "group": str(value),
                     "json": encode_group(value),
                 }
             )
@@ -336,24 +360,27 @@ _EXECUTORS = {
 # ---------------------------------------------------------------- rendering
 
 
-def _matrix_block(label: str, m: IntMatrix) -> list[str]:
-    lines = [f"{label}:"]
-    lines.extend("  " + row for row in str(m).splitlines())
-    return lines
+def _matrix_block(label: str, obj: dict) -> list[str]:
+    """An encoded matrix laid out as str(IntMatrix) does, from its decimal
+    strings, so no entry is converted twice."""
+    rows, cols, text = obj["rows"], obj["cols"], obj["entries"]
+    if rows == 0 or cols == 0:
+        return [f"{label}:", f"  <empty {rows}x{cols}>"]
+    widths = [max(len(row[j]) for row in text) for j in range(cols)]
+    return [f"{label}:"] + [
+        "  [" + "  ".join(t.rjust(w) for t, w in zip(row, widths)) + "]" for row in text
+    ]
 
 
 def _text_snf(report: dict) -> str:
-    u = decode_matrix(report["u"])
-    d = decode_matrix(report["d"])
-    v = decode_matrix(report["v"])
     lines = [
         f"rank {report['rank']}",
         "diagonal " + (", ".join(report["diagonal"]) if report["diagonal"] else "(empty)"),
         f"cokernel {report['cokernel']}",
     ]
-    lines.extend(_matrix_block("U", u))
-    lines.extend(_matrix_block("D", d))
-    lines.extend(_matrix_block("V", v))
+    lines.extend(_matrix_block("U", report["u"]))
+    lines.extend(_matrix_block("D", report["d"]))
+    lines.extend(_matrix_block("V", report["v"]))
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,15 @@ Conventions:
     pivot in its row reduced into [0, pivot), zero columns removed;
   * kernel_basis(a) returns a matrix whose columns are a basis of the full
     kernel lattice {x : a*x = 0} (saturated by construction).
+
+One Smith loop, _smith_engine, does all pivoting, Euclidean reduction and
+divisibility enforcement. snf, kernel_basis and solve run it with the
+transforms they need; smith_diagonal runs it without transforms under a
+bit-length cap. On the rare inputs whose entries swell past that cap,
+smith_diagonal switches to the bounded modular route
+(_smith_diagonal_bounded): one fraction-free Bareiss pass (_bareiss, shared
+with det) finds the rank and a maximal nonzero minor D, and the same engine
+then eliminates with entries kept in balanced residues mod D.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ __all__ = [
     "solve",
     "det",
     "hstack",
-    "vstack",
 ]
 
 
@@ -86,7 +94,7 @@ class IntMatrix:
         grid = [[0] * cols for _ in range(rows)]
         for i, v in enumerate(values):
             grid[i][i] = v
-        return cls.from_rows(grid, cols=cols)
+        return cls(rows, cols, tuple(map(tuple, grid)))
 
     @classmethod
     def column(cls, values: Sequence[int]) -> "IntMatrix":
@@ -217,7 +225,28 @@ class _EntrySwell(Exception):
     """Internal: the integral elimination is blowing up, switch strategies."""
 
 
-def _smith_engine(a: IntMatrix, want_u: bool, want_v: bool, bit_cap: int = 0):
+def _smallest_pivot(d: list[list[int]], t: int) -> tuple[int, int]:
+    """Position of the first smallest-magnitude nonzero entry of the block
+    d[t:][t:] in row-major order, stopping at the first unit; (-1, -1) when
+    the block is zero."""
+    best = 0
+    pi = pj = -1
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x:
+                ax = -x if x < 0 else x
+                if best == 0 or ax < best:
+                    best, pi, pj = ax, i, j
+                    if ax == 1:
+                        return pi, pj
+    return pi, pj
+
+
+def _smith_engine(
+    a: IntMatrix, want_u: bool, want_v: bool, bit_cap: int = 0, modulus: int = 0
+):
     """Diagonalize a by unimodular row/column operations.
 
     Returns (diag, u_rows, vt_rows) where diag has length min(rows, cols),
@@ -228,9 +257,19 @@ def _smith_engine(a: IntMatrix, want_u: bool, want_v: bool, bit_cap: int = 0):
     A positive bit_cap raises _EntrySwell once any remaining entry outgrows
     it; callers that need only the diagonal use this to bail out of the rare
     inputs where elimination entries grow doubly exponentially.
+
+    A nonzero modulus reduces the input and every row or column an operation
+    touches to balanced residues in (-modulus/2, modulus/2]; the diagonal is
+    then only meaningful modulo modulus (see _smith_diagonal_bounded), and
+    callers request no transforms.
     """
     m, n = a.rows, a.cols
-    d = a.to_lists()
+    half = modulus >> 1
+
+    def balanced(row: list[int]) -> list[int]:
+        return [x - modulus if x > half else x for x in [y % modulus for y in row]]
+
+    d = [balanced(row) for row in a.entries] if modulus else a.to_lists()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_u else None
     vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_v else None
 
@@ -247,11 +286,15 @@ def _smith_engine(a: IntMatrix, want_u: bool, want_v: bool, bit_cap: int = 0):
             d[i] = [x - q * y for x, y in zip(d[i], d[t])]
             if u is not None:
                 u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        if modulus:
+            d[i] = balanced(d[i])
 
     def row_add(i: int, t: int) -> None:
         d[i] = [x + y for x, y in zip(d[i], d[t])]
         if u is not None:
             u[i] = [x + y for x, y in zip(u[i], u[t])]
+        if modulus:
+            d[i] = balanced(d[i])
 
     def col_sub(j: int, t: int, q: int, from_row: int) -> None:
         if q == 1:
@@ -272,6 +315,12 @@ def _smith_engine(a: IntMatrix, want_u: bool, want_v: bool, bit_cap: int = 0):
                 x = row[t]
                 if x:
                     row[j] -= q * x
+        if modulus:
+            for r in range(from_row, m):
+                row = d[r]
+                if row[t]:
+                    x = row[j] % modulus
+                    row[j] = x - modulus if x > half else x
         if vt is not None:
             if q == 1:
                 vt[j] = [x - y for x, y in zip(vt[j], vt[t])]
@@ -305,21 +354,7 @@ def _smith_engine(a: IntMatrix, want_u: bool, want_v: bool, bit_cap: int = 0):
     limit = min(m, n)
     t = 0
     while t < limit:
-        # Smallest-nonzero-absolute-value pivot, short-circuiting on a unit.
-        best = 0
-        pi = pj = -1
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best == 0 or ax < best:
-                        best, pi, pj = ax, i, j
-                        if ax == 1:
-                            break
-            if best == 1:
-                break
+        pi, pj = _smallest_pivot(d, t)
         if pi < 0:
             break  # the remaining submatrix is zero
         if pi != t:
@@ -399,47 +434,42 @@ def _smith_engine(a: IntMatrix, want_u: bool, want_v: bool, bit_cap: int = 0):
     return diag, u, vt
 
 
-def _bareiss_rank_minor(a: IntMatrix) -> tuple[int, int]:
-    """The rank of a and a nonzero rank x rank minor, by fraction-free
+def _bareiss(a: IntMatrix) -> tuple[int, int]:
+    """The rank r of a and the signed last pivot of fraction-free (Bareiss)
     elimination with full pivoting.
 
-    Every intermediate entry is itself a minor of a, so nothing here can
-    swell past the Hadamard bound; the returned minor is the last pivot.
+    The sign flips on every row swap and every column swap, so for a square
+    a of full rank the signed pivot is det(a). In every case its absolute
+    value is a nonzero r x r minor of a (1 when r = 0). Every intermediate
+    entry is itself a minor of a, so nothing here can swell past the
+    Hadamard bound.
     """
     m, n = a.rows, a.cols
     d = a.to_lists()
-    prev = 1
+    prev = sign = 1
     r = 0
-    limit = min(m, n)
-    while r < limit:
-        best = 0
-        pi = pj = -1
-        for i in range(r, m):
-            row = d[i]
-            for j in range(r, n):
-                x = row[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best == 0 or ax < best:
-                        best, pi, pj = ax, i, j
+    while r < min(m, n):
+        pi, pj = _smallest_pivot(d, r)
         if pi < 0:
             break
         if pi != r:
             d[pi], d[r] = d[r], d[pi]
+            sign = -sign
         if pj != r:
             for row in d:
                 row[pj], row[r] = row[r], row[pj]
+            sign = -sign
         pivot = d[r][r]
+        prow = d[r]
         for i in range(r + 1, m):
             row = d[i]
             f = row[r]
-            prow = d[r]
             for j in range(r + 1, n):
                 row[j] = (row[j] * pivot - f * prow[j]) // prev
             row[r] = 0
         prev = pivot
         r += 1
-    return r, abs(prev) if r else 1
+    return r, sign * prev
 
 
 def _smith_diagonal_bounded(a: IntMatrix) -> tuple[int, ...]:
@@ -454,107 +484,17 @@ def _smith_diagonal_bounded(a: IntMatrix) -> tuple[int, ...]:
     Z/D; dropping rows - rank copies of D from that chain leaves exactly the
     nonzero invariant factors of a.
     """
-    rank, minor = _bareiss_rank_minor(a)
+    rank, minor = _bareiss(a)
+    big_d = abs(minor)
     limit = min(a.rows, a.cols)
     if rank == 0:
         return (0,) * limit
-    if minor == 1:  # some rank x rank minor is a unit: all factors are 1
+    if big_d == 1:  # some rank x rank minor is a unit: all factors are 1
         return (1,) * rank + (0,) * (limit - rank)
-    big_d = minor
-    half = big_d >> 1
-
-    def reduce_mod(x: int) -> int:
-        r = x % big_d
-        return r - big_d if r > half else r
-
-    m, n = a.rows, a.cols
-    d = [[reduce_mod(x) for x in row] for row in a.entries]
-    pivots: list[int] = []
-    t = 0
-    while t < min(m, n):
-        best = 0
-        pi = pj = -1
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best == 0 or ax < best:
-                        best, pi, pj = ax, i, j
-                        if ax == 1:
-                            break
-            if best == 1:
-                break
-        if pi < 0:
-            break
-        if pi != t:
-            d[pi], d[t] = d[t], d[pi]
-        if pj != t:
-            for row in d:
-                row[pj], row[t] = row[t], row[pj]
-        while True:
-            if d[t][t] < 0:
-                d[t] = [-x for x in d[t]]
-            again = True
-            while again:
-                again = False
-                p = d[t][t]
-                for i in range(t + 1, m):
-                    x = d[i][t]
-                    if x:
-                        q = (x + (p >> 1)) // p
-                        if q:
-                            d[i] = [reduce_mod(u - q * v) for u, v in zip(d[i], d[t])]
-                        if d[i][t]:
-                            d[i], d[t] = d[t], d[i]
-                            if d[t][t] < 0:
-                                d[t] = [-x for x in d[t]]
-                            p = d[t][t]
-                            again = True
-            again = True
-            while again:
-                again = False
-                p = d[t][t]
-                row_t = d[t]
-                for j in range(t + 1, n):
-                    x = row_t[j]
-                    if x:
-                        q = (x + (p >> 1)) // p
-                        if q:
-                            for r_ in range(t, m):
-                                row = d[r_]
-                                if row[t]:
-                                    row[j] = reduce_mod(row[j] - q * row[t])
-                        if row_t[j]:
-                            for row in d:
-                                row[j], row[t] = row[t], row[j]
-                            if row_t[t] < 0:
-                                for row in d:
-                                    row[t] = -row[t]
-                            p = row_t[t]
-                            again = True
-            if any(d[i][t] for i in range(t + 1, m)):
-                continue
-            p = d[t][t]
-            bad = -1
-            if p != 1:
-                for i in range(t + 1, m):
-                    row = d[i]
-                    for j in range(t + 1, n):
-                        if row[j] % p:
-                            bad = i
-                            break
-                    if bad >= 0:
-                        break
-            if bad < 0:
-                break
-            d[t] = [reduce_mod(u + v) for u, v in zip(d[t], d[bad])]
-        pivots.append(d[t][t])
-        t += 1
-
-    values = [math.gcd(p, big_d) for p in pivots]
-    values += [big_d] * (m - len(values))
+    diag, _, _ = _smith_engine(a, want_u=False, want_v=False, modulus=big_d)
+    # a zero pivot (the block left over was zero mod D) counts as a copy of Z/D
+    values = [math.gcd(p, big_d) for p in diag]
+    values += [big_d] * (a.rows - limit)
     # pairwise gcd/lcm passes turn a diagonal into its invariant chain
     changed = True
     while changed:
@@ -572,10 +512,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form of a: u*a*v = d with u, v unimodular."""
     diag, u, vt = _smith_engine(a, want_u=True, want_v=True)
     d = IntMatrix.diagonal(diag, rows=a.rows, cols=a.cols)
-    u_mat = IntMatrix.from_rows(u, cols=a.rows) if a.rows else IntMatrix.zeros(0, 0)
-    v_mat = (
-        IntMatrix.from_rows(vt, cols=a.cols).transpose() if a.cols else IntMatrix.zeros(0, 0)
-    )
+    u_mat = IntMatrix(a.rows, a.rows, tuple(map(tuple, u)))
+    v_mat = IntMatrix(a.cols, a.cols, tuple(zip(*vt)))
     return SmithDecomposition(u_mat, d, v_mat)
 
 
@@ -620,13 +558,12 @@ def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """
     if a.rows != b.rows:
         raise InputError(f"cannot solve: a has {a.rows} rows but b has {b.rows}")
-    diag, u, vt = _smith_engine(a, want_u=True, want_v=True)
-    u_mat = IntMatrix.from_rows(u, cols=a.rows) if a.rows else IntMatrix.zeros(0, 0)
-    c = u_mat @ b
-    rank = sum(1 for x in diag if x)
+    dec = snf(a)
+    c = dec.u @ b
+    pivots = [x for x in dec.diagonal if x]
+    rank = len(pivots)
     y = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(rank):
-        p = diag[i]
+    for i, p in enumerate(pivots):
         crow = c.entries[i]
         yrow = y[i]
         for j, value in enumerate(crow):
@@ -637,8 +574,7 @@ def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     for i in range(rank, a.rows):
         if any(c.entries[i]):
             return None
-    v_mat = IntMatrix.from_rows(vt, cols=a.cols).transpose() if a.cols else IntMatrix.zeros(0, 0)
-    return v_mat @ IntMatrix.from_rows(y, cols=b.cols)
+    return dec.v @ IntMatrix.from_rows(y, cols=b.cols)
 
 
 def hnf(a: IntMatrix) -> IntMatrix:
@@ -711,31 +647,8 @@ def det(a: IntMatrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
         raise InputError("determinant requires a square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[i], m[k] = m[k], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mk = m[k]
-            factor = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - factor * mk[j]) // prev
-            mi[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    rank, pivot = _bareiss(a)
+    return pivot if rank == a.rows else 0
 
 
 def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -747,14 +660,3 @@ def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
         raise InputError("hstack blocks must share their row count")
     grid = [sum((list(b.entries[i]) for b in blocks), []) for i in range(rows)]
     return IntMatrix.from_rows(grid, cols=sum(b.cols for b in blocks))
-
-
-def vstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    """Concatenate matrices top to bottom (equal column counts required)."""
-    if not blocks:
-        raise InputError("vstack requires at least one block")
-    cols = blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise InputError("vstack blocks must share their column count")
-    grid = [row for b in blocks for row in b.entries]
-    return IntMatrix.from_rows(grid, cols=cols)

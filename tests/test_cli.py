@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,7 +11,6 @@ from exacthom.cli import (
     encode_matrix,
     main,
     parse_group,
-    render_group,
     run,
 )
 from exacthom.errors import InputError
@@ -38,7 +38,7 @@ def test_render_group_round_trip():
         FgAbGroup(0, (2, 4)),
         FgAbGroup(3, (2, 2, 6)),
     ):
-        assert parse_group(render_group(group)) == group
+        assert parse_group(str(group)) == group
 
 
 def test_matrix_codec():
@@ -82,6 +82,25 @@ def test_run_snf(tmp_path):
     v = decode_matrix(report["v"])
     d = decode_matrix(report["d"])
     assert u @ decode_matrix(json.loads(path.read_text())) @ v == d
+
+
+def test_run_snf_past_int_str_limit(tmp_path):
+    # U and V of this seeded 11 x 11 input carry entries of more than 4300
+    # digits, past Python's default int <-> str conversion limit
+    rng = random.Random(2)
+    rows = [[rng.randint(-9, 9) for _ in range(11)] for _ in range(11)]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 11, "cols": 11, "entries": rows}))
+    code, text = run(JobSpec("snf", {"input": str(path)}, output_format="json"))
+    assert code == 0
+    report = json.loads(text)
+    longest = max((x for key in "uv" for row in report[key]["entries"] for x in row), key=len)
+    assert len(longest.lstrip("-")) > 4300
+    u, d, v = (decode_matrix(report[key]) for key in "udv")
+    assert u @ IntMatrix.from_rows(rows) @ v == d
+    code, text = run(JobSpec("snf", {"input": str(path)}, output_format="text"))
+    assert code == 0
+    assert longest in text
 
 
 def test_run_snf_malformed(tmp_path):

@@ -21,7 +21,7 @@ from exacthom.grouphom import (
     tensor_gmodule,
     tensor_power_gmodule,
 )
-from exacthom.linalg import IntMatrix, hstack, vstack
+from exacthom.linalg import IntMatrix
 from exacthom.presets import load_preset
 
 Z2 = FiniteGroupTable.cyclic(2)
@@ -155,18 +155,14 @@ def test_magnus_rank_and_surjectivity():
             # the inclusion is G-equivariant into ZG^gens
             zg = group_ring(preset.table)
             for g in range(order):
-                big = vstack(
+                # block diagonal: one copy of the regular action per generator
+                big = IntMatrix.from_rows(
                     [
-                        hstack(
-                            [
-                                zg.action[g]
-                                if i == j
-                                else IntMatrix.zeros(order, order)
-                                for j in range(gens)
-                            ]
-                        )
+                        [0] * (order * i) + list(row) + [0] * (order * (gens - 1 - i))
                         for i in range(gens)
-                    ]
+                        for row in zg.action[g].entries
+                    ],
+                    cols=order * gens,
                 )
                 assert big @ ms.inclusion == ms.inclusion @ ms.relation_module.action[g]
 

@@ -15,7 +15,6 @@ from exacthom.linalg import (
     smith_diagonal,
     snf,
     solve,
-    vstack,
 )
 
 
@@ -209,9 +208,23 @@ def test_det():
     with pytest.raises(InputError):
         det(IntMatrix.zeros(2, 3))
     rng = random.Random("linalg-det")
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        a = rand_matrix(rng, n, n, -6, 6)
+    for trial in range(120):
+        n = rng.randint(1, 5)
+        kind = trial % 3
+        if kind == 0:
+            a = rand_matrix(rng, n, n, -6, 6)
+        elif kind == 1:
+            # rank deficient: a product through an inner dimension n - 1
+            a = rand_matrix(rng, n, n - 1, -4, 4) @ rand_matrix(rng, n - 1, n, -4, 4)
+        else:
+            # the only unit sits off the diagonal, outside column 0, so the
+            # first pivot needs a column swap (and a row swap unless i = 0)
+            grid = [[rng.choice((-1, 1)) * rng.randint(2, 6) for _ in range(n)] for _ in range(n)]
+            if n > 1:
+                j = rng.randrange(1, n)
+                i = rng.choice([k for k in range(n) if k != j])
+                grid[i][j] = rng.choice((-1, 1))
+            a = IntMatrix.from_rows(grid, cols=n)
         # expansion along the first row as an independent oracle
         def cofactor(m):
             if m.rows == 0:
@@ -226,12 +239,13 @@ def test_det():
             return total
 
         assert det(a) == cofactor(a)
+        if kind == 1:
+            assert det(a) == 0
 
 
 def test_stacking():
     a = IntMatrix.from_rows([[1, 2]])
     b = IntMatrix.from_rows([[3, 4]])
-    assert vstack([a, b]).entries == ((1, 2), (3, 4))
     assert hstack([a.transpose(), b.transpose()]).entries == ((1, 3), (2, 4))
     with pytest.raises(InputError):
         hstack([a, IntMatrix.zeros(2, 1)])
@@ -258,10 +272,17 @@ def test_smith_diagonal_bounded_route():
     assert _smith_diagonal_bounded(IntMatrix.diagonal([2, 6])) == (2, 6)
     assert _smith_diagonal_bounded(IntMatrix.zeros(2, 3)) == (0, 0)
     assert _smith_diagonal_bounded(IntMatrix.identity(3)) == (1, 1, 1)
+    assert _smith_diagonal_bounded(IntMatrix.zeros(0, 3)) == ()
+    assert _smith_diagonal_bounded(IntMatrix.zeros(3, 0)) == ()
     rng = random.Random("linalg-bounded")
     for _ in range(200):
         a = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), -9, 9)
         assert _smith_diagonal_bounded(a) == snf(a).diagonal
+    # tall and rank deficient: a 6 x k product through inner dimension 2
+    for cols in (2, 3, 4):
+        a = rand_matrix(rng, 6, 2, -5, 5) @ rand_matrix(rng, 2, cols, -5, 5)
+        assert _smith_diagonal_bounded(a) == snf(a).diagonal
+        assert snf(a).rank <= 2
 
 
 def test_smith_diagonal_swell_fallback():
