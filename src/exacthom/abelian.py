@@ -1,19 +1,29 @@
 """Finitely generated abelian groups and chain complexes of free ones.
 
 A group is kept in invariant-factor canonical form, so two groups are
-isomorphic exactly when they compare equal. Homology of a complex of free
-abelian groups comes from two transform-free Smith diagonals: the cokernel
-of the incoming differential carries the torsion, and the rank of the
-outgoing one corrects the free part.
+isomorphic exactly when they compare equal.
+
+Homology of a complex of free abelian groups is computed in two steps.
+First the complex is reduced (Kaczynski, Mischaikow and Mrozek,
+*Computational Homology*, 2004): going up the degrees, every +-1 entry of a
+differential is cancelled by a Schur-complement update, which drops one
+basis element from each of the two terms it joins and keeps the homology
+over Z unchanged. Then each surviving differential, now small and dense, is
+eliminated once by a transform-free Smith diagonal: H_p is free of rank
+r_p - rank d_p - rank d_(p-1), plus the invariant factors > 1 of the
+differential d_p arriving at degree p. homologies reads every degree of a
+complex off one reduction; homology and homology_at reduce only the terms
+around one degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import ComplexValidityError, InputError
-from .linalg import IntMatrix, smith_diagonal
+from .linalg import IntMatrix, _int_to_decimal, smith_diagonal
 
 __all__ = [
     "FgAbGroup",
@@ -22,6 +32,7 @@ __all__ = [
     "from_cyclic_orders",
     "homology_at",
     "homology",
+    "homologies",
 ]
 
 
@@ -64,8 +75,8 @@ class FgAbGroup:
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.invariant_factors)
+            parts.append(f"Z^{_int_to_decimal(self.free_rank)}")
+        parts.extend(f"Z/{_int_to_decimal(d)}" for d in self.invariant_factors)
         return " + ".join(parts) if parts else "0"
 
 
@@ -132,29 +143,114 @@ class ChainComplex:
     def rank_at(self, degree: int) -> int:
         return self.ranks[degree - self.bottom_degree]
 
-    def differential_into(self, degree: int) -> IntMatrix:
-        """The map arriving at the given degree (zero map above the top)."""
-        p = degree - self.bottom_degree
-        if p < len(self.differentials):
-            return self.differentials[p]
-        return IntMatrix.zeros(self.ranks[p], 0)
 
-    def differential_out_of(self, degree: int) -> IntMatrix:
-        """The map leaving the given degree (zero map at the bottom)."""
-        p = degree - self.bottom_degree
-        if p >= 1:
-            return self.differentials[p - 1]
-        return IntMatrix.zeros(0, self.ranks[p])
+def _reduce(
+    ranks: Sequence[int], differentials: Sequence[IntMatrix]
+) -> tuple[tuple[int, ...], tuple[IntMatrix, ...]]:
+    """Cancel every +-1 entry of a complex; the homology over Z is unchanged.
+
+    differentials[p] maps the term of index p + 1 to the term of index p.
+    Each differential is held as columns {col: {row: value}} with a row ->
+    columns index. Going up the degrees, a unit pivot x = d[a][b] is taken
+    from the row with the fewest nonzeros; the update
+    d' = d - d[., b] * x * d[a, .] (x is its own inverse) then drops column
+    b and row a, together with row b of the differential above and column a
+    of the one below. Cancelling in d_p only ever removes columns from the
+    differentials below it, so no unit is left when the pass ends. Returns
+    the surviving ranks and dense differentials, basis order kept.
+    """
+    cols: list[dict[int, dict[int, int]]] = []
+    rows: list[dict[int, set[int]]] = []
+    for d in differentials:
+        dc: dict[int, dict[int, int]] = {j: {} for j in range(d.cols)}
+        dr: dict[int, set[int]] = {}
+        every = range(d.cols)
+        for i, row in enumerate(d.entries):
+            support = set(compress(every, row))
+            dr[i] = support
+            for j in support:
+                dc[j][i] = row[j]
+        cols.append(dc)
+        rows.append(dr)
+
+    for p in range(len(differentials)):
+        dc, dr = cols[p], rows[p]
+        while True:
+            best = None
+            best_len = len(dc) + 1
+            for a, support in dr.items():
+                if len(support) < best_len:
+                    for b in support:
+                        x = dc[b][a]
+                        if x == 1 or x == -1:
+                            best, best_len = (a, b, x), len(support)
+                            break
+                    if best_len == 1:
+                        break
+            if best is None:
+                break
+            a, b, x = best
+            col_b = dc.pop(b)
+            del col_b[a]
+            for i in col_b:
+                dr[i].discard(b)
+            row_a = dr.pop(a)
+            row_a.discard(b)
+            for j in row_a:
+                col_j = dc[j]
+                f = x * col_j.pop(a)
+                for i, y in col_b.items():
+                    v = col_j.get(i, 0) - y * f
+                    if v:
+                        if i not in col_j:
+                            dr[i].add(j)
+                        col_j[i] = v
+                    elif i in col_j:
+                        del col_j[i]
+                        dr[i].discard(j)
+            if p + 1 < len(differentials):  # row b of the differential above
+                above_c, above_r = cols[p + 1], rows[p + 1]
+                for j in above_r.pop(b):
+                    del above_c[j][b]
+            if p:  # column a of the differential below
+                below_c, below_r = cols[p - 1], rows[p - 1]
+                for i in below_c.pop(a):
+                    below_r[i].discard(a)
+
+    if not differentials:
+        return tuple(ranks), ()
+    new_ranks = [len(rows[0])] + [len(dc) for dc in cols]
+    out = []
+    for dc, dr in zip(cols, rows):
+        row_pos = {a: k for k, a in enumerate(dr)}
+        grid = [[0] * len(dc) for _ in row_pos]
+        for k, col in enumerate(dc.values()):
+            for i, v in col.items():
+                grid[row_pos[i]][k] = v
+        out.append(IntMatrix(len(row_pos), len(dc), tuple(map(tuple, grid))))
+    return tuple(new_ranks), tuple(out)
+
+
+def _reduced_homologies(
+    ranks: Sequence[int], differentials: Sequence[IntMatrix]
+) -> tuple[FgAbGroup, ...]:
+    """Homology at every term: one reduction, one Smith diagonal per
+    surviving differential."""
+    ranks, differentials = _reduce(ranks, differentials)
+    diagonals = [smith_diagonal(d) for d in differentials]
+    image = [sum(1 for x in diag if x) for diag in diagonals] + [0]
+    groups = []
+    for p, r in enumerate(ranks):
+        torsion = tuple(x for x in diagonals[p] if x > 1) if p < len(diagonals) else ()
+        groups.append(FgAbGroup(r - image[p] - image[p - 1], torsion))
+    return tuple(groups)
 
 
 def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
     """ker(d_out) / im(d_in) for one composable pair of differentials.
 
-    ker(d_out) is a saturated sublattice of the middle term Z^n and the
-    quotient Z^n/ker is the image of d_out, which is free, so the sequence
-    0 -> ker/im -> Z^n/im(d_in) -> im(d_out) -> 0 splits. The homology is
-    therefore the cokernel of d_in with its free rank cut by rank(d_out);
-    no kernel coordinates are ever computed, which keeps the entries small.
+    Unlike homology, this checks that d_out composed with d_in is zero,
+    since its callers build the pair without a ChainComplex.
     """
     if d_out.cols != d_in.rows:
         raise ComplexValidityError(
@@ -163,16 +259,25 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
         )
     if not (d_out @ d_in).is_zero():
         raise ComplexValidityError("d_out composed with d_in is nonzero")
-    total = canonical_form(d_in)
-    rank_out = sum(1 for x in smith_diagonal(d_out) if x)
-    return FgAbGroup(total.free_rank - rank_out, total.invariant_factors)
+    return _reduced_homologies((d_out.rows, d_in.rows, d_in.cols), (d_out, d_in))[1]
 
 
 def homology(c: ChainComplex, degree: int) -> FgAbGroup:
-    """Homology of the complex at one degree inside its support range."""
+    """Homology of the complex at one degree inside its support range.
+
+    Only the terms next to the degree are reduced; d(d(x)) = 0 was checked
+    when the complex was built.
+    """
     if degree < c.bottom_degree or degree > c.top_degree:
         raise InputError(
             f"degree {degree} outside complex range "
             f"[{c.bottom_degree}, {c.top_degree}]"
         )
-    return homology_at(c.differential_into(degree), c.differential_out_of(degree))
+    p = degree - c.bottom_degree
+    lo = max(p - 1, 0)
+    return _reduced_homologies(c.ranks[lo : p + 2], c.differentials[lo : p + 1])[p - lo]
+
+
+def homologies(c: ChainComplex) -> tuple[FgAbGroup, ...]:
+    """Homology at every degree, bottom to top, from one reduction."""
+    return _reduced_homologies(c.ranks, c.differentials)

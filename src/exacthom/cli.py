@@ -29,7 +29,7 @@ from .grouphom import (
     group_ring,
 )
 from .koszul import derived
-from .linalg import IntMatrix, snf
+from .linalg import IntMatrix, _decimal_to_int, _int_to_decimal, snf
 from .powers import FunctorKind
 from .presets import PRESET_NAMES, decode_group_file, load_preset
 from .verify import SUITE_NAMES, run_all, run_four_term, run_suite
@@ -64,8 +64,11 @@ def parse_group(text: str) -> FgAbGroup:
             continue
         for prefix, is_free in (("Z^", True), ("Z/", False)):
             if part.startswith(prefix):
+                # an order may pass Python's int/str digit limit; a rank
+                # that long could never be built, and stays a bad integer
+                parse = int if is_free else _decimal_to_int
                 try:
-                    k = int(part[len(prefix):])
+                    k = parse(part[len(prefix):])
                 except ValueError:
                     raise InputError(f"bad integer in group term {part!r}") from None
                 if k < 1:
@@ -75,36 +78,6 @@ def parse_group(text: str) -> FgAbGroup:
         else:
             raise InputError(f"cannot parse group term {part!r}")
     return from_cyclic_orders(orders)
-
-
-# Python refuses int <-> str conversions past 4300 digits by default, and
-# the Smith transforms of 11 x 11 inputs with one-digit entries already pass
-# that. Longer numbers are split in halves until each half converts.
-# encode_matrix tries plain str on the whole grid first, so ordinary
-# reports pay only that try.
-def _int_to_decimal(x: int) -> str:
-    try:
-        return str(x)
-    except ValueError:
-        pass
-    if x < 0:
-        return "-" + _int_to_decimal(-x)
-    k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
-    high, low = divmod(x, 10**k)
-    return _int_to_decimal(high) + _int_to_decimal(low).zfill(k)
-
-
-def _decimal_to_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        body = text.strip()
-        digits = body[1:] if body[:1] in ("+", "-") else body
-        if not (digits.isascii() and digits.isdigit()):
-            raise
-    k = len(digits) // 2
-    value = _decimal_to_int(digits[:-k]) * 10**k + _decimal_to_int(digits[-k:])
-    return -value if body[0] == "-" else value
 
 
 def encode_matrix(m: IntMatrix) -> dict:

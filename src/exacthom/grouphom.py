@@ -364,18 +364,24 @@ def magnus_sequence(pres: FpGroupPresentation) -> MagnusSequence:
     kernel = kernel_basis(sigma)
     k = kernel.cols
 
-    actions = []
+    # One solve against the kernel for all n translates side by side; the
+    # coordinates of element elt are columns elt*k .. elt*k + k - 1.
+    blocks = []
     for elt in range(n):
-        permuted = [[0] * k for _ in range(n * gens)]
+        permuted: list[tuple[int, ...]] = [()] * (n * gens)
         for s in range(gens):
             base = s * n
             for g in range(n):
-                permuted[base + table.mult[elt][g]] = list(kernel.entries[base + g])
-        coords = solve(kernel, IntMatrix.from_rows(permuted, cols=k))
-        if coords is None:
-            raise InvariantViolation("relation module is not stable under the action")
-        actions.append(coords)
-    module = GModuleFree(table, k, tuple(actions))
+                permuted[base + table.mult[elt][g]] = kernel.entries[base + g]
+        blocks.append(IntMatrix(n * gens, k, tuple(permuted)))
+    coords = solve(kernel, hstack(blocks))
+    if coords is None:
+        raise InvariantViolation("relation module is not stable under the action")
+    actions = tuple(
+        IntMatrix(k, k, tuple(row[elt * k : elt * k + k] for row in coords.entries))
+        for elt in range(n)
+    )
+    module = GModuleFree(table, k, actions)
     return MagnusSequence(sigma, module, kernel)
 
 

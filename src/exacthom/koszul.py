@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .abelian import ChainComplex, FgAbGroup, canonical_form, from_cyclic_orders, homology
+from .abelian import ChainComplex, FgAbGroup, canonical_form, from_cyclic_orders, homologies
 from .errors import InputError, InvariantViolation, UnsupportedFunctorError
 from .linalg import IntMatrix, smith_diagonal
 from .powers import FunctorKind, PowerKind, basis, div_contract, ext_mult, sym_mult
@@ -340,7 +340,7 @@ def complex_for(f: FunctorKind, p: PresentationPair) -> ChainComplex:
 def derived_from_presentation(f: FunctorKind, p: PresentationPair) -> DerivedResult:
     """Derived functor values computed from an explicit presentation."""
     c = complex_for(f, p)
-    values = tuple(homology(c, i) for i in range(f.degree + 1))
+    values = homologies(c)
     return DerivedResult(functor=f, group=p.group(), values=values)
 
 

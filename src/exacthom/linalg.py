@@ -46,6 +46,37 @@ __all__ = [
 ]
 
 
+# Python refuses int <-> str conversions past 4300 digits by default, and
+# the Smith transforms of 11 x 11 inputs with one-digit entries already pass
+# that. Longer numbers are split in halves until each half converts. Every
+# conversion of an entry, a group order or a parsed group term goes through
+# this pair; each tries plain str/int first, so ordinary numbers pay only
+# that try.
+def _int_to_decimal(x: int) -> str:
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + _int_to_decimal(-x)
+    k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(x, 10**k)
+    return _int_to_decimal(high) + _int_to_decimal(low).zfill(k)
+
+
+def _decimal_to_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    k = len(digits) // 2
+    value = _decimal_to_int(digits[:-k]) * 10**k + _decimal_to_int(digits[-k:])
+    return -value if body[0] == "-" else value
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable rows x cols integer matrix stored as a tuple of row tuples."""
@@ -175,7 +206,7 @@ class IntMatrix:
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"<empty {self.rows}x{self.cols}>"
-        text = [[str(x) for x in row] for row in self.entries]
+        text = [[_int_to_decimal(x) for x in row] for row in self.entries]
         widths = [max(len(text[i][j]) for i in range(self.rows)) for j in range(self.cols)]
         return "\n".join(
             "[" + "  ".join(t.rjust(w) for t, w in zip(row, widths)) + "]" for row in text

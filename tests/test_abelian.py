@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,13 +6,29 @@ import pytest
 from exacthom.abelian import (
     ChainComplex,
     FgAbGroup,
+    _reduce,
     canonical_form,
     from_cyclic_orders,
+    homologies,
     homology,
     homology_at,
 )
 from exacthom.errors import ComplexValidityError, InputError
-from exacthom.linalg import IntMatrix, kernel_basis
+from exacthom.grouphom import (
+    FiniteGroupTable,
+    GModuleFree,
+    _bar_differential,
+    augmentation_ideal,
+    group_ring,
+)
+from exacthom.koszul import (
+    kos,
+    kos_prime,
+    presentation_from_group,
+    random_padded_presentation,
+    tensor_complex,
+)
+from exacthom.linalg import IntMatrix, kernel_basis, smith_diagonal, solve
 from exacthom.verify import random_unimodular
 
 
@@ -33,6 +50,9 @@ def test_group_str():
     assert str(FgAbGroup(2)) == "Z^2"
     assert str(FgAbGroup(1, (2,))) == "Z + Z/2"
     assert str(FgAbGroup(0, (2, 4))) == "Z/2 + Z/4"
+    big = 10**5000  # past Python's 4300-digit int -> str limit
+    assert str(FgAbGroup(1, (big,))) == "Z + Z/1" + "0" * 5000
+    assert str(IntMatrix.from_rows([[big, -1]])) == "[1" + "0" * 5000 + "  -1]"
 
 
 def test_group_order():
@@ -148,3 +168,129 @@ def test_euler_characteristic():
             (-1) ** i * homology(c, i).free_rank for i in range(3)
         )
         assert chi_ranks == chi_hom
+
+
+def _dense_homology(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
+    """The dense two-Smith route, kept as the oracle: the cokernel of d_in
+    with its free rank cut by rank(d_out)."""
+    total = canonical_form(d_in)
+    rank_out = sum(1 for x in smith_diagonal(d_out) if x)
+    return FgAbGroup(total.free_rank - rank_out, total.invariant_factors)
+
+
+def _koszul_case(builder, group, n, padding):
+    return lambda: builder(presentation_from_group(group, padding), n)
+
+
+def _random_padded_case(builder, group, n, seed):
+    def make():
+        rng = random.Random(f"oracle-{seed}")
+        return builder(random_padded_presentation(group, rng.randint(1, 3), rng), n)
+    return make
+
+
+def _s3() -> FiniteGroupTable:
+    """The six permutations of three points, identity first; gh applies h first."""
+    perms = list(itertools.permutations(range(3)))
+    return FiniteGroupTable.from_mult(
+        [[perms.index(tuple(g[h[i]] for i in range(3))) for h in perms] for g in perms]
+    )
+
+
+_V4 = FiniteGroupTable.direct_product(FiniteGroupTable.cyclic(2), FiniteGroupTable.cyclic(2))
+_S3 = _s3()
+_COEFFICIENTS = {
+    "trivial": lambda g: GModuleFree.trivial(g, 1),
+    "augmentation": augmentation_ideal,
+    "regular": group_ring,
+}
+
+
+def _bar_case(table, coeff, i):
+    """The bar complex from degree i - 1 to i + 1 (from 0 when i = 0)."""
+    def make():
+        m = _COEFFICIENTS[coeff](table)
+        diffs = tuple(_bar_differential(m, k) for k in range(max(i, 1), i + 2))
+        ranks = (diffs[0].rows,) + tuple(d.cols for d in diffs)
+        return ChainComplex(max(i - 1, 0), ranks, diffs)
+    return make
+
+
+def _random_case(kind):
+    """Three-term complexes with d(d(x)) = 0: generic, with no unit entry
+    (every entry even, so nothing cancels), or acyclic with unit pivots
+    (everything cancels)."""
+    def make():
+        rng = random.Random(f"oracle-random-{kind}")
+        if kind == "acyclic":
+            a, b = 3, 4
+            w = random_unimodular(a + b, rng, steps=4)
+            w_inv = solve(w, IntMatrix.identity(a + b))
+            d1 = IntMatrix.from_rows(w.entries[:a], cols=a + b)
+            d2 = w_inv @ IntMatrix.from_rows(
+                [[int(i == j + a) for j in range(b)] for i in range(a + b)], cols=b
+            )
+            return ChainComplex(0, (a, a + b, b), (d1, d2))
+        scale = 2 if kind == "no-unit" else 1
+        r0, r1, r2 = 4, 6, 4
+        d1 = IntMatrix.from_rows(
+            [[scale * rng.randint(-3, 3) for _ in range(r1)] for _ in range(r0)], cols=r1
+        )
+        k = kernel_basis(d1)
+        mix = IntMatrix.from_rows(
+            [[scale * rng.randint(-2, 2) for _ in range(r2)] for _ in range(k.cols)], cols=r2
+        )
+        return ChainComplex(0, (r0, r1, r2), (d1, k @ mix))
+    return make
+
+
+_Z2_Z4 = FgAbGroup(0, (2, 4))
+_Z3_Z3 = FgAbGroup(0, (3, 3))
+_Z_Z2 = FgAbGroup(1, (2,))
+
+_ORACLE_CASES = {
+    **{
+        f"{b.__name__}-{str(g).replace(' ', '')}-n{n}-pad{pad}": _koszul_case(b, g, n, pad)
+        for b in (tensor_complex, kos, kos_prime)
+        for g in (_Z2_Z4, _Z3_Z3, _Z_Z2)
+        for n, pad in ((2, 0), (2, 1), (2, 2), (3, 0))
+    },
+    **{
+        f"random-padded-{b.__name__}-{str(g).replace(' ', '')}": _random_padded_case(b, g, 2, seed)
+        for seed, (b, g) in enumerate(
+            ((tensor_complex, _Z2_Z4), (kos, _Z_Z2), (kos_prime, _Z3_Z3))
+        )
+    },
+    **{
+        f"bar-{name}-{coeff}-H{i}": _bar_case(table, coeff, i)
+        for name, table in (("V4", _V4), ("S3", _S3))
+        for coeff in _COEFFICIENTS
+        for i in (0, 1)
+    },
+    "bar-V4-trivial-H2": _bar_case(_V4, "trivial", 2),
+    "bar-S3-trivial-H2": _bar_case(_S3, "trivial", 2),
+    **{f"random-{kind}": _random_case(kind) for kind in ("generic", "no-unit", "acyclic")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_reduced_homology_matches_dense_oracle(name):
+    c = _ORACLE_CASES[name]()
+    # (d_in, d_out) at each term, with zero maps past both ends
+    pairs = [
+        (
+            c.differentials[p] if p < len(c.differentials) else IntMatrix.zeros(r, 0),
+            c.differentials[p - 1] if p else IntMatrix.zeros(0, r),
+        )
+        for p, r in enumerate(c.ranks)
+    ]
+    expected = tuple(_dense_homology(d_in, d_out) for d_in, d_out in pairs)
+    assert homologies(c) == expected
+    degrees = range(c.bottom_degree, c.top_degree + 1)
+    assert tuple(homology(c, i) for i in degrees) == expected
+    assert tuple(homology_at(d_in, d_out) for d_in, d_out in pairs) == expected
+    reduced_ranks, _ = _reduce(c.ranks, c.differentials)
+    if name == "random-no-unit":
+        assert reduced_ranks == c.ranks
+    if name == "random-acyclic":
+        assert reduced_ranks == (0, 0, 0)

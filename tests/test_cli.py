@@ -103,6 +103,21 @@ def test_run_snf_past_int_str_limit(tmp_path):
     assert longest in text
 
 
+def test_run_snf_group_past_int_str_limit(tmp_path):
+    # the cokernel Z/10^5000 is printed and parsed past the 4300-digit limit
+    order = "1" + "0" * 5000
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[order]]}))
+    code, text = run(JobSpec("snf", {"input": str(path)}, output_format="json"))
+    assert code == 0
+    assert json.loads(text)["cokernel"] == "Z/" + order
+    code, text = run(JobSpec("snf", {"input": str(path)}, output_format="text"))
+    assert code == 0
+    assert "cokernel Z/" + order in text
+    for s in ("Z/" + order, "Z^2 + Z/2 + Z/" + order):
+        assert str(parse_group(s)) == s
+
+
 def test_run_snf_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
