@@ -14,6 +14,12 @@ r_p - rank d_p - rank d_(p-1), plus the invariant factors > 1 of the
 differential d_p arriving at degree p. homologies reads every degree of a
 complex off one reduction; homology and homology_at reduce only the terms
 around one degree.
+
+This is the only route from a matrix to a group: canonical_form takes the
+cokernel of a presentation matrix as H_0 of the two-term complex
+Z^rows <- Z^cols, and kernel ranks are read as its H_1. Only
+from_cyclic_orders, whose input is already diagonal, skips the reduction
+and passes its nonzero orders through the gcd/lcm step of linalg.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from itertools import compress
 from typing import Sequence
 
 from .errors import ComplexValidityError, InputError
-from .linalg import IntMatrix, _int_to_decimal, smith_diagonal
+from .linalg import IntMatrix, _divisibility_chain, _int_to_decimal, smith_diagonal
 
 __all__ = [
     "FgAbGroup",
@@ -81,13 +87,12 @@ class FgAbGroup:
 
 
 def canonical_form(presentation: IntMatrix) -> FgAbGroup:
-    """The cokernel Z^rows / (column span of the presentation matrix)."""
-    diag = smith_diagonal(presentation)
-    rank = sum(1 for x in diag if x)
-    return FgAbGroup(
-        free_rank=presentation.rows - rank,
-        invariant_factors=tuple(x for x in diag if x > 1),
-    )
+    """The cokernel Z^rows / (column span of the presentation matrix).
+
+    This is H_0 of the two-term complex Z^rows <- Z^cols, so it is read off
+    one reduction like every other homology group.
+    """
+    return _reduced_homologies((presentation.rows, presentation.cols), (presentation,))[0]
 
 
 def from_cyclic_orders(orders: Sequence[int]) -> FgAbGroup:
@@ -95,7 +100,8 @@ def from_cyclic_orders(orders: Sequence[int]) -> FgAbGroup:
     orders = [int(x) for x in orders]
     if any(x < 0 for x in orders):
         raise InputError("cyclic orders must be nonnegative")
-    return canonical_form(IntMatrix.diagonal(orders))
+    chain = _divisibility_chain([x for x in orders if x > 1])
+    return FgAbGroup(orders.count(0), tuple(x for x in chain if x > 1))
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,20 @@ def decode_matrix(obj: Any) -> IntMatrix:
     return IntMatrix.from_rows(grid, cols=cols)
 
 
+def _encode_order(x: int) -> int | str:
+    """x as a JSON int, or as a decimal string when it is past str's digit limit."""
+    try:
+        str(x)
+    except ValueError:
+        return _int_to_decimal(x)
+    return x
+
+
 def encode_group(a: FgAbGroup) -> dict:
-    return {"free_rank": a.free_rank, "invariant_factors": list(a.invariant_factors)}
+    return {
+        "free_rank": a.free_rank,
+        "invariant_factors": [_encode_order(x) for x in a.invariant_factors],
+    }
 
 
 @dataclass

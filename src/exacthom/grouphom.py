@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .abelian import FgAbGroup, canonical_form, homology_at
+from .abelian import ChainComplex, FgAbGroup, canonical_form, homologies, homology_at
 from .errors import InputError, InvariantViolation, ResourceBudgetError
-from .linalg import IntMatrix, hstack, kernel_basis, smith_diagonal, solve
+from .linalg import IntMatrix, hstack, kernel_basis, solve
 
 __all__ = [
     "FiniteGroupTable",
@@ -52,7 +52,9 @@ class FiniteGroupTable:
 
     mult[i][j] is the product of elements i and j; index 0 is the identity.
     Construction validates the identity law, associativity, and two-sided
-    inverses (available as the inverse property).
+    inverses (available as the inverse property), and picks a generating
+    set greedily in element order: each element not yet generated by the
+    earlier picks is added (the generating_set property).
     """
 
     order: int
@@ -88,10 +90,21 @@ class FiniteGroupTable:
             if inverse[i] < 0:
                 raise InputError(f"element {i} has no two-sided inverse")
         object.__setattr__(self, "_inverse", tuple(inverse))
+        gens: list[int] = []
+        reached = {0}
+        for g in range(n):
+            if g not in reached:
+                gens.append(g)
+                reached = _closure(self, gens)
+        object.__setattr__(self, "_generating_set", tuple(gens))
 
     @property
     def inverse(self) -> tuple[int, ...]:
         return self._inverse  # type: ignore[attr-defined]
+
+    @property
+    def generating_set(self) -> tuple[int, ...]:
+        return self._generating_set  # type: ignore[attr-defined]
 
     @classmethod
     def from_mult(cls, mult: Sequence[Sequence[int]]) -> "FiniteGroupTable":
@@ -141,6 +154,24 @@ class FiniteGroupTable:
         return self.generator() is not None
 
 
+def _closure(table: FiniteGroupTable, elements: Sequence[int]) -> set[int]:
+    """The subgroup the elements generate.
+
+    In a finite group every inverse is a positive power, so products of the
+    elements alone reach the whole subgroup.
+    """
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in elements:
+            y = table.mult[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
 @dataclass(frozen=True)
 class FpGroupPresentation:
     """A finite presentation mapping onto a finite group table.
@@ -169,17 +200,7 @@ class FpGroupPresentation:
                     raise InputError("relator letter signs must be +1 or -1")
             if self.evaluate(word) != 0:
                 raise InputError("every relator must evaluate to the identity")
-        reached = {0}
-        frontier = [0]
-        step = set(self.assignment) | {self.target.inverse[g] for g in self.assignment}
-        while frontier:
-            x = frontier.pop()
-            for g in step:
-                y = self.target.mult[x][g]
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        if len(reached) != self.target.order:
+        if len(_closure(self.target, self.assignment)) != self.target.order:
             raise InputError("assigned elements do not generate the group")
 
     def evaluate(self, word: Word) -> int:
@@ -225,17 +246,15 @@ def _parse_word(text: str, index: dict[str, int]) -> Word:
     return tuple(word)
 
 
-_FULL_CHECK_RANK = 40
-
-
 @dataclass(frozen=True)
 class GModuleFree:
     """A free Z-module with an integer G-action, one matrix per element.
 
-    The identity must act as the identity matrix and the action matrices
-    must follow the multiplication table; small modules are checked on all
-    element pairs, larger ones on a deterministic sample that always
-    includes the (g, g^-1) pairs so integer invertibility stays verified.
+    The identity must act as the identity matrix, and rho(s) rho(h) must be
+    rho(sh) for every s in the group's generating set and every element h.
+    That is the whole group law: by induction on the length of a word in
+    the generators, rho(g) rho(h) = rho(gh) for all g and h, so in
+    particular rho(g^-1) is the inverse of rho(g).
     """
 
     group: FiniteGroupTable
@@ -252,15 +271,11 @@ class GModuleFree:
                 raise InputError("action matrices must be rank x rank")
         if self.action[0] != IntMatrix.identity(self.rank):
             raise InputError("the identity element must act as the identity matrix")
-        n = self.group.order
-        if self.rank <= _FULL_CHECK_RANK:
-            pairs = [(g, h) for g in range(n) for h in range(n)]
-        else:
-            pairs = [(g, self.group.inverse[g]) for g in range(n)]
-            pairs += [(g, (g * 7 + 3) % n) for g in range(n)]
-        for g, h in pairs:
-            if self.action[g] @ self.action[h] != self.action[self.group.mult[g][h]]:
-                raise InputError("action matrices do not follow the group law")
+        mult = self.group.mult
+        for s in self.group.generating_set:
+            for h in range(self.group.order):
+                if self.action[s] @ self.action[h] != self.action[mult[s][h]]:
+                    raise InputError("action matrices do not follow the group law")
 
     @classmethod
     def trivial(cls, group: FiniteGroupTable, rank: int = 1) -> "GModuleFree":
@@ -413,8 +428,14 @@ def tensor_power_gmodule(a: GModuleFree, n: int) -> GModuleFree:
 
 
 def coinvariants(m: GModuleFree) -> FgAbGroup:
-    """H_0(G, M): the quotient of M by all gm - m."""
-    blocks = [m.action[g] - IntMatrix.identity(m.rank) for g in range(1, m.group.order)]
+    """H_0(G, M): the quotient of M by all gm - m.
+
+    Since (gh - 1)m = (g - 1)(hm) + (h - 1)m, the images of s - 1 for s in
+    the group's generating set already span every gm - m (Brown, Cohomology
+    of Groups, II.2), so only those blocks are stacked.
+    """
+    ident = IntMatrix.identity(m.rank)
+    blocks = [m.action[s] - ident for s in m.group.generating_set]
     if not blocks:
         return FgAbGroup(m.rank)
     return canonical_form(hstack(blocks))
@@ -433,8 +454,7 @@ def h1_free(pres: FpGroupPresentation, n: GModuleFree) -> FgAbGroup:
     ident = IntMatrix.identity(n.rank)
     blocks = [n.action[pres.assignment[s]] - ident for s in range(len(pres.generators))]
     stacked = hstack(blocks)
-    rank = sum(1 for x in smith_diagonal(stacked) if x)
-    return FgAbGroup(stacked.cols - rank)
+    return homologies(ChainComplex(0, (stacked.rows, stacked.cols), (stacked,)))[1]
 
 
 def homology_cyclic(m: int, coeff: GModuleFree, i: int) -> FgAbGroup:

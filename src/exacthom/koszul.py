@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .abelian import ChainComplex, FgAbGroup, canonical_form, from_cyclic_orders, homologies
+from .abelian import ChainComplex, FgAbGroup, from_cyclic_orders, homologies
 from .errors import InputError, InvariantViolation, UnsupportedFunctorError
-from .linalg import IntMatrix, smith_diagonal
+from .linalg import IntMatrix
 from .powers import FunctorKind, PowerKind, basis, div_contract, ext_mult, sym_mult
 
 __all__ = [
@@ -63,12 +63,15 @@ class PresentationPair:
                 f"inclusion must be {self.f_rank}x{self.h_rank}, "
                 f"got {self.inclusion.rows}x{self.inclusion.cols}"
             )
-        diag = smith_diagonal(self.inclusion)
-        if sum(1 for x in diag if x) != self.h_rank:
+        # one reduction of F <- H gives the kernel (H_1) and the cokernel (H_0)
+        two_term = ChainComplex(0, (self.f_rank, self.h_rank), (self.inclusion,))
+        cokernel, kernel = homologies(two_term)
+        if not kernel.is_trivial():
             raise InputError("inclusion must be injective (full column rank)")
+        object.__setattr__(self, "_group", cokernel)
 
     def group(self) -> FgAbGroup:
-        return canonical_form(self.inclusion)
+        return self._group  # type: ignore[attr-defined]
 
 
 def presentation_from_group(a: FgAbGroup, padding: int = 0) -> PresentationPair:

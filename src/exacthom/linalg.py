@@ -22,7 +22,9 @@ bit-length cap. On the rare inputs whose entries swell past that cap,
 smith_diagonal switches to the bounded modular route
 (_smith_diagonal_bounded): one fraction-free Bareiss pass (_bareiss, shared
 with det) finds the rank and a maximal nonzero minor D, and the same engine
-then eliminates with entries kept in balanced residues mod D.
+then eliminates with entries kept in balanced residues mod D; the diagonal it
+leaves becomes an invariant chain through _divisibility_chain, the gcd/lcm
+step that abelian.from_cyclic_orders uses too.
 """
 
 from __future__ import annotations
@@ -526,17 +528,22 @@ def _smith_diagonal_bounded(a: IntMatrix) -> tuple[int, ...]:
     # a zero pivot (the block left over was zero mod D) counts as a copy of Z/D
     values = [math.gcd(p, big_d) for p in diag]
     values += [big_d] * (a.rows - limit)
-    # pairwise gcd/lcm passes turn a diagonal into its invariant chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if values[j] % values[i]:
-                    g = math.gcd(values[i], values[j])
-                    values[i], values[j] = g, values[i] * values[j] // g
-                    changed = True
-    return tuple(values[:rank]) + (0,) * (limit - rank)
+    return tuple(_divisibility_chain(values)[:rank]) + (0,) * (limit - rank)
+
+
+def _divisibility_chain(values: list[int]) -> list[int]:
+    """The invariant chain of diag(values), for positive values, in place.
+
+    One pairwise gcd/lcm pass suffices: once position i has met every later
+    one it divides all of them, and later steps only replace a later entry
+    by a gcd or lcm of two multiples of it.
+    """
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if values[j] % values[i]:
+                g = math.gcd(values[i], values[j])
+                values[i], values[j] = g, values[i] * values[j] // g
+    return values
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:

@@ -22,6 +22,7 @@ from exacthom.grouphom import (
     group_ring,
 )
 from exacthom.koszul import (
+    PresentationPair,
     kos,
     kos_prime,
     presentation_from_group,
@@ -170,12 +171,77 @@ def test_euler_characteristic():
         assert chi_ranks == chi_hom
 
 
+def _smith_rank(m: IntMatrix) -> int:
+    return sum(1 for x in smith_diagonal(m) if x)
+
+
+def _smith_cokernel(m: IntMatrix) -> FgAbGroup:
+    """The direct route, kept as the oracle: one dense Smith diagonal of m,
+    with no reduction."""
+    diag = smith_diagonal(m)
+    return FgAbGroup(m.rows - sum(1 for x in diag if x), tuple(x for x in diag if x > 1))
+
+
 def _dense_homology(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
     """The dense two-Smith route, kept as the oracle: the cokernel of d_in
     with its free rank cut by rank(d_out)."""
-    total = canonical_form(d_in)
-    rank_out = sum(1 for x in smith_diagonal(d_out) if x)
-    return FgAbGroup(total.free_rank - rank_out, total.invariant_factors)
+    total = _smith_cokernel(d_in)
+    return FgAbGroup(total.free_rank - _smith_rank(d_out), total.invariant_factors)
+
+
+def _two_term_matrices() -> dict[str, IntMatrix]:
+    """Zero-dimensional, random (with units, mostly tall so that many are
+    injective, plus two rank-deficient products) and unit-free matrices."""
+    rng = random.Random("two-term-oracle")
+
+    def grid(rows, cols, values):
+        return IntMatrix.from_rows(
+            [[rng.choice(values) for _ in range(cols)] for _ in range(rows)], cols=cols
+        )
+
+    cases = {f"empty-{r}x{c}": IntMatrix.zeros(r, c) for r, c in ((0, 0), (0, 3), (3, 0))}
+    for k in range(8):
+        cols = rng.randint(1, 5)
+        rows = rng.randint(cols - 1, 7) or 1
+        cases[f"random-{k}"] = grid(rows, cols, (0, 0, 1, -1, 2, -3, 5))
+    for k in range(2):
+        cases[f"deficient-{k}"] = grid(6, 2, (1, -1, 2, 3)) @ grid(2, 4, (1, -2, 3))
+    for k in range(4):
+        cols = rng.randint(1, 5)
+        cases[f"unit-free-{k}"] = grid(rng.randint(cols, 7), cols, (0, 0, 2, -2, 3, 4, -6, 9))
+    return cases
+
+
+_TWO_TERM = _two_term_matrices()
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_TERM))
+def test_presentation_pair_matches_smith_oracle(name):
+    m = _TWO_TERM[name]
+    if _smith_rank(m) < m.cols:
+        with pytest.raises(InputError):
+            PresentationPair(m.cols, m.rows, m)
+    else:
+        assert PresentationPair(m.cols, m.rows, m).group() == _smith_cokernel(m)
+
+
+_ORDER_LISTS = {
+    "empty": [],
+    "zeros": [0, 0, 0],
+    "ones": [1, 1],
+    "zeros-and-ones": [1, 0, 1, 0, 4],
+    "coprime": [2, 3, 5, 7],
+    "shared-primes": [4, 6, 9, 8, 12, 27, 10],
+    "descending": [8, 4, 2, 2],
+    "past-4300-digits": [10**5000, 6, 2 * 10**4400 + 2, 0, 1, 15 * 10**4301],
+    "random": random.Random("orders").choices((0, 1, 2, 3, 4, 6, 9, 12, 25), k=12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_LISTS))
+def test_from_cyclic_orders_matches_smith_oracle(name):
+    orders = _ORDER_LISTS[name]
+    assert from_cyclic_orders(orders) == _smith_cokernel(IntMatrix.diagonal(orders))
 
 
 def _koszul_case(builder, group, n, padding):
@@ -269,6 +335,12 @@ _ORACLE_CASES = {
     },
     "bar-V4-trivial-H2": _bar_case(_V4, "trivial", 2),
     "bar-S3-trivial-H2": _bar_case(_S3, "trivial", 2),
+    # H_0 is the cokernel that canonical_form returns, H_1 the kernel rank
+    # that h1_free reads
+    **{
+        f"two-term-{name}": lambda m=m: ChainComplex(0, (m.rows, m.cols), (m,))
+        for name, m in _TWO_TERM.items()
+    },
     **{f"random-{kind}": _random_case(kind) for kind in ("generic", "no-unit", "acyclic")},
 }
 
@@ -286,6 +358,7 @@ def test_reduced_homology_matches_dense_oracle(name):
     ]
     expected = tuple(_dense_homology(d_in, d_out) for d_in, d_out in pairs)
     assert homologies(c) == expected
+    assert canonical_form(pairs[0][0]) == expected[0]
     degrees = range(c.bottom_degree, c.top_degree + 1)
     assert tuple(homology(c, i) for i in degrees) == expected
     assert tuple(homology_at(d_in, d_out) for d_in, d_out in pairs) == expected

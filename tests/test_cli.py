@@ -151,6 +151,22 @@ def test_run_derive():
     assert "L_0 = Z" in text and "L_1 = 0" in text
 
 
+def test_run_derive_json_past_int_str_limit():
+    # L_0(tensor^1)(Z/10^5000) is an order past the 4300-digit limit of
+    # json.dumps; it is written as a decimal string, ordinary orders as ints
+    order = "1" + "0" * 5000
+    params = _derive_params(functor="tensor", n=1, group="Z/" + order)
+    code, text = run(JobSpec("derive", params, output_format="json"))
+    assert code == 0
+    value = json.loads(text)["values"][0]
+    assert value["group"] == "Z/" + order
+    assert value["json"] == {"free_rank": 0, "invariant_factors": [order]}
+    assert encode_group(parse_group("Z + Z/2 + Z/" + order)) == {
+        "free_rank": 1,
+        "invariant_factors": [2, order],
+    }
+
+
 def test_run_derive_errors():
     code, _ = run(JobSpec("derive", _derive_params(functor="div")))
     assert code == 2

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from exacthom.grouphom import (
     tensor_gmodule,
     tensor_power_gmodule,
 )
-from exacthom.linalg import IntMatrix
+from exacthom.linalg import IntMatrix, hstack, smith_diagonal
 from exacthom.presets import load_preset
 
 Z2 = FiniteGroupTable.cyclic(2)
@@ -51,6 +52,9 @@ def test_table_basics():
     assert V4.generator() is None
     assert not V4.is_cyclic()
     assert FiniteGroupTable.cyclic(1).generator() == 0
+    assert Z4.generating_set == (1,)
+    assert V4.generating_set == (1, 2)
+    assert FiniteGroupTable.cyclic(1).generating_set == ()
 
 
 def test_presentation_validation():
@@ -82,6 +86,18 @@ def test_gmodule_validation():
         GModuleFree(Z2, 1, (IntMatrix.from_rows([[2]]), IntMatrix.identity(1)))
     m = GModuleFree.trivial(Z3, 2)
     assert m.rank == 2 and all(a == IntMatrix.identity(2) for a in m.action)
+
+
+@pytest.mark.parametrize("rank", [40, 41])
+def test_gmodule_group_law_checked_at_every_rank(rank):
+    # 1 and 5 act as diag(-1, 1, ..., 1), every other element as the
+    # identity, so rho(1) rho(2) != rho(3); every (g, g^-1) pair composes
+    # to the identity, so a check on inverse pairs alone would accept it
+    flip = IntMatrix.diagonal([-1] + [1] * (rank - 1))
+    ident = IntMatrix.identity(rank)
+    action = tuple(flip if g in (1, 5) else ident for g in range(6))
+    with pytest.raises(InputError):
+        GModuleFree(FiniteGroupTable.cyclic(6), rank, action)
 
 
 def test_group_ring_and_augmentation():
@@ -182,6 +198,69 @@ def test_coinvariants():
     assert coinvariants(GModuleFree.trivial(Z4, 2)) == FgAbGroup(2)
     assert coinvariants(augmentation_ideal(Z2)) == FgAbGroup(0, (2,))
     assert coinvariants(GModuleFree.trivial(FiniteGroupTable.cyclic(1), 3)) == FgAbGroup(3)
+
+
+def _s3_presentation() -> FpGroupPresentation:
+    """S3 as the permutations of three points, <a, b | aa, bbb, abab> with a
+    a transposition and b a 3-cycle."""
+    perms = list(itertools.permutations(range(3)))
+    table = FiniteGroupTable.from_mult(
+        [[perms.index(tuple(g[h[i]] for i in range(3))) for h in perms] for g in perms]
+    )
+    a = next(g for g in range(6) if table.element_order(g) == 2)
+    b = next(g for g in range(6) if table.element_order(g) == 3)
+    return FpGroupPresentation.from_strings(("a", "b"), ("aa", "bbb", "abab"), table, (a, b))
+
+
+def _relabelled_z6_presentation() -> FpGroupPresentation:
+    """Z/6 with label i standing for the residue labels[i], so that labels 1
+    and 2 have orders 2 and 3 and the greedy generating set is (1, 2)."""
+    labels = (0, 3, 2, 5, 4, 1)
+    index = {r: i for i, r in enumerate(labels)}
+    table = FiniteGroupTable.from_mult(
+        [[index[(labels[i] + labels[j]) % 6] for j in range(6)] for i in range(6)]
+    )
+    return FpGroupPresentation.from_strings(("a",), ("aaaaaa",), table, (index[1],))
+
+
+_PRESENTATIONS = {
+    **{
+        name: lambda name=name: load_preset(name).presentations[0]
+        for name in ("Z2", "Z3", "Z4", "Z2xZ2")
+    },
+    "S3": _s3_presentation,
+    "Z6-relabelled": _relabelled_z6_presentation,
+}
+
+_MODULES = {
+    "trivial": lambda pres: GModuleFree.trivial(pres.target, 1),
+    "regular": lambda pres: group_ring(pres.target),
+    "augmentation": lambda pres: augmentation_ideal(pres.target),
+    "relation-squared": lambda pres: tensor_power_gmodule(
+        magnus_sequence(pres).relation_module, 2
+    ),
+}
+
+
+def _smith_cokernel(m: IntMatrix) -> FgAbGroup:
+    diag = smith_diagonal(m)
+    return FgAbGroup(m.rows - sum(1 for x in diag if x), tuple(x for x in diag if x > 1))
+
+
+@pytest.mark.parametrize("group", sorted(_PRESENTATIONS))
+@pytest.mark.parametrize("module", sorted(_MODULES))
+def test_coinvariants_and_h1_match_all_elements_oracle(group, module):
+    pres = _PRESENTATIONS[group]()
+    m = _MODULES[module](pres)
+    ident = IntMatrix.identity(m.rank)
+    # coinvariants: the old route stacked g - 1 for every g != 1
+    every = [m.action[g] - ident for g in range(1, m.group.order)]
+    assert len(m.group.generating_set) <= len(every)
+    assert coinvariants(m) == _smith_cokernel(hstack(every))
+    # h1_free: the kernel rank from one dense Smith diagonal
+    stacked = hstack([m.action[g] - ident for g in pres.assignment])
+    kernel_rank = stacked.cols - sum(1 for x in smith_diagonal(stacked) if x)
+    assert h1_free(pres, m) == FgAbGroup(kernel_rank)
 
 
 def test_h1_free():
