@@ -1,8 +1,10 @@
 """Exact linear algebra over the integers.
 
 Everything works with Python's arbitrary-precision ints; there is no floating
-point and no fixed-width fast path. Matrices are immutable value objects, and
-zero-dimensional matrices (0 rows or 0 columns) are legal inputs everywhere.
+point. Products use machine-width fields only under a proven bound on every
+output entry (packed rows, see IntMatrix.__matmul__) and are otherwise exact
+big-int loops. Matrices are immutable value objects, and zero-dimensional
+matrices (0 rows or 0 columns) are legal inputs everywhere.
 
 Conventions:
   * matrices act on column vectors, so a matrix with r rows and c columns is
@@ -30,7 +32,11 @@ step that abelian.from_cyclic_orders uses too.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -79,6 +85,45 @@ def _decimal_to_int(text: str) -> int:
     return -value if body[0] == "-" else value
 
 
+# Signed machine fields for packed products, narrowest first; the widths are
+# whatever the platform gives these array codes (32 and 64 bits in practice).
+_FIELDS = tuple((code, array(code).itemsize * 8) for code in ("i", "q"))
+
+
+def _field_code(bound: int) -> Optional[str]:
+    """The narrowest array code whose signed field holds every integer of
+    absolute value at most `bound`, or None when no field does."""
+    bits = bound.bit_length() + 1  # the sign bit
+    for code, width in _FIELDS:
+        if bits <= width:
+            return code
+    return None
+
+
+def _packed_matmul(a: "IntMatrix", b: "IntMatrix", code: str) -> "IntMatrix":
+    """a @ b by Kronecker substitution: row k of b becomes the integer
+    P_k = sum_j b_kj * 2^(w*j), so row i of the product is the single big-int
+    sum over k of a_ik * P_k, and CPython's C arithmetic does a whole row of
+    multiply-adds at once. The caller proves every output entry fits a signed
+    w-bit field, so no field carries into the next."""
+    width = array(code).itemsize * 8
+    nbytes = b.cols * (width // 8)
+    order = sys.byteorder
+    # 2^(w-1) in every field: XOR-ing it and subtracting it turns the
+    # two's-complement fields array() writes into signed digits, and adding
+    # it and XOR-ing it turns signed digits back.
+    bias = (((1 << (width * b.cols)) - 1) // ((1 << width) - 1)) << (width - 1)
+    packed = [
+        (int.from_bytes(array(code, row).tobytes(), order) ^ bias) - bias
+        for row in b.entries
+    ]
+    rows = []
+    for arow in a.entries:
+        acc = sum(map(mul, compress(arow, arow), compress(packed, arow)))
+        rows.append(tuple(array(code, ((acc + bias) ^ bias).to_bytes(nbytes, order))))
+    return IntMatrix(a.rows, b.cols, tuple(rows))
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable rows x cols integer matrix stored as a tuple of row tuples."""
@@ -100,7 +145,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
-        grid = tuple(tuple(int(x) for x in row) for row in rows)
+        grid = tuple(tuple(map(int, row)) for row in rows)
         if cols is None:
             if not grid:
                 raise InputError("cols is required for a matrix with no rows")
@@ -145,7 +190,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else tuple(() for _ in range(self.cols)))
@@ -183,27 +228,46 @@ class IntMatrix:
             raise InputError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
+        rows, inner, cols = self.rows, other.rows, other.cols
         # Row-sparse view of the right factor: products of the sparse matrices
         # built elsewhere in the package dominate, and skipping zeros there
-        # changes the constant factor by orders of magnitude.
-        sparse_rows = [
-            [(j, v) for j, v in enumerate(row) if v] for row in other.entries
-        ]
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i, arow in enumerate(self.entries):
-            orow = out[i]
-            for k, a in enumerate(arow):
-                if a:
-                    if a == 1:
-                        for j, b in sparse_rows[k]:
-                            orow[j] += b
-                    elif a == -1:
-                        for j, b in sparse_rows[k]:
-                            orow[j] -= b
-                    else:
-                        for j, b in sparse_rows[k]:
-                            orow[j] += a * b
-        return IntMatrix(self.rows, other.cols, tuple(tuple(r) for r in out))
+        # changes the constant factor by orders of magnitude. compress skips
+        # them in C.
+        b_columns = range(cols)
+        sparse_rows = [[(j, row[j]) for j in compress(b_columns, row)] for row in other.entries]
+        # The loop below does one multiply-add per nonzero a_ik and nonzero
+        # b_kj, `work` in all. The packed route costs about one field operation
+        # per output entry and per entry of B, so it pays only when `work` is
+        # well above that; it is exact only while every output entry fits a
+        # signed field, and |c_ij| <= sum_k |a_ik| * max|b| proves it. The
+        # sparse d*d checks of complexes fail the first test, and products
+        # with Smith transforms, whose entries run to thousands of bits, the
+        # second. As work <= rows * inner * cols, small products skip the count.
+        if rows * inner > 4 * (rows + inner):
+            nnz = list(map(len, sparse_rows))
+            work = sum(chain.from_iterable(map(compress, repeat(nnz), self.entries)))
+            if work > 4 * (rows * cols + inner * cols):
+                bound = max(sum(map(abs, row)) for row in self.entries) * max(
+                    max(map(abs, row)) for row in other.entries
+                )
+                code = _field_code(bound)
+                if code is not None:
+                    return _packed_matmul(self, other, code)
+        out = [[0] * cols for _ in range(rows)]
+        a_columns = range(inner)
+        for arow, orow in zip(self.entries, out):
+            for k in compress(a_columns, arow):
+                a, brow = arow[k], sparse_rows[k]
+                if a == 1:
+                    for j, b in brow:
+                        orow[j] += b
+                elif a == -1:
+                    for j, b in brow:
+                        orow[j] -= b
+                else:
+                    for j, b in brow:
+                        orow[j] += a * b
+        return IntMatrix(rows, cols, tuple(map(tuple, out)))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:

@@ -109,8 +109,8 @@ def run_functoriality(seed: int) -> dict:
             for kind in _ALL_KINDS:
                 f = FunctorKind(kind, n)
                 cases += 1
-                ident = IntMatrix.identity(r2)
-                if induced_map(f, ident) != IntMatrix.identity(induced_map(f, ident).rows):
+                image = induced_map(f, IntMatrix.identity(r2))
+                if image != IntMatrix.identity(image.rows):
                     failures.append(f"identity not preserved: trial {trial}, {f}")
 
     for trial in range(50):

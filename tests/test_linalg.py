@@ -1,10 +1,14 @@
 import random
+from array import array
 from itertools import combinations
 from math import gcd
 
 import pytest
 
+from exacthom import linalg
+from exacthom.abelian import from_cyclic_orders
 from exacthom.errors import InputError
+from exacthom.koszul import presentation_from_group, tensor_complex
 from exacthom.linalg import (
     IntMatrix,
     SmithDecomposition,
@@ -16,6 +20,7 @@ from exacthom.linalg import (
     snf,
     solve,
 )
+from exacthom.powers import FunctorKind, PowerKind, induced_map
 
 
 def rand_matrix(rng, rows, cols, lo=-100, hi=100):
@@ -44,6 +49,12 @@ def test_from_rows_validation():
     assert IntMatrix.from_rows([], cols=3).rows == 0
     with pytest.raises(InputError):
         IntMatrix.from_rows([[1]], cols=2)
+    # entries go through int(): bools and int()-able inputs become ints
+    m = IntMatrix.from_rows([[True, "-3"], [2.0, False]])
+    assert m.entries == ((1, -3), (2, 0))
+    assert {type(x) for row in m.entries for x in row} == {int}
+    assert not m.is_zero() and not IntMatrix.from_rows([[0, 0], [0, -1]]).is_zero()
+    assert all(IntMatrix.zeros(r, c).is_zero() for r, c in ((2, 3), (0, 3), (3, 0)))
 
 
 def test_arithmetic():
@@ -58,6 +69,125 @@ def test_arithmetic():
     # shape mismatch
     with pytest.raises(InputError):
         a @ IntMatrix.from_rows([[1, 2, 3]])
+
+
+def _loop_matmul(a, b):
+    """The exact big-int loop IntMatrix.__matmul__ ran before it packed rows:
+    the reference every product must equal, whichever route it takes."""
+    sparse_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b.entries]
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i, arow in enumerate(a.entries):
+        orow = out[i]
+        for k, x in enumerate(arow):
+            if x:
+                if x == 1:
+                    for j, y in sparse_rows[k]:
+                        orow[j] += y
+                elif x == -1:
+                    for j, y in sparse_rows[k]:
+                        orow[j] -= y
+                else:
+                    for j, y in sparse_rows[k]:
+                        orow[j] += x * y
+    return IntMatrix(a.rows, b.cols, tuple(tuple(r) for r in out))
+
+
+def _random_products():
+    rng = random.Random("linalg-matmul")
+
+    def entry(mag):  # nonzero: the density alone places the zeros
+        if mag == 3:
+            return rng.choice((-3, -2, -1, 1, 2, 3))
+        return rng.choice((-1, 1)) * (mag + rng.randint(-3, 3))
+
+    def matrix(rows, cols, density, mag):
+        return IntMatrix.from_rows(
+            [[entry(mag) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)],
+            cols=cols,
+        )
+
+    # Half the sides are 9 and half the densities 1, so that enough products
+    # are dense enough for the packed route.
+    pairs = []
+    for _ in range(2000):
+        r, n, c = (rng.choice((rng.randint(0, 9), 9)) for _ in range(3))
+        density = rng.choice((0.01, 0.1, 0.3, 0.6, 1.0, 1.0, 1.0, 1.0))
+        a = matrix(r, n, density, rng.choice((3, 3, 2**31, 2**63, 10**500)))
+        b = matrix(n, c, density, rng.choice((3, 3, 2**31, 2**63, 10**500)))
+        if r and rng.random() < 0.2:
+            a = IntMatrix(r, n, ((0,) * n,) + a.entries[1:])  # an all-zero row of A
+        pairs.append((a, b))
+    pairs += [
+        (IntMatrix.zeros(9, 9), IntMatrix.zeros(9, 9)),
+        (IntMatrix.zeros(0, 4), matrix(4, 3, 1.0, 3)),
+        (matrix(4, 0, 1.0, 3), IntMatrix.zeros(0, 5)),
+        (matrix(3, 4, 1.0, 3), IntMatrix.zeros(4, 0)),
+    ]
+    return [(a, b, None) for a, b in pairs]
+
+
+def _field_edges():
+    # 10 x 8 times 8 x 8 is dense enough for the packed route; each output
+    # bound sum_k |a_ik| * max|b| sits exactly at 2^(w-1) - 1, which a signed
+    # w-bit field holds, or at 2^(w-1), which it does not. 2^31 - 1 is prime,
+    # so that bound comes from one large entry of A.
+    def ones(rows, cols, value=1):
+        return IntMatrix.from_rows([[value] * cols for _ in range(rows)], cols=cols)
+
+    def big_first(top):
+        return IntMatrix.from_rows([[top - 7] + [1] * 7] + [[1] * 8] * 9, cols=8)
+
+    edges = []
+    for w, next_route in ((32, 64), (64, "sparse")):
+        half = 1 << (w - 1)
+        edges += [
+            (big_first(half - 1), ones(8, 8), w),
+            (-big_first(half - 1), ones(8, 8), w),
+            (ones(10, 8), ones(8, 8, half // 8), next_route),
+            (ones(10, 8), ones(8, 8, -half // 8), next_route),
+        ]
+    return edges
+
+
+def _tensor4_product():
+    rng = random.Random("linalg-tensor4")
+    f = FunctorKind(PowerKind.TENSOR, 4)
+    a, b = (rand_matrix(rng, 4, 4, -3, 3) for _ in range(2))
+    return [(induced_map(f, a), induced_map(f, b), 32)]
+
+
+def _koszul_dd_product():
+    c = tensor_complex(presentation_from_group(from_cyclic_orders((2, 4)), padding=1), 3)
+    return [(c.differentials[1], c.differentials[2], "sparse")]
+
+
+_MATMUL_CASES = {
+    "random": _random_products,
+    "field-edges": _field_edges,
+    "tensor4": _tensor4_product,
+    "koszul-dd": _koszul_dd_product,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MATMUL_CASES))
+def test_matmul_matches_loop(case, monkeypatch):
+    widths = []
+    packed = linalg._packed_matmul
+
+    def spy(a, b, code):
+        widths.append(array(code).itemsize * 8)
+        return packed(a, b, code)
+
+    monkeypatch.setattr(linalg, "_packed_matmul", spy)
+    taken = {}
+    for a, b, route in _MATMUL_CASES[case]():
+        widths.clear()
+        assert a @ b == _loop_matmul(a, b)
+        got = widths[0] if widths else "sparse"
+        assert route in (None, got)
+        taken[got] = taken.get(got, 0) + 1
+    if case == "random":
+        assert set(taken) == {32, 64, "sparse"} and min(taken.values()) >= 20, taken
 
 
 def test_snf_frozen():
