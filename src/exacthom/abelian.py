@@ -150,6 +150,49 @@ class ChainComplex:
         return self.ranks[degree - self.bottom_degree]
 
 
+def _tensor_product(
+    c_ranks: Sequence[int], c_diffs: Sequence[IntMatrix],
+    d_ranks: Sequence[int], d_diffs: Sequence[IntMatrix],
+) -> tuple[tuple[int, ...], tuple[IntMatrix, ...]]:
+    """The tensor product of two complexes given by raw ranks and
+    differentials, both starting at index 0.
+
+    Term p is the direct sum of C_i (x) D_j over i + j = p, its blocks
+    ordered by i descending and each block indexed with C's index major.
+    The differential is d(x (x) y) = dx (x) y + (-1)^i x (x) dy for x in
+    C_i; only the nonzero entries of d_C (x) 1 and 1 (x) d_D are written.
+    """
+    terms = range(len(c_ranks) + len(d_ranks) - 1)
+    offsets: list[dict[int, int]] = [{} for _ in terms]  # [p][i]: block (i, p - i)
+    ranks = [0] * len(terms)
+    for p in terms:
+        for i in range(min(p, len(c_ranks) - 1), max(p - len(d_ranks) + 1, 0) - 1, -1):
+            offsets[p][i] = ranks[p]
+            ranks[p] += c_ranks[i] * d_ranks[p - i]
+
+    diffs = []
+    for p in terms[1:]:
+        grid = [[0] * ranks[p] for _ in range(ranks[p - 1])]
+        below = offsets[p - 1]
+        for i, source in offsets[p].items():
+            j = p - i
+            if i:  # d_C (x) 1 into block (i - 1, j)
+                dc, width = c_diffs[i - 1], d_ranks[j]
+                for a, row in enumerate(dc.entries):
+                    for b in compress(range(dc.cols), row):
+                        for y in range(width):
+                            grid[below[i - 1] + a * width + y][source + b * width + y] = row[b]
+            if j:  # (-1)^i 1 (x) d_D into block (i, j - 1), one row slice at a time
+                dd = d_diffs[j - 1]
+                rows = dd.entries if i % 2 == 0 else [[-v for v in r] for r in dd.entries]
+                for x in range(c_ranks[i]):
+                    start = source + x * dd.cols
+                    for a, row in enumerate(rows):
+                        grid[below[i] + x * dd.rows + a][start : start + dd.cols] = row
+        diffs.append(IntMatrix(ranks[p - 1], ranks[p], tuple(map(tuple, grid))))
+    return tuple(ranks), tuple(diffs)
+
+
 def _reduce(
     ranks: Sequence[int], differentials: Sequence[IntMatrix]
 ) -> tuple[tuple[int, ...], tuple[IntMatrix, ...]]:
@@ -255,17 +298,10 @@ def _reduced_homologies(
 def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
     """ker(d_out) / im(d_in) for one composable pair of differentials.
 
-    Unlike homology, this checks that d_out composed with d_in is zero,
-    since its callers build the pair without a ChainComplex.
+    The pair is checked as a ChainComplex, so shapes that do not chain and
+    a nonzero composite raise ComplexValidityError.
     """
-    if d_out.cols != d_in.rows:
-        raise ComplexValidityError(
-            f"differentials do not chain: d_out has {d_out.cols} columns "
-            f"but d_in has {d_in.rows} rows"
-        )
-    if not (d_out @ d_in).is_zero():
-        raise ComplexValidityError("d_out composed with d_in is nonzero")
-    return _reduced_homologies((d_out.rows, d_in.rows, d_in.cols), (d_out, d_in))[1]
+    return homology(ChainComplex(0, (d_out.rows, d_in.rows, d_in.cols), (d_out, d_in)), 1)
 
 
 def homology(c: ChainComplex, degree: int) -> FgAbGroup:

@@ -195,8 +195,6 @@ def _parse_paddings(text: str) -> list[int]:
 
 
 def _run_derive(params: dict) -> tuple[int, dict]:
-    if params["n"] < 1:
-        raise InputError("the functor degree n must be at least 1")
     functor = FunctorKind.parse(params["functor"], params["n"])
     group = parse_group(params["group"])
     report: dict[str, Any] = {
@@ -224,8 +222,6 @@ def _run_derive(params: dict) -> tuple[int, dict]:
         report["paddings"] = runs
         report["independent"] = agree
         return (0 if agree else 1), report
-    if params["padding"] < 0:
-        raise InputError("padding must be nonnegative")
     result = derived(functor, group, padding=params["padding"])
     report["padding"] = params["padding"]
     report["values"] = [

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .abelian import ChainComplex, FgAbGroup, canonical_form, homologies, homology_at
 from .errors import InputError, InvariantViolation, ResourceBudgetError
-from .linalg import IntMatrix, hstack, kernel_basis, solve
+from .linalg import IntMatrix, _kron, hstack, kernel_basis, solve
 
 __all__ = [
     "FiniteGroupTable",
@@ -404,16 +404,7 @@ def tensor_gmodule(a: GModuleFree, b: GModuleFree) -> GModuleFree:
     """Tensor product over Z with the diagonal action."""
     if a.group != b.group:
         raise InputError("tensor factors must share their group")
-
-    def kron(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-        grid = [
-            [xv * yv for xv in xrow for yv in yrow]
-            for xrow in x.entries
-            for yrow in y.entries
-        ]
-        return IntMatrix.from_rows(grid, cols=x.cols * y.cols)
-
-    actions = tuple(kron(x, y) for x, y in zip(a.action, b.action))
+    actions = tuple(_kron(x, y) for x, y in zip(a.action, b.action))
     return GModuleFree(a.group, a.rank * b.rank, actions)
 
 

@@ -11,10 +11,13 @@ evaluated on A, independent of the chosen presentation:
   * tensor: the n-fold tensor power of the two-term complex H -> F
 
 Basis conventions inside each term: the H-part index is the major index and
-the F-part index the minor one, each factor ordered as in powers.py; the
-tensor power term in homological degree p is the direct sum over the
-lexicographically ordered p-element subsets S of the tensor positions, each
-block holding the words with H letters at the positions in S.
+the F-part index the minor one, each factor ordered as in powers.py. The
+sym and ext complexes share one differential loop (_koszul). The tensor
+power is the (n-1)-fold tensor product of H -> F with itself, with the
+Koszul sign; its term in homological degree p is the direct sum over the
+colexicographically ordered p-element subsets S of the tensor positions,
+each block holding the words with H letters at the positions in S in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Callable
 
-from .abelian import ChainComplex, FgAbGroup, from_cyclic_orders, homologies
+from .abelian import ChainComplex, FgAbGroup, _tensor_product, from_cyclic_orders, homologies
 from .errors import InputError, InvariantViolation, UnsupportedFunctorError
 from .linalg import IntMatrix
 from .powers import FunctorKind, PowerKind, basis, div_contract, ext_mult, sym_mult
@@ -74,41 +77,9 @@ class PresentationPair:
         return self._group  # type: ignore[attr-defined]
 
 
-def presentation_from_group(a: FgAbGroup, padding: int = 0) -> PresentationPair:
-    """The minimal diagonal presentation of a, optionally padded.
-
-    With zero padding, F = Z^(t + free_rank) with the t torsion generators
-    first and the inclusion is diag(invariant factors) stacked over zeros.
-    Each unit of padding adds one redundant generator g to F together with
-    the relation g - (e_0 + e_1) (or g - e_0 when only one earlier generator
-    exists, or g alone when none does); the cokernel is unchanged.
-    """
-    if padding < 0:
-        raise InputError("padding must be nonnegative")
-    t = len(a.invariant_factors)
-    f0 = t + a.free_rank
-    f, h = f0 + padding, t + padding
-    grid = [[0] * h for _ in range(f)]
-    for i, d in enumerate(a.invariant_factors):
-        grid[i][i] = d
-    for k in range(padding):
-        new_gen = f0 + k
-        col = t + k
-        grid[new_gen][col] = 1
-        for old in range(min(2, new_gen)):
-            grid[old][col] = -1
-    return PresentationPair(h, f, IntMatrix.from_rows(grid, cols=h))
-
-
-def random_padded_presentation(
-    a: FgAbGroup, padding: int, rng: random.Random
-) -> PresentationPair:
-    """Pad the minimal presentation with random redundant generators.
-
-    Each new generator g gets the relation g - (random combination of all
-    earlier generators, coefficients in [-2, 2]); by Tietze elimination the
-    cokernel is the group a for every choice.
-    """
+def _padded(a: FgAbGroup, padding: int, coefficient: Callable[[int], int]) -> PresentationPair:
+    """The minimal presentation of a plus padding redundant generators g, each
+    with the relation g + sum of coefficient(old) * old over earlier ones."""
     if padding < 0:
         raise InputError("padding must be nonnegative")
     t = len(a.invariant_factors)
@@ -122,12 +93,79 @@ def random_padded_presentation(
         col = t + k
         grid[new_gen][col] = 1
         for old in range(new_gen):
-            grid[old][col] = -rng.randint(-2, 2)
+            grid[old][col] = coefficient(old)
     return PresentationPair(h, f, IntMatrix.from_rows(grid, cols=h))
 
 
-def _iota_columns(p: PresentationPair) -> list[list[int]]:
-    return [[p.inclusion.entries[r][c] for r in range(p.f_rank)] for c in range(p.h_rank)]
+def presentation_from_group(a: FgAbGroup, padding: int = 0) -> PresentationPair:
+    """The minimal diagonal presentation of a, optionally padded.
+
+    With zero padding, F = Z^(t + free_rank) with the t torsion generators
+    first and the inclusion is diag(invariant factors) stacked over zeros.
+    Each unit of padding adds one redundant generator g to F together with
+    the relation g - (e_0 + e_1) (or g - e_0 when only one earlier generator
+    exists, or g alone when none does); the cokernel is unchanged.
+    """
+    return _padded(a, padding, lambda old: -1 if old < 2 else 0)
+
+
+def random_padded_presentation(
+    a: FgAbGroup, padding: int, rng: random.Random
+) -> PresentationPair:
+    """Pad the minimal presentation with random redundant generators.
+
+    Each new generator g gets the relation g - (random combination of all
+    earlier generators, coefficients in [-2, 2]); by Tietze elimination the
+    cokernel is the group a for every choice.
+    """
+    return _padded(a, padding, lambda old: -rng.randint(-2, 2))
+
+
+def _koszul(
+    p: PresentationPair, n: int, left_kind: PowerKind, right_kind: PowerKind,
+    contractions: Callable, mult: Callable,
+) -> ChainComplex:
+    """The complex with left^k(H) (x) right^(n-k)(F) in degree k.
+
+    The differential is d(a (x) b) = sum sign * a' (x) (iota(e_gen) * b)
+    over the (gen, a', sign) that contractions(a) lists, with the product
+    taken by mult.
+    """
+    if n < 1:
+        raise InputError("functor degree must be at least 1")
+    iota = p.inclusion.transpose().entries  # iota[gen]: the image of e_gen
+    lefts = [basis(left_kind, k, p.h_rank) for k in range(n + 1)]
+    rights = [basis(right_kind, k, p.f_rank) for k in range(n + 1)]
+    ranks = [len(lefts[k]) * len(rights[n - k]) for k in range(n + 1)]
+
+    diffs: list[IntMatrix] = []
+    for deg in range(1, n + 1):
+        grid = [[0] * ranks[deg] for _ in range(ranks[deg - 1])]
+        left_index = {t: i for i, t in enumerate(lefts[deg - 1])}
+        below = len(rights[n - deg + 1])
+        products: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
+        col = 0
+        for a in lefts[deg]:
+            terms = [(gen, left_index[rest] * below, sign) for gen, rest, sign in contractions(a)]
+            for b in rights[n - deg]:
+                for gen, base, sign in terms:
+                    if (gen, b) not in products:  # the nonzeros of iota(e_gen) * b
+                        products[gen, b] = [(k, c) for k, c in enumerate(mult(iota[gen], b)) if c]
+                    for k, c in products[gen, b]:
+                        grid[base + k][col] += sign * c
+                col += 1
+        diffs.append(IntMatrix(ranks[deg - 1], ranks[deg], tuple(map(tuple, grid))))
+    return ChainComplex(0, tuple(ranks), tuple(diffs))
+
+
+def _ext_contractions(a: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+    # remove each wedge slot, with sign (-1)^slot
+    return [(gen, a[:s] + a[s + 1 :], -1 if s % 2 else 1) for s, gen in enumerate(a)]
+
+
+def _div_contractions(a: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+    # remove each distinct generator once; the coefficient is exactly 1
+    return [(gen, div_contract(a, gen), 1) for gen in dict.fromkeys(a)]
 
 
 def kos(p: PresentationPair, n: int) -> ChainComplex:
@@ -137,39 +175,7 @@ def kos(p: PresentationPair, n: int) -> ChainComplex:
     differential removes the wedge slots one at a time with alternating
     signs and multiplies the image vector into the symmetric part.
     """
-    if n < 1:
-        raise InputError("functor degree must be at least 1")
-    h, f = p.h_rank, p.f_rank
-    cols_of_iota = _iota_columns(p)
-    wedges = [basis(PowerKind.EXT, k, h) for k in range(n + 1)]
-    monos = [basis(PowerKind.SYM, k, f) for k in range(n + 1)]
-    ranks = [len(wedges[k]) * len(monos[n - k]) for k in range(n + 1)]
-
-    diffs: list[IntMatrix] = []
-    for deg in range(1, n + 1):
-        rows, cols = ranks[deg - 1], ranks[deg]
-        grid = [[0] * cols for _ in range(rows)]
-        wedge_index = {t: i for i, t in enumerate(wedges[deg - 1])}
-        mono_count = len(monos[n - deg + 1])
-        mult_cache: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        col = 0
-        for wedge in wedges[deg]:
-            for mono in monos[n - deg]:
-                for pos in range(deg):
-                    gen = wedge[pos]
-                    key = (gen, mono)
-                    vcol = mult_cache.get(key)
-                    if vcol is None:
-                        vcol = sym_mult(cols_of_iota[gen], mono)
-                        mult_cache[key] = vcol
-                    sign = -1 if pos % 2 else 1
-                    base = wedge_index[wedge[:pos] + wedge[pos + 1 :]] * mono_count
-                    for k, c in enumerate(vcol):
-                        if c:
-                            grid[base + k][col] += sign * c
-                col += 1
-        diffs.append(IntMatrix.from_rows(grid, cols=cols))
-    return ChainComplex(0, tuple(ranks), tuple(diffs))
+    return _koszul(p, n, PowerKind.EXT, PowerKind.SYM, _ext_contractions, sym_mult)
 
 
 def kos_prime(p: PresentationPair, n: int) -> ChainComplex:
@@ -180,96 +186,27 @@ def kos_prime(p: PresentationPair, n: int) -> ChainComplex:
     and wedges the image vector onto the exterior part; wedge antisymmetry
     makes the square zero.
     """
-    if n < 1:
-        raise InputError("functor degree must be at least 1")
-    h, f = p.h_rank, p.f_rank
-    cols_of_iota = _iota_columns(p)
-    gammas = [basis(PowerKind.DIV, k, h) for k in range(n + 1)]
-    wedges = [basis(PowerKind.EXT, k, f) for k in range(n + 1)]
-    ranks = [len(gammas[k]) * len(wedges[n - k]) for k in range(n + 1)]
-
-    diffs: list[IntMatrix] = []
-    for deg in range(1, n + 1):
-        rows, cols = ranks[deg - 1], ranks[deg]
-        grid = [[0] * cols for _ in range(rows)]
-        gamma_index = {t: i for i, t in enumerate(gammas[deg - 1])}
-        wedge_count = len(wedges[n - deg + 1])
-        mult_cache: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        col = 0
-        for gamma in gammas[deg]:
-            for wedge in wedges[n - deg]:
-                for gen in dict.fromkeys(gamma):  # distinct slots, in order
-                    key = (gen, wedge)
-                    vcol = mult_cache.get(key)
-                    if vcol is None:
-                        vcol = ext_mult(cols_of_iota[gen], wedge)
-                        mult_cache[key] = vcol
-                    base = gamma_index[div_contract(gamma, gen)] * wedge_count
-                    for k, c in enumerate(vcol):
-                        if c:
-                            grid[base + k][col] += c
-                col += 1
-        diffs.append(IntMatrix.from_rows(grid, cols=cols))
-    return ChainComplex(0, tuple(ranks), tuple(diffs))
+    return _koszul(p, n, PowerKind.DIV, PowerKind.EXT, _div_contractions, ext_mult)
 
 
 def tensor_complex(p: PresentationPair, n: int) -> ChainComplex:
     """The n-fold tensor power of the two-term complex H -> F.
 
-    Degree p collects the words with H letters at a p-element subset S of
-    the positions; the differential pushes one H letter through iota with
-    the Koszul sign (-1)^(number of S positions before it). Its homology at
-    degree i is L_i Tensor^n of the presented group.
+    Built as ((F <- H) (x) (F <- H)) (x) ... by abelian._tensor_product, so
+    the differential pushes one H letter through iota with the Koszul sign
+    (-1)^(number of H letters before it). Degree p is the direct sum over
+    the p-element subsets S of the tensor positions, in colexicographic
+    order, of the blocks of words with H letters at the positions in S,
+    each block lexicographic. Its homology at degree i is L_i Tensor^n of
+    the presented group.
     """
     if n < 1:
         raise InputError("functor degree must be at least 1")
-    h, f = p.h_rank, p.f_rank
-    iota_sparse = [
-        [(t, p.inclusion.entries[t][c]) for t in range(f) if p.inclusion.entries[t][c]]
-        for c in range(p.h_rank)
-    ]
-
-    # layouts[k]: subset -> (block offset, per-position strides); ranks[k] total.
-    layouts: list[dict[tuple[int, ...], tuple[int, list[int]]]] = []
-    ranks: list[int] = []
-    for k in range(n + 1):
-        table: dict[tuple[int, ...], tuple[int, list[int]]] = {}
-        offset = 0
-        for subset in itertools.combinations(range(n), k):
-            in_s = set(subset)
-            sizes = [h if q in in_s else f for q in range(n)]
-            strides = [0] * n
-            acc = 1
-            for q in range(n - 1, -1, -1):
-                strides[q] = acc
-                acc *= sizes[q]
-            table[subset] = (offset, strides)
-            offset += acc
-        layouts.append(table)
-        ranks.append(offset)
-
-    diffs: list[IntMatrix] = []
-    for deg in range(1, n + 1):
-        rows, cols = ranks[deg - 1], ranks[deg]
-        grid = [[0] * cols for _ in range(rows)]
-        for subset, (offset, _strides) in layouts[deg].items():
-            in_s = set(subset)
-            position_ranges = [range(h) if q in in_s else range(f) for q in range(n)]
-            for word_idx, word in enumerate(itertools.product(*position_ranges)):
-                col = offset + word_idx
-                for k, pos in enumerate(subset):
-                    sign = -1 if k % 2 else 1
-                    target_subset = subset[:k] + subset[k + 1 :]
-                    t_offset, t_strides = layouts[deg - 1][target_subset]
-                    base = t_offset
-                    for q, letter in enumerate(word):
-                        if q != pos:
-                            base += letter * t_strides[q]
-                    stride = t_strides[pos]
-                    for t, c in iota_sparse[word[pos]]:
-                        grid[base + t * stride][col] += sign * c
-        diffs.append(IntMatrix.from_rows(grid, cols=cols))
-    return ChainComplex(0, tuple(ranks), tuple(diffs))
+    two_term = ((p.f_rank, p.h_rank), (p.inclusion,))
+    ranks, diffs = two_term
+    for _ in range(n - 1):
+        ranks, diffs = _tensor_product(ranks, diffs, *two_term)
+    return ChainComplex(0, ranks, diffs)
 
 
 def power_of_group(f: FunctorKind, a: FgAbGroup) -> FgAbGroup:

@@ -27,6 +27,9 @@ with det) finds the rank and a maximal nonzero minor D, and the same engine
 then eliminates with entries kept in balanced residues mod D; the diagonal it
 leaves becomes an invariant chain through _divisibility_chain, the gcd/lcm
 step that abelian.from_cyclic_orders uses too.
+
+_kron, the one Kronecker product, builds powers.induced_map's tensor powers
+and grouphom.tensor_gmodule's diagonal actions.
 """
 
 from __future__ import annotations
@@ -122,6 +125,12 @@ def _packed_matmul(a: "IntMatrix", b: "IntMatrix", code: str) -> "IntMatrix":
         acc = sum(map(mul, compress(arow, arow), compress(packed, arow)))
         rows.append(tuple(array(code, ((acc + bias) ^ bias).to_bytes(nbytes, order))))
     return IntMatrix(a.rows, b.cols, tuple(rows))
+
+
+def _kron(a: "IntMatrix", b: "IntMatrix") -> "IntMatrix":
+    """The Kronecker product, a's indices major: entry ((i, k), (j, l)) is a_ij * b_kl."""
+    rows = tuple(tuple([x * y for x in ar for y in br]) for ar in a.entries for br in b.entries)
+    return IntMatrix(a.rows * b.rows, a.cols * b.cols, rows)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .linalg import IntMatrix, det
+from .linalg import IntMatrix, _kron, det
 
 __all__ = [
     "PowerKind",
@@ -246,16 +246,7 @@ def _div_product(
 
 def _tensor_induced(n: int, m: IntMatrix) -> IntMatrix:
     # Kronecker power; the blocked row/column order matches the word basis.
-    out = [[1]]
-    cols = 1
-    for _ in range(n):
-        out = [
-            [x * y for x in row_o for y in row_m]
-            for row_o in out
-            for row_m in m.entries
-        ]
-        cols *= m.cols
-    return IntMatrix.from_rows(out, cols=cols)
+    return reduce(_kron, itertools.repeat(m, n), IntMatrix.identity(1))
 
 
 def _sym_induced(n: int, m: IntMatrix) -> IntMatrix:

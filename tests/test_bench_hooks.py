@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps exacthom functions by name from outside
 (perfbench/tracing.py); a rename in the package must fail here, not only in
-the benchmark's own smoke test."""
+the benchmark's own smoke test. So must a builder that derived reaches
+without passing the wrapper, which would read 0 in the koszul.build spans."""
 
 import subprocess
 import sys
@@ -17,7 +18,19 @@ sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
 for name in {MODULES!r}:
     importlib.import_module("exacthom." + name)
 import tracing
-tracing.Tracer().install()
+tracer = tracing.Tracer()
+tracer.install()
+# one job through derived: every builder it reaches must be the wrapped one
+from exacthom.abelian import FgAbGroup
+from exacthom.koszul import derived
+from exacthom.powers import FunctorKind
+tracer.begin_job("builders")
+for kind in ("sym", "ext", "tensor"):
+    derived(FunctorKind.parse(kind, 2), FgAbGroup(0, (2, 4)))
+tracer.end_job(0.0)
+metrics = tracer.metrics(1)
+assert metrics["koszul.build.calls"] == 3, metrics["koszul.build.calls"]
+assert metrics["koszul.build.nnz"] > 0, metrics["koszul.build.nnz"]
 """
 
 

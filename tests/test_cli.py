@@ -309,6 +309,8 @@ def test_main_stdout(capsys):
 
 def test_main_exit_codes(tmp_path):
     assert main(["derive", "--functor", "div", "--n", "2", "--group", "Z/2"]) == 2
+    # the degree is checked by FunctorKind alone
+    assert main(["derive", "--functor", "ext", "--n", "0", "--group", "Z/2"]) == 2
     assert (
         main(
             [

@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from exacthom.abelian import FgAbGroup
+from exacthom.abelian import ChainComplex, FgAbGroup
 from exacthom.errors import InputError, InvariantViolation, UnsupportedFunctorError
 from exacthom.koszul import (
     DerivedResult,
@@ -119,6 +120,95 @@ def test_tensor_complex_ranks_formula():
         assert c.ranks == tuple(
             math.comb(n, k) * h_rank**k * f_rank ** (n - k) for k in range(n + 1)
         )
+
+
+def _lex_tensor_complex(p, n):
+    """The tensor power built from subset, stride and sign tables, with the
+    p-subsets of tensor positions in lexicographic order: the reference
+    that tensor_complex must match up to the order of its blocks."""
+    h, f = p.h_rank, p.f_rank
+    iota_sparse = [
+        [(t, p.inclusion.entries[t][c]) for t in range(f) if p.inclusion.entries[t][c]]
+        for c in range(p.h_rank)
+    ]
+
+    # layouts[k]: subset -> (block offset, per-position strides); ranks[k] total.
+    layouts = []
+    ranks = []
+    for k in range(n + 1):
+        table = {}
+        offset = 0
+        for subset in itertools.combinations(range(n), k):
+            in_s = set(subset)
+            sizes = [h if q in in_s else f for q in range(n)]
+            strides = [0] * n
+            acc = 1
+            for q in range(n - 1, -1, -1):
+                strides[q] = acc
+                acc *= sizes[q]
+            table[subset] = (offset, strides)
+            offset += acc
+        layouts.append(table)
+        ranks.append(offset)
+
+    diffs = []
+    for deg in range(1, n + 1):
+        rows, cols = ranks[deg - 1], ranks[deg]
+        grid = [[0] * cols for _ in range(rows)]
+        for subset, (offset, _strides) in layouts[deg].items():
+            in_s = set(subset)
+            position_ranges = [range(h) if q in in_s else range(f) for q in range(n)]
+            for word_idx, word in enumerate(itertools.product(*position_ranges)):
+                col = offset + word_idx
+                for k, pos in enumerate(subset):
+                    sign = -1 if k % 2 else 1
+                    target_subset = subset[:k] + subset[k + 1 :]
+                    t_offset, t_strides = layouts[deg - 1][target_subset]
+                    base = t_offset
+                    for q, letter in enumerate(word):
+                        if q != pos:
+                            base += letter * t_strides[q]
+                    stride = t_strides[pos]
+                    for t, c in iota_sparse[word[pos]]:
+                        grid[base + t * stride][col] += sign * c
+        diffs.append(IntMatrix.from_rows(grid, cols=cols))
+    return ChainComplex(0, tuple(ranks), tuple(diffs))
+
+
+def _colex_order(n, k, block_size):
+    """Lexicographic basis positions listed in the colexicographic block
+    order of the k-subsets of n tensor positions."""
+    subsets = list(itertools.combinations(range(n), k))
+    start = {s: i * block_size for i, s in enumerate(subsets)}
+    return [
+        start[s] + w
+        for s in sorted(subsets, key=lambda s: s[::-1])
+        for w in range(block_size)
+    ]
+
+
+def _tensor_oracle_cases():
+    for padding in (0, 1, 2):
+        yield f"Z+Z/2-pad{padding}", presentation_from_group(FgAbGroup(1, (2,)), padding)
+    rng = random.Random("koszul-tensor-oracle")
+    yield "Z/2+Z/4-random1", random_padded_presentation(FgAbGroup(0, (2, 4)), 1, rng)
+    yield "Z+Z/3-random2", random_padded_presentation(FgAbGroup(1, (3,)), 2, rng)
+    yield "free-h0", presentation_from_group(FgAbGroup(2))
+    yield "zero-group", presentation_from_group(FgAbGroup(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("pres", [pytest.param(p, id=name) for name, p in _tensor_oracle_cases()])
+def test_tensor_complex_matches_lex_oracle(pres, n):
+    got = tensor_complex(pres, n)
+    want = _lex_tensor_complex(pres, n)
+    assert got.ranks == want.ranks
+    h, f = pres.h_rank, pres.f_rank
+    orders = [_colex_order(n, k, h**k * f ** (n - k)) for k in range(n + 1)]
+    for k, (d_got, d_want) in enumerate(zip(got.differentials, want.differentials)):
+        rows, cols = orders[k], orders[k + 1]
+        permuted = tuple(tuple(d_want.entries[i][j] for j in cols) for i in rows)
+        assert d_got.entries == permuted, f"differential {k}"
 
 
 def test_derived_cyclic_ground_truth():

@@ -381,6 +381,18 @@ def test_stacking():
         hstack([a, IntMatrix.zeros(2, 1)])
     with pytest.raises(InputError):
         hstack([])
+    # the Kronecker product against its definition, a's indices major
+    rng = random.Random("kron")
+    for (r, c), (s, t) in [((0, 3), (2, 2)), ((3, 0), (2, 2)), ((2, 2), (0, 3)),
+                           ((2, 2), (3, 0)), ((1, 1), (1, 1)), ((3, 2), (2, 4))]:
+        x, y = rand_matrix(rng, r, c, -5, 5), rand_matrix(rng, s, t, -5, 5)
+        k = linalg._kron(x, y)
+        assert (k.rows, k.cols) == (r * s, c * t)
+        assert all(
+            k.entries[i * s + p][j * t + q] == x.entries[i][j] * y.entries[p][q]
+            for i in range(r) for p in range(s) for j in range(c) for q in range(t)
+        )
+    assert linalg._kron(IntMatrix.from_rows([[-3]]), IntMatrix.from_rows([[4]])).entries == ((-12,),)
 
 
 def test_entry_growth_exactness():
