@@ -5,15 +5,21 @@ isomorphic exactly when they compare equal.
 
 Homology of a complex of free abelian groups is computed in two steps.
 First the complex is reduced (Kaczynski, Mischaikow and Mrozek,
-*Computational Homology*, 2004): going up the degrees, every +-1 entry of a
-differential is cancelled by a Schur-complement update, which drops one
-basis element from each of the two terms it joins and keeps the homology
-over Z unchanged. Then each surviving differential, now small and dense, is
-eliminated once by a transform-free Smith diagonal: H_p is free of rank
-r_p - rank d_p - rank d_(p-1), plus the invariant factors > 1 of the
-differential d_p arriving at degree p. homologies reads every degree of a
-complex off one reduction; homology and homology_at reduce only the terms
-around one degree.
+*Computational Homology*, 2004; Dumas, Heckenbach, Saunders and Welker,
+"Computing simplicial homology based on efficient Smith normal form
+algorithms", 2003): going up the degrees, every +-1 entry of a differential
+is cancelled by a Schur-complement update, and so is every entry x that
+divides its whole row and column, once no unit is left. Each cancellation
+drops one basis element from each of the two terms it joins; a unit keeps
+the homology over Z unchanged, and a divisor pivot splits off Z --x--> Z,
+whose Z/|x| is recorded as torsion of the lower term. Then each surviving
+differential, the small remainder that the cancellations could not split,
+is eliminated once by a transform-free Smith diagonal: H_p is free
+of rank r_p - rank d_p - rank d_(p-1), and its torsion is the recorded
+factors of the differential d_p arriving at degree p together with the
+remainder's invariant factors > 1, merged by the gcd/lcm step of linalg.
+homologies reads every degree of a complex off one reduction; homology and
+homology_at reduce only the terms around one degree.
 
 This is the only route from a matrix to a group: canonical_form takes the
 cokernel of a presentation matrix as H_0 of the two-term complex
@@ -195,18 +201,29 @@ def _tensor_product(
 
 def _reduce(
     ranks: Sequence[int], differentials: Sequence[IntMatrix]
-) -> tuple[tuple[int, ...], tuple[IntMatrix, ...]]:
-    """Cancel every +-1 entry of a complex; the homology over Z is unchanged.
+) -> tuple[tuple[int, ...], tuple[IntMatrix, ...], tuple[tuple[int, ...], ...]]:
+    """Cancel every pivot that divides its row and its column; the homology
+    over Z is unchanged apart from the torsion the pivots record.
 
     differentials[p] maps the term of index p + 1 to the term of index p.
     Each differential is held as columns {col: {row: value}} with a row ->
-    columns index. Going up the degrees, a unit pivot x = d[a][b] is taken
-    from the row with the fewest nonzeros; the update
-    d' = d - d[., b] * x * d[a, .] (x is its own inverse) then drops column
-    b and row a, together with row b of the differential above and column a
-    of the one below. Cancelling in d_p only ever removes columns from the
-    differentials below it, so no unit is left when the pass ends. Returns
-    the surviving ranks and dense differentials, basis order kept.
+    columns index. Going up the degrees, d_p is cancelled pivot by pivot: a
+    unit x = d[a][b] from the row with the fewest nonzeros while one is
+    left, otherwise the entry of least |x| that divides every entry of row
+    a and of column b, ties going to the fewest nonzeros in its row times
+    its column. The bases e'_a = d_p(f_b) / x and f'_j = f_j - (d[a][j] / x) f_b
+    are integral, and in them d_p is (x) + d' with the Schur complement
+    d' = d - d[., b] * (d[a, .] / x). Row b of the differential above and
+    column a of the one below become zero, so they are dropped with row a
+    and column b, and Z --x--> Z leaves Z/|x| in the homology at index p.
+    Cancelling in d_p only ever removes columns from the differentials
+    below it, so no unit is left when the pass ends; but a removed column
+    can leave a divisor pivot in d_(p-1), and that one is left to the Smith
+    diagonal, which is exact on whatever remains.
+
+    Returns the surviving ranks, the dense surviving differentials with
+    their basis order kept, and for each differential the |x| > 1 it
+    cancelled.
     """
     cols: list[dict[int, dict[int, int]]] = []
     rows: list[dict[int, set[int]]] = []
@@ -222,8 +239,10 @@ def _reduce(
         cols.append(dc)
         rows.append(dr)
 
+    factors: list[tuple[int, ...]] = []
     for p in range(len(differentials)):
         dc, dr = cols[p], rows[p]
+        cancelled: list[int] = []
         while True:
             best = None
             best_len = len(dc) + 1
@@ -237,7 +256,19 @@ def _reduce(
                     if best_len == 1:
                         break
             if best is None:
-                break
+                best_abs = best_cost = 0
+                for b, col_b in dc.items():
+                    for a, x in col_b.items():
+                        m, cost = abs(x), len(dr[a]) * len(col_b)
+                        if best and (m > best_abs or m == best_abs and cost >= best_cost):
+                            continue
+                        if all(y % x == 0 for y in col_b.values()) and all(
+                            dc[j][a] % x == 0 for j in dr[a]
+                        ):
+                            best, best_abs, best_cost = (a, b, x), m, cost
+                if best is None:
+                    break
+                cancelled.append(best_abs)
             a, b, x = best
             col_b = dc.pop(b)
             del col_b[a]
@@ -247,7 +278,7 @@ def _reduce(
             row_a.discard(b)
             for j in row_a:
                 col_j = dc[j]
-                f = x * col_j.pop(a)
+                f = col_j.pop(a) // x
                 for i, y in col_b.items():
                     v = col_j.get(i, 0) - y * f
                     if v:
@@ -265,9 +296,10 @@ def _reduce(
                 below_c, below_r = cols[p - 1], rows[p - 1]
                 for i in below_c.pop(a):
                     below_r[i].discard(a)
+        factors.append(tuple(cancelled))
 
     if not differentials:
-        return tuple(ranks), ()
+        return tuple(ranks), (), ()
     new_ranks = [len(rows[0])] + [len(dc) for dc in cols]
     out = []
     for dc, dr in zip(cols, rows):
@@ -277,21 +309,24 @@ def _reduce(
             for i, v in col.items():
                 grid[row_pos[i]][k] = v
         out.append(IntMatrix(len(row_pos), len(dc), tuple(map(tuple, grid))))
-    return tuple(new_ranks), tuple(out)
+    return tuple(new_ranks), tuple(out), tuple(factors)
 
 
 def _reduced_homologies(
     ranks: Sequence[int], differentials: Sequence[IntMatrix]
 ) -> tuple[FgAbGroup, ...]:
     """Homology at every term: one reduction, one Smith diagonal per
-    surviving differential."""
-    ranks, differentials = _reduce(ranks, differentials)
+    surviving differential, and the cancelled pivots' torsion merged with
+    the diagonal's by the gcd/lcm step of linalg."""
+    ranks, differentials, factors = _reduce(ranks, differentials)
     diagonals = [smith_diagonal(d) for d in differentials]
     image = [sum(1 for x in diag if x) for diag in diagonals] + [0]
     groups = []
     for p, r in enumerate(ranks):
-        torsion = tuple(x for x in diagonals[p] if x > 1) if p < len(diagonals) else ()
-        groups.append(FgAbGroup(r - image[p] - image[p - 1], torsion))
+        torsion: list[int] = []
+        if p < len(diagonals):
+            torsion = _divisibility_chain([*factors[p], *(x for x in diagonals[p] if x > 1)])
+        groups.append(FgAbGroup(r - image[p] - image[p - 1], tuple(x for x in torsion if x > 1)))
     return tuple(groups)
 
 

@@ -73,6 +73,8 @@ def parse_group(text: str) -> FgAbGroup:
                     raise InputError(f"bad integer in group term {part!r}") from None
                 if k < 1:
                     raise InputError(f"group term {part!r} needs a positive integer")
+                if is_free and k > sys.maxsize:
+                    raise InputError(f"group term {part!r} has a rank too large to list")
                 orders.extend([0] * k if is_free else [k])
                 break
         else:

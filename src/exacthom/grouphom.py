@@ -278,6 +278,18 @@ class GModuleFree:
                     raise InputError("action matrices do not follow the group law")
 
     @classmethod
+    def _valid_by_construction(
+        cls, group: FiniteGroupTable, rank: int, action: tuple[IntMatrix, ...]
+    ) -> "GModuleFree":
+        """A module whose action follows the group law because it was derived
+        from checked actions; the check is not repeated."""
+        module = object.__new__(cls)
+        object.__setattr__(module, "group", group)
+        object.__setattr__(module, "rank", rank)
+        object.__setattr__(module, "action", action)
+        return module
+
+    @classmethod
     def trivial(cls, group: FiniteGroupTable, rank: int = 1) -> "GModuleFree":
         ident = IntMatrix.identity(rank)
         return cls(group, rank, tuple(ident for _ in range(group.order)))
@@ -396,7 +408,10 @@ def magnus_sequence(pres: FpGroupPresentation) -> MagnusSequence:
         IntMatrix(k, k, tuple(row[elt * k : elt * k + k] for row in coords.entries))
         for elt in range(n)
     )
-    module = GModuleFree(table, k, actions)
+    # G permutes Z[G]^generators by left multiplication (rho), and with K of
+    # full column rank, K rho_R(g) = rho(g) K determines rho_R(g); so rho_R
+    # follows the group law because rho does
+    module = GModuleFree._valid_by_construction(table, k, actions)
     return MagnusSequence(sigma, module, kernel)
 
 
@@ -405,7 +420,9 @@ def tensor_gmodule(a: GModuleFree, b: GModuleFree) -> GModuleFree:
     if a.group != b.group:
         raise InputError("tensor factors must share their group")
     actions = tuple(_kron(x, y) for x, y in zip(a.action, b.action))
-    return GModuleFree(a.group, a.rank * b.rank, actions)
+    # (x (x) y)(x' (x) y') = xx' (x) yy', so the diagonal action of two
+    # valid actions is valid
+    return GModuleFree._valid_by_construction(a.group, a.rank * b.rank, actions)
 
 
 def tensor_power_gmodule(a: GModuleFree, n: int) -> GModuleFree:

@@ -22,11 +22,9 @@ lexicographic order.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 from .abelian import ChainComplex, FgAbGroup, _tensor_product, from_cyclic_orders, homologies
@@ -220,18 +218,8 @@ def power_of_group(f: FunctorKind, a: FgAbGroup) -> FgAbGroup:
     if f.kind is PowerKind.DIV:
         raise UnsupportedFunctorError("no direct formula for divided powers of torsion groups")
     orders = [0] * a.free_rank + list(a.invariant_factors)
-    k = len(orders)
-    n = f.degree
-    if f.kind is PowerKind.TENSOR:
-        picks = itertools.product(range(k), repeat=n)
-        summands = [reduce(math.gcd, (orders[i] for i in pick), 0) for pick in picks]
-    elif f.kind is PowerKind.SYM:
-        picks = itertools.combinations_with_replacement(range(k), n)
-        summands = [reduce(math.gcd, (orders[i] for i in set(pick)), 0) for pick in picks]
-    else:
-        picks = itertools.combinations(range(k), n)
-        summands = [reduce(math.gcd, (orders[i] for i in pick), 0) for pick in picks]
-    return from_cyclic_orders(summands)
+    picks = basis(f.kind, f.degree, len(orders))
+    return from_cyclic_orders([math.gcd(*(orders[i] for i in pick)) for pick in picks])
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,11 @@ def _two_term_matrices() -> dict[str, IntMatrix]:
     for k in range(4):
         cols = rng.randint(1, 5)
         cases[f"unit-free-{k}"] = grid(rng.randint(cols, 7), cols, (0, 0, 2, -2, 3, 4, -6, 9))
+    # no entry divides both its row and its column, at once or once the unit
+    # in the last one has cancelled, so _reduce leaves the whole remainder to
+    # smith_diagonal
+    for k, m in enumerate(([[2, 3], [3, 2]], [[6, 10, 15]], [[1, 2, 0], [0, 4, 6], [3, 0, 9]])):
+        cases[f"no-pivot-{k}"] = IntMatrix.from_rows(m)
     return cases
 
 
@@ -284,8 +289,8 @@ def _bar_case(table, coeff, i):
 
 def _random_case(kind):
     """Three-term complexes with d(d(x)) = 0: generic, with no unit entry
-    (every entry even, so nothing cancels), or acyclic with unit pivots
-    (everything cancels)."""
+    (every entry even, so only divisor pivots cancel), or acyclic with unit
+    pivots (everything cancels)."""
     def make():
         rng = random.Random(f"oracle-random-{kind}")
         if kind == "acyclic":
@@ -342,6 +347,11 @@ _ORACLE_CASES = {
         for name, m in _TWO_TERM.items()
     },
     **{f"random-{kind}": _random_case(kind) for kind in ("generic", "no-unit", "acyclic")},
+    # no entry divides both its row and its column, so nothing cancels
+    "no-pivot": lambda: ChainComplex(0, (1, 3, 3), (
+        IntMatrix.from_rows([[6, 10, 15]]),
+        IntMatrix.from_rows([[5, 5, 0], [-3, 0, 3], [0, -2, -2]]),
+    )),
 }
 
 
@@ -362,8 +372,11 @@ def test_reduced_homology_matches_dense_oracle(name):
     degrees = range(c.bottom_degree, c.top_degree + 1)
     assert tuple(homology(c, i) for i in degrees) == expected
     assert tuple(homology_at(d_in, d_out) for d_in, d_out in pairs) == expected
-    reduced_ranks, _ = _reduce(c.ranks, c.differentials)
-    if name == "random-no-unit":
+    reduced_ranks, remainder, _ = _reduce(c.ranks, c.differentials)
+    if name == "no-pivot":
         assert reduced_ranks == c.ranks
+        assert expected == (FgAbGroup(0), FgAbGroup(0), FgAbGroup(1))
+    if name.startswith("two-term-no-pivot"):
+        assert not any(d.is_zero() for d in remainder)
     if name == "random-acyclic":
         assert reduced_ranks == (0, 0, 0)

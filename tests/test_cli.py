@@ -311,6 +311,8 @@ def test_main_exit_codes(tmp_path):
     assert main(["derive", "--functor", "div", "--n", "2", "--group", "Z/2"]) == 2
     # the degree is checked by FunctorKind alone
     assert main(["derive", "--functor", "ext", "--n", "0", "--group", "Z/2"]) == 2
+    # a free rank past sys.maxsize is refused before it is expanded
+    assert main(["derive", "--functor", "ext", "--n", "2", "--group", "Z^100000000000000000000"]) == 2
     assert (
         main(
             [

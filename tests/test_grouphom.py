@@ -23,7 +23,7 @@ from exacthom.grouphom import (
     tensor_power_gmodule,
 )
 from exacthom.linalg import IntMatrix, hstack, smith_diagonal
-from exacthom.presets import load_preset
+from exacthom.presets import PRESET_NAMES, load_preset
 
 Z2 = FiniteGroupTable.cyclic(2)
 Z3 = FiniteGroupTable.cyclic(3)
@@ -98,6 +98,18 @@ def test_gmodule_group_law_checked_at_every_rank(rank):
     action = tuple(flip if g in (1, 5) else ident for g in range(6))
     with pytest.raises(InputError):
         GModuleFree(FiniteGroupTable.cyclic(6), rank, action)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_built_modules_pass_the_full_check(preset):
+    # magnus_sequence and tensor_gmodule skip GModuleFree's check; run it
+    for pres in load_preset(preset).presentations:
+        relation = magnus_sequence(pres).relation_module
+        built = [relation]
+        for coeff in (GModuleFree.trivial(pres.target, 1), augmentation_ideal(pres.target)):
+            built += [tensor_gmodule(tensor_power_gmodule(relation, n), coeff) for n in range(3)]
+        for m in built:
+            assert GModuleFree(m.group, m.rank, m.action) == m
 
 
 def test_group_ring_and_augmentation():

@@ -427,7 +427,7 @@ def test_smith_diagonal_bounded_route():
         assert snf(a).rank <= 2
 
 
-def test_smith_diagonal_swell_fallback():
+def test_smith_diagonal_swell_fallback(monkeypatch):
     from exacthom.linalg import _EntrySwell, _smith_engine
 
     a = IntMatrix.from_rows([[10**30, 1], [1, 10**30]])
@@ -435,3 +435,10 @@ def test_smith_diagonal_swell_fallback():
         _smith_engine(a, want_u=False, want_v=False, bit_cap=8)
     # the public route answers the same whichever path it takes
     assert smith_diagonal(a) == (1, 10**60 - 1)
+    # a dense input on which smith_diagonal itself trips the swell guard
+    taken = []
+    bounded = linalg._smith_diagonal_bounded
+    monkeypatch.setattr(linalg, "_smith_diagonal_bounded", lambda m: taken.append(m) or bounded(m))
+    dense = rand_matrix(random.Random("linalg-swell"), 8, 8, -9, 9)
+    assert smith_diagonal(dense) == snf(dense).diagonal
+    assert taken == [dense]
