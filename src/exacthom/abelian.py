@@ -14,7 +14,8 @@ drops one basis element from each of the two terms it joins; a unit keeps
 the homology over Z unchanged, and a divisor pivot splits off Z --x--> Z,
 whose Z/|x| is recorded as torsion of the lower term. Then each surviving
 differential, the small remainder that the cancellations could not split,
-is eliminated once by a transform-free Smith diagonal: H_p is free
+is eliminated once by a transform-free Smith diagonal (one with no nonzero
+entry is skipped: it has rank 0 and no invariant factors): H_p is free
 of rank r_p - rank d_p - rank d_(p-1), and its torsion is the recorded
 factors of the differential d_p arriving at degree p together with the
 remainder's invariant factors > 1, merged by the gcd/lcm step of linalg.
@@ -316,10 +317,12 @@ def _reduced_homologies(
     ranks: Sequence[int], differentials: Sequence[IntMatrix]
 ) -> tuple[FgAbGroup, ...]:
     """Homology at every term: one reduction, one Smith diagonal per
-    surviving differential, and the cancelled pivots' torsion merged with
-    the diagonal's by the gcd/lcm step of linalg."""
+    surviving differential with a nonzero entry, and the cancelled pivots'
+    torsion merged with the diagonal's by the gcd/lcm step of linalg. A
+    survivor with no nonzero entry, empty shapes included, adds image rank
+    0 and no torsion."""
     ranks, differentials, factors = _reduce(ranks, differentials)
-    diagonals = [smith_diagonal(d) for d in differentials]
+    diagonals = [() if d.is_zero() else smith_diagonal(d) for d in differentials]
     image = [sum(1 for x in diag if x) for diag in diagonals] + [0]
     groups = []
     for p, r in enumerate(ranks):

@@ -28,7 +28,7 @@ from .grouphom import (
     group_homology,
     group_ring,
 )
-from .koszul import derived
+from .koszul import check_budget, derived
 from .linalg import IntMatrix, _decimal_to_int, _int_to_decimal, snf
 from .powers import FunctorKind
 from .presets import PRESET_NAMES, decode_group_file, load_preset
@@ -56,11 +56,12 @@ def parse_group(text: str) -> FgAbGroup:
     s = text.strip()
     if s == "0":
         return FgAbGroup(0)
+    free_rank = 0
     orders: list[int] = []
     for raw in s.split("+"):
         part = raw.strip()
         if part == "Z":
-            orders.append(0)
+            free_rank += 1
             continue
         for prefix, is_free in (("Z^", True), ("Z/", False)):
             if part.startswith(prefix):
@@ -75,11 +76,15 @@ def parse_group(text: str) -> FgAbGroup:
                     raise InputError(f"group term {part!r} needs a positive integer")
                 if is_free and k > sys.maxsize:
                     raise InputError(f"group term {part!r} has a rank too large to list")
-                orders.extend([0] * k if is_free else [k])
+                if is_free:
+                    free_rank += k
+                else:
+                    orders.append(k)
                 break
         else:
             raise InputError(f"cannot parse group term {part!r}")
-    return from_cyclic_orders(orders)
+    torsion = from_cyclic_orders(orders)
+    return FgAbGroup(free_rank, torsion.invariant_factors)
 
 
 def encode_matrix(m: IntMatrix) -> dict:
@@ -199,13 +204,19 @@ def _parse_paddings(text: str) -> list[int]:
 def _run_derive(params: dict) -> tuple[int, dict]:
     functor = FunctorKind.parse(params["functor"], params["n"])
     group = parse_group(params["group"])
+    budget = params.get("budget", DEFAULT_BAR_BUDGET)
+    if params["check_independence"]:
+        paddings = _parse_paddings(params["paddings"])
+    else:
+        paddings = [params["padding"]]
+    for padding in paddings:
+        check_budget(functor, group, padding, budget)
     report: dict[str, Any] = {
         "command": "derive",
         "functor": str(functor),
         "group": str(group),
     }
     if params["check_independence"]:
-        paddings = _parse_paddings(params["paddings"])
         runs = []
         reference = None
         agree = True
@@ -496,6 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument(
         "--paddings", default="0,1,2", metavar="LIST", help="comma-separated paddings"
     )
+    p_derive.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BAR_BUDGET,
+        help="max rank of each term and entries (rows*cols) of each matrix",
+    )
 
     p_gh = sub.add_parser("grouphom", parents=[common], help="finite group homology")
     source = p_gh.add_mutually_exclusive_group(required=True)
@@ -512,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BAR_BUDGET,
-        help="max entries per bar differential",
+        help="max entries (rows*cols) of each normalized bar differential",
     )
 
     p_verify = sub.add_parser("verify", parents=[common], help="self-verification suites")
@@ -522,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BAR_BUDGET,
-        help="max entries per bar differential",
+        help="max entries (rows*cols) of each normalized bar differential",
     )
     p_verify.add_argument(
         "--preset", choices=PRESET_NAMES, help="four-term only: restrict to one group"

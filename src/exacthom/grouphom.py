@@ -3,10 +3,13 @@
 A group is a validated multiplication table with the identity at index 0.
 Modules are free Z-modules with one integer action matrix per element.
 Homology comes from the 2-periodic resolution when the group is cyclic and
-from the inhomogeneous bar complex otherwise, under a configurable entry
-budget. The Magnus embedding realizes the relation module of a finite
-presentation as an explicit kernel lattice inside Z[G]^generators, with Fox
-derivatives giving the words' images there.
+from the normalized bar complex otherwise: its words have no identity
+letter, so degree k has (|G| - 1)^k of them instead of |G|^k, and a face
+that merges two letters into the identity is degenerate and dropped. Each
+differential it builds must fit a configurable entry budget. The Magnus
+embedding realizes the relation module of a finite presentation as an
+explicit kernel lattice inside Z[G]^generators, with Fox derivatives giving
+the words' images there.
 """
 
 from __future__ import annotations
@@ -493,41 +496,50 @@ def homology_cyclic(m: int, coeff: GModuleFree, i: int) -> FgAbGroup:
 
 
 def _bar_differential(coeff: GModuleFree, k: int) -> IntMatrix:
-    """d_k of the inhomogeneous bar complex C_k = M (x) Z[G^k].
+    """d_k of the normalized bar complex C_k = M (x) Z[(G - e)^k].
 
-    Basis of C_k: pairs (word in G^k, module coordinate), index word-major.
+    Basis of C_k: pairs (word of k nonidentity elements, module coordinate),
+    index word-major, with letter g read as the digit g - 1 of a base
+    |G| - 1 word index.
     d(m (x) [g1|..|gk]) = g1^-1 m (x) [g2|..|gk]
                           + sum_j (-1)^j m (x) [..|g_j g_{j+1}|..]
-                          + (-1)^k m (x) [g1|..|g_{k-1}].
+                          + (-1)^k m (x) [g1|..|g_{k-1}],
+    where a middle face whose merged letter g_j g_{j+1} is the identity is
+    degenerate and contributes nothing. The words containing the identity
+    span an acyclic subcomplex of the full bar complex, so this quotient
+    has the same homology for every coefficient module (Mac Lane,
+    Homology, ch. IV).
     """
     table = coeff.group
-    n = table.order
+    base = table.order - 1
     rank = coeff.rank
-    rows = rank * n ** (k - 1)
-    cols = rank * n**k
-    face0_sparse = []
-    for g in range(n):
+    tail = base ** (k - 1)
+    rows = rank * tail
+    cols = rows * base
+    face0_sparse = [[]]
+    for g in range(1, table.order):
         m = coeff.action[table.inverse[g]]
         face0_sparse.append(
             [[(t, m.entries[t][j]) for t in range(rank) if m.entries[t][j]] for j in range(rank)]
         )
     grid = [[0] * cols for _ in range(rows)]
-    tail = n ** (k - 1)
     sign_last = -1 if k % 2 else 1
-    for widx, word in enumerate(itertools.product(range(n), repeat=k)):
+    for widx, word in enumerate(itertools.product(range(1, table.order), repeat=k)):
         base_col = widx * rank
         # face 0 drops g1 and twists the coefficient
         base0 = (widx % tail) * rank
         sparse = face0_sparse[word[0]]
-        # middle faces merge adjacent letters
+        # middle face j merges the letters at positions j - 1 and j: the
+        # letters before them are widx // (low * base^2), those after widx % low
         merged_bases = []
+        low = tail
         for j in range(1, k):
-            merged = word[:j - 1] + (table.mult[word[j - 1]][word[j]],) + word[j + 1 :]
-            idx = 0
-            for letter in merged:
-                idx = idx * n + letter
-            merged_bases.append((idx * rank, -1 if j % 2 else 1))
-        base_last = (widx // n) * rank
+            low //= base
+            merged = table.mult[word[j - 1]][word[j]]
+            if merged:
+                idx = (widx // (low * base * base) * base + merged - 1) * low + widx % low
+                merged_bases.append((idx * rank, -1 if j % 2 else 1))
+        base_last = (widx // base) * rank
         for j in range(rank):
             col = base_col + j
             for t, c in sparse[j]:
@@ -535,23 +547,24 @@ def _bar_differential(coeff: GModuleFree, k: int) -> IntMatrix:
             for mb, sign in merged_bases:
                 grid[mb + j][col] += sign
             grid[base_last + j][col] += sign_last
-    return IntMatrix.from_rows(grid, cols=cols)
+    return IntMatrix(rows, cols, tuple(map(tuple, grid)))
 
 
 def homology_bar(g: FiniteGroupTable, coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:
-    """H_i(G, coeff) from the inhomogeneous bar complex.
+    """H_i(G, coeff) from the normalized bar complex.
 
-    The differentials into and out of degree i must fit within the entry
-    budget (rows*cols per differential), otherwise the computation is
-    rejected rather than attempted.
+    The differential d_(i+1) into degree i, of rank*(|G| - 1)^i rows and
+    rank*(|G| - 1)^(i+1) columns, must fit within the entry budget
+    (rows*cols), otherwise the computation is rejected rather than
+    attempted; d_i out of degree i is never larger.
     """
     if i < 0:
         raise InputError("homology degree must be nonnegative")
     if coeff.group != g:
         raise InputError("coefficient module must live over the given group")
-    n = g.order
+    base = g.order - 1
     rank = coeff.rank
-    entries_in = (rank * n**i) * (rank * n ** (i + 1))
+    entries_in = (rank * base**i) * (rank * base ** (i + 1))
     if entries_in > budget:
         raise ResourceBudgetError(
             f"bar differential at degree {i + 1} needs {entries_in} entries, budget is {budget}"

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .abelian import ChainComplex, FgAbGroup, _tensor_product, from_cyclic_orders, homologies
-from .errors import InputError, InvariantViolation, UnsupportedFunctorError
+from .errors import InputError, InvariantViolation, ResourceBudgetError, UnsupportedFunctorError
 from .linalg import IntMatrix
 from .powers import FunctorKind, PowerKind, basis, div_contract, ext_mult, sym_mult
 
@@ -75,14 +75,21 @@ class PresentationPair:
         return self._group  # type: ignore[attr-defined]
 
 
-def _padded(a: FgAbGroup, padding: int, coefficient: Callable[[int], int]) -> PresentationPair:
-    """The minimal presentation of a plus padding redundant generators g, each
-    with the relation g + sum of coefficient(old) * old over earlier ones."""
+def _padded_ranks(a: FgAbGroup, padding: int) -> tuple[int, int]:
+    """(h_rank, f_rank) of the minimal presentation of a padded by padding
+    redundant generators."""
     if padding < 0:
         raise InputError("padding must be nonnegative")
     t = len(a.invariant_factors)
-    f0 = t + a.free_rank
-    f, h = f0 + padding, t + padding
+    return t + padding, t + a.free_rank + padding
+
+
+def _padded(a: FgAbGroup, padding: int, coefficient: Callable[[int], int]) -> PresentationPair:
+    """The minimal presentation of a plus padding redundant generators g, each
+    with the relation g + sum of coefficient(old) * old over earlier ones."""
+    h, f = _padded_ranks(a, padding)
+    t = len(a.invariant_factors)
+    f0 = f - padding
     grid = [[0] * h for _ in range(f)]
     for i, d in enumerate(a.invariant_factors):
         grid[i][i] = d
@@ -254,15 +261,103 @@ _BUILDERS = {
 }
 
 
-def complex_for(f: FunctorKind, p: PresentationPair) -> ChainComplex:
-    """The Koszul-type complex computing f's derived functors over p."""
+def _builder(f: FunctorKind) -> Callable[[PresentationPair, int], ChainComplex]:
     try:
-        builder = _BUILDERS[f.kind]
+        return _BUILDERS[f.kind]
     except KeyError:
         raise UnsupportedFunctorError(
             "derived functors of divided powers are not supported"
         ) from None
-    return builder(p, f.degree)
+
+
+def complex_for(f: FunctorKind, p: PresentationPair) -> ChainComplex:
+    """The Koszul-type complex computing f's derived functors over p."""
+    return _builder(f)(p, f.degree)
+
+
+def _comb(a: int, b: int, cap: int) -> int:
+    """C(a, b), or cap when it is at least cap; C(-1, 0) is 1."""
+    if b == 0:
+        return 1
+    if b < 0 or b > a:
+        return 0
+    out = 1
+    # C(a, i) grows with i up to a / 2, so the first value past cap is final
+    for i in range(min(b, a - b)):
+        out = out * (a - i) // (i + 1)
+        if out >= cap:
+            return cap
+    return out
+
+
+def _capped_product(factors: Sequence[int], cap: int) -> int:
+    """The product of nonnegative factors, or cap when it is at least cap."""
+    out = 1
+    for x in factors:
+        out = min(out * x, cap)
+    return out
+
+
+def _capped_power(x: int, e: int, cap: int) -> int:
+    """x^e, or cap when it is at least cap."""
+    if x < 2:
+        return x**e
+    out = 1
+    for _ in range(e):
+        out = min(out * x, cap)
+        if out == cap:
+            break
+    return out
+
+
+def _term_rank(kind: PowerKind, n: int, k: int, h: int, f: int, cap: int) -> int:
+    """Rank of the degree-k term that the builder for kind^n makes over
+    Z^h -> Z^f, or cap when it is at least cap."""
+    if kind is PowerKind.SYM:  # Ext^k(H) (x) Sym^(n-k)(F)
+        factors = (_comb(h, k, cap), _comb(f + n - k - 1, n - k, cap))
+    elif kind is PowerKind.EXT:  # Div^k(H) (x) Ext^(n-k)(F)
+        factors = (_comb(h + k - 1, k, cap), _comb(f, n - k, cap))
+    else:  # tensor: C(n, k) placements of the H letters, h^k f^(n-k) words each
+        factors = (_comb(n, k, cap), _capped_power(h, k, cap), _capped_power(f, n - k, cap))
+    return _capped_product(factors, cap)
+
+
+def check_budget(f: FunctorKind, a: FgAbGroup, padding: int, budget: int) -> None:
+    """Raise ResourceBudgetError unless derived(f, a, padding) fits within
+    the entry budget, before anything is built.
+
+    The padded presentation Z^h -> Z^f is a two-term complex, and the
+    complex for f over it has n + 1 terms whose ranks come from the
+    builders' rank formulas: Ext^k(H) (x) Sym^(n-k)(F) for sym,
+    Div^k(H) (x) Ext^(n-k)(F) for ext and C(n, k) h^k f^(n-k) for tensor.
+    Every term rank, every differential's rows*cols and the term count
+    n + 1 must be at most budget. Ranks are computed capped just above the
+    budget, so a huge request forms no huge number.
+    """
+    _builder(f)
+    h, g = _padded_ranks(a, padding)
+    n = f.degree
+
+    def fits(stage: str, ranks: Sequence[int]) -> None:
+        for k, r in enumerate(ranks):
+            if r > budget:
+                raise ResourceBudgetError(f"{stage}: term {k} has rank over the budget of {budget}")
+        for k in range(1, len(ranks)):
+            entries = ranks[k - 1] * ranks[k]
+            if entries > budget:
+                raise ResourceBudgetError(
+                    f"{stage}: d_{k} is {ranks[k - 1]}x{ranks[k]} = {entries} entries, "
+                    f"budget is {budget}"
+                )
+
+    fits(f"presentation Z^{h} -> Z^{g}", (g, h))
+    if n + 1 > budget:
+        raise ResourceBudgetError(f"the {f} complex has {n + 1} terms, budget is {budget}")
+    cap = budget + 1
+    fits(
+        f"{f} complex over Z^{h} -> Z^{g}",
+        [_term_rank(f.kind, n, k, h, g, cap) for k in range(n + 1)],
+    )
 
 
 def derived_from_presentation(f: FunctorKind, p: PresentationPair) -> DerivedResult:

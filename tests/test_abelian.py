@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import exacthom.abelian as abelian
 from exacthom.abelian import (
     ChainComplex,
     FgAbGroup,
@@ -380,3 +381,18 @@ def test_reduced_homology_matches_dense_oracle(name):
         assert not any(d.is_zero() for d in remainder)
     if name == "random-acyclic":
         assert reduced_ranks == (0, 0, 0)
+
+
+def test_all_zero_survivors_skip_the_smith_diagonal(monkeypatch):
+    calls = []
+    real = abelian.smith_diagonal
+    monkeypatch.setattr(abelian, "smith_diagonal", lambda m: calls.append(m) or real(m))
+    # zero maps survive the reduction whole; the empty 3x0 one too
+    zero = ChainComplex(0, (2, 3, 0), (IntMatrix.zeros(2, 3), IntMatrix.zeros(3, 0)))
+    assert homologies(zero) == (FgAbGroup(2), FgAbGroup(3), FgAbGroup(0))
+    assert canonical_form(IntMatrix.zeros(0, 4)) == FgAbGroup(0)
+    assert calls == []
+    # no entry of this one divides its row and column, so it survives and
+    # goes to the Smith diagonal
+    assert canonical_form(IntMatrix.from_rows([[2, 3], [3, 2]])) == FgAbGroup(0, (5,))
+    assert len(calls) == 1

@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps exacthom functions by name from outside
 (perfbench/tracing.py); a rename in the package must fail here, not only in
 the benchmark's own smoke test. So must a builder that derived reaches
-without passing the wrapper, which would read 0 in the koszul.build spans."""
+without passing the wrapper, which would read 0 in the koszul.build spans,
+and so must a grouphom request whose bar route drops out of the trace."""
 
 import subprocess
 import sys
@@ -31,6 +32,16 @@ tracer.end_job(0.0)
 metrics = tracer.metrics(1)
 assert metrics["koszul.build.calls"] == 3, metrics["koszul.build.calls"]
 assert metrics["koszul.build.nnz"] > 0, metrics["koszul.build.nnz"]
+# one grouphom job through the CLI: the bar route must show in the trace
+from exacthom import cli
+tracer.begin_job("bar")
+argv = ["grouphom", "--preset", "Z2xZ2", "--degrees", "2..2", "--format", "json"]
+code, text = cli.run(cli.job_from_args(cli.build_parser().parse_args(argv)))
+assert code == 0 and '"group": "Z/2"' in text, text
+tracer.end_job(0.0)
+for name in ("cli.run", "grouphom.homology_bar"):
+    calls = tracer.stats[name][0]
+    assert calls == 1, (name, calls)
 """
 
 

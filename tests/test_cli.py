@@ -182,6 +182,25 @@ def test_run_derive_errors():
     assert code == 2
 
 
+def test_run_derive_budget():
+    # ext^2 of Z/4 + Z at padding 2: F = Z^4 and H = Z^3, ranks 6, 12, 6;
+    # its largest differential has 72 entries
+    params = _derive_params(group="Z/4 + Z", padding=2, budget=72)
+    code, _ = run(JobSpec("derive", params))
+    assert code == 0
+    params["budget"] = 71
+    code, text = run(JobSpec("derive", params, output_format="json"))
+    assert code == 3
+    report = json.loads(text)
+    assert report["error"] == "budget"
+    assert "d_1 is 6x12 = 72 entries, budget is 71" in report["message"]
+    # every padding of an independence check is sized before any is built
+    params = _derive_params(group="Z/4 + Z", check_independence=True, paddings="0,2", budget=71)
+    code, _ = run(JobSpec("derive", params))
+    assert code == 3
+    assert parse_group("Z^9223372036854775807 + Z/2") == FgAbGroup(2**63 - 1, (2,))
+
+
 def test_run_derive_independence():
     params = _derive_params(check_independence=True, paddings="0,1,2")
     code, text = run(JobSpec("derive", params, output_format="json"))
@@ -313,6 +332,8 @@ def test_main_exit_codes(tmp_path):
     assert main(["derive", "--functor", "ext", "--n", "0", "--group", "Z/2"]) == 2
     # a free rank past sys.maxsize is refused before it is expanded
     assert main(["derive", "--functor", "ext", "--n", "2", "--group", "Z^100000000000000000000"]) == 2
+    # one that fits is counted, not expanded, and refused by the budget
+    assert main(["derive", "--functor", "ext", "--n", "2", "--group", "Z^9223372036854775807"]) == 3
     assert (
         main(
             [

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from exacthom.abelian import FgAbGroup, canonical_form
+from exacthom.abelian import FgAbGroup, canonical_form, homology_at
 from exacthom.errors import InputError, ResourceBudgetError
 from exacthom.grouphom import (
     FiniteGroupTable,
     FpGroupPresentation,
     GModuleFree,
+    _bar_differential,
     augmentation_ideal,
     coinvariants,
     four_term_report,
@@ -317,6 +318,9 @@ def test_homology_klein_four():
         group_homology(coeff, 1, method="periodic")
     # auto falls back to the bar complex for non-cyclic tables
     assert group_homology(coeff, 1) == FgAbGroup(0, (2, 2))
+    # Kunneth: H_5 = (Z/2)^4; the normalized d_6 is 243 x 729 entries, inside
+    # the default budget (the full bar complex would need 1024 x 4096)
+    assert group_homology(coeff, 5) == FgAbGroup(0, (2, 2, 2, 2))
 
 
 def test_homology_trivial_group():
@@ -332,8 +336,100 @@ def test_homology_bar_budget():
     coeff = GModuleFree.trivial(Z4, 1)
     with pytest.raises(ResourceBudgetError):
         homology_bar(Z4, coeff, 3, budget=100)
+    # H_3 needs d_4 on words of nonidentity letters: 3^3 x 3^4 = 2187 entries
+    assert homology_bar(Z4, coeff, 3, budget=2187) == FgAbGroup(0, (4,))
+    with pytest.raises(ResourceBudgetError):
+        homology_bar(Z4, coeff, 3, budget=2186)
     with pytest.raises(InputError):
         group_homology(coeff, 1, method="nonsense")
+
+
+def _full_bar_differential(coeff: GModuleFree, k: int) -> IntMatrix:
+    """d_k of the full inhomogeneous bar complex C_k = M (x) Z[G^k], words
+    containing the identity included: the oracle for the normalized one.
+
+    Basis of C_k: pairs (word in G^k, module coordinate), index word-major.
+    d(m (x) [g1|..|gk]) = g1^-1 m (x) [g2|..|gk]
+                          + sum_j (-1)^j m (x) [..|g_j g_{j+1}|..]
+                          + (-1)^k m (x) [g1|..|g_{k-1}].
+    """
+    table = coeff.group
+    n = table.order
+    rank = coeff.rank
+    rows = rank * n ** (k - 1)
+    cols = rank * n**k
+    grid = [[0] * cols for _ in range(rows)]
+    tail = n ** (k - 1)
+    sign_last = -1 if k % 2 else 1
+    for widx, word in enumerate(itertools.product(range(n), repeat=k)):
+        twist = coeff.action[table.inverse[word[0]]].entries
+        faces = []
+        for j in range(1, k):
+            merged = word[: j - 1] + (table.mult[word[j - 1]][word[j]],) + word[j + 1 :]
+            idx = 0
+            for letter in merged:
+                idx = idx * n + letter
+            faces.append((idx * rank, -1 if j % 2 else 1))
+        faces.append(((widx // n) * rank, sign_last))
+        for j in range(rank):
+            col = widx * rank + j
+            for t in range(rank):
+                grid[(widx % tail) * rank + t][col] += twist[t][j]
+            for base, sign in faces:
+                grid[base + j][col] += sign
+    return IntMatrix.from_rows(grid, cols=cols)
+
+
+def _full_bar_homology(coeff: GModuleFree, i: int) -> FgAbGroup:
+    d_in = _full_bar_differential(coeff, i + 1)
+    d_out = IntMatrix.zeros(0, coeff.rank) if i == 0 else _full_bar_differential(coeff, i)
+    return homology_at(d_in=d_in, d_out=d_out)
+
+
+_BAR_GROUPS = {
+    "trivial": lambda: FiniteGroupTable.cyclic(1),
+    **{name: lambda make=make: make().target for name, make in _PRESENTATIONS.items()},
+}
+
+_BAR_MODULES = {
+    "trivial": lambda table: GModuleFree.trivial(table, 1),
+    "augmentation": augmentation_ideal,
+    "regular": group_ring,
+}
+
+# full d_(i+1) has rank^2 |G|^(2i+1) entries; degree 3 with augmentation
+# or regular coefficients over a group of order 6 (up to 10^7) is left out
+_FULL_BAR_CAP = 300_000
+
+
+def _bar_cases():
+    for group, make in sorted(_BAR_GROUPS.items()):
+        table = make()
+        for module in sorted(_BAR_MODULES):
+            rank = _BAR_MODULES[module](table).rank
+            for i in range(4):
+                if rank * rank * table.order ** (2 * i + 1) <= _FULL_BAR_CAP:
+                    yield group, module, i
+
+
+@pytest.mark.parametrize("group, module, degree", list(_bar_cases()))
+def test_normalized_bar_matches_full_bar(group, module, degree):
+    table = _BAR_GROUPS[group]()
+    coeff = _BAR_MODULES[module](table)
+    assert homology_bar(table, coeff, degree) == _full_bar_homology(coeff, degree)
+
+
+@pytest.mark.parametrize("group", sorted(_BAR_GROUPS))
+@pytest.mark.parametrize("module", sorted(_BAR_MODULES))
+def test_normalized_bar_shapes_and_square_zero(group, module):
+    table = _BAR_GROUPS[group]()
+    coeff = _BAR_MODULES[module](table)
+    base, rank = table.order - 1, coeff.rank
+    diffs = [_bar_differential(coeff, k) for k in (1, 2, 3)]
+    for k, d in enumerate(diffs, start=1):
+        assert (d.rows, d.cols) == (rank * base ** (k - 1), rank * base**k)
+    for lower, upper in zip(diffs, diffs[1:]):
+        assert (lower @ upper).is_zero()
 
 
 def test_four_term_z2_frozen():

@@ -5,10 +5,16 @@ import random
 import pytest
 
 from exacthom.abelian import ChainComplex, FgAbGroup
-from exacthom.errors import InputError, InvariantViolation, UnsupportedFunctorError
+from exacthom.errors import (
+    InputError,
+    InvariantViolation,
+    ResourceBudgetError,
+    UnsupportedFunctorError,
+)
 from exacthom.koszul import (
     DerivedResult,
     PresentationPair,
+    check_budget,
     complex_for,
     derived,
     derived_from_presentation,
@@ -330,3 +336,40 @@ def test_derived_result_validation():
         DerivedResult(SYM2, a, (FgAbGroup(0, (4,)), FgAbGroup(0), FgAbGroup(0)))
     ok = DerivedResult(SYM2, a, [a, FgAbGroup(0), FgAbGroup(0)])
     assert isinstance(ok.values, tuple)
+
+
+@pytest.mark.parametrize("kind", ["sym", "ext", "tensor"])
+def test_check_budget_sits_on_the_built_sizes(kind):
+    # the least budget that passes is the largest term rank, matrix size or
+    # term count of what derived builds
+    for group in (FgAbGroup(0, (2, 4)), FgAbGroup(1, (3,)), FgAbGroup(2), FgAbGroup(0)):
+        for padding in (0, 2):
+            for n in (1, 2, 3):
+                f = FunctorKind.parse(kind, n)
+                p = presentation_from_group(group, padding)
+                r = complex_for(f, p).ranks
+                need = max(
+                    n + 1, p.f_rank, p.h_rank, p.f_rank * p.h_rank, *r,
+                    *(a * b for a, b in zip(r, r[1:])),
+                )
+                check_budget(f, group, padding, need)
+                with pytest.raises(ResourceBudgetError):
+                    check_budget(f, group, padding, need - 1)
+
+
+def test_check_budget_refuses_before_building():
+    huge = FgAbGroup(2**63 - 1)
+    with pytest.raises(ResourceBudgetError, match="presentation Z\\^0 -> Z\\^9223372036854775807"):
+        check_budget(EXT2, huge, 0, 10**6)
+    # tensor^40 of Z/2 + Z/4: 2^40 words in degree 0, never formed
+    with pytest.raises(ResourceBudgetError, match="tensor\\^40 complex"):
+        check_budget(FunctorKind(PowerKind.TENSOR, 40), FgAbGroup(0, (2, 4)), 0, 10**6)
+    with pytest.raises(ResourceBudgetError, match="10000000001 terms"):
+        check_budget(FunctorKind(PowerKind.SYM, 10**10), FgAbGroup(0, (2,)), 0, 10**6)
+    # Sym^3 over Z^2 -> Z^3 (Z/2 + Z/4 + Z at padding 0): ranks 10, 12, 3, 0
+    with pytest.raises(ResourceBudgetError, match="d_1 is 10x12 = 120 entries, budget is 119"):
+        check_budget(FunctorKind(PowerKind.SYM, 3), FgAbGroup(1, (2, 4)), 0, 119)
+    with pytest.raises(UnsupportedFunctorError):
+        check_budget(FunctorKind(PowerKind.DIV, 2), FgAbGroup(0, (2,)), 0, 10**6)
+    with pytest.raises(InputError):
+        check_budget(SYM2, FgAbGroup(0, (2,)), -1, 10**6)
