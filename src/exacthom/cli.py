@@ -204,13 +204,12 @@ def _parse_paddings(text: str) -> list[int]:
 def _run_derive(params: dict) -> tuple[int, dict]:
     functor = FunctorKind.parse(params["functor"], params["n"])
     group = parse_group(params["group"])
-    budget = params.get("budget", DEFAULT_BAR_BUDGET)
     if params["check_independence"]:
         paddings = _parse_paddings(params["paddings"])
     else:
         paddings = [params["padding"]]
     for padding in paddings:
-        check_budget(functor, group, padding, budget)
+        check_budget(functor, group, padding)
     report: dict[str, Any] = {
         "command": "derive",
         "functor": str(functor),
@@ -506,12 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_derive.add_argument(
         "--paddings", default="0,1,2", metavar="LIST", help="comma-separated paddings"
-    )
-    p_derive.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BAR_BUDGET,
-        help="max rank of each term and entries (rows*cols) of each matrix",
     )
 
     p_gh = sub.add_parser("grouphom", parents=[common], help="finite group homology")

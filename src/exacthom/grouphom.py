@@ -547,7 +547,7 @@ def _bar_differential(coeff: GModuleFree, k: int) -> IntMatrix:
             for mb, sign in merged_bases:
                 grid[mb + j][col] += sign
             grid[base_last + j][col] += sign_last
-    return IntMatrix(rows, cols, tuple(map(tuple, grid)))
+    return IntMatrix.from_rows(grid, cols=cols)
 
 
 def homology_bar(g: FiniteGroupTable, coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .abelian import ChainComplex, FgAbGroup, _tensor_product, from_cyclic_orders, homologies
 from .errors import InputError, InvariantViolation, ResourceBudgetError, UnsupportedFunctorError
@@ -292,21 +292,13 @@ def _comb(a: int, b: int, cap: int) -> int:
 
 def _capped_product(factors: Sequence[int], cap: int) -> int:
     """The product of nonnegative factors, or cap when it is at least cap."""
+    if 0 in factors:
+        return 0
     out = 1
     for x in factors:
-        out = min(out * x, cap)
-    return out
-
-
-def _capped_power(x: int, e: int, cap: int) -> int:
-    """x^e, or cap when it is at least cap."""
-    if x < 2:
-        return x**e
-    out = 1
-    for _ in range(e):
-        out = min(out * x, cap)
-        if out == cap:
-            break
+        out *= x
+        if out >= cap:
+            return cap
     return out
 
 
@@ -314,15 +306,24 @@ def _term_rank(kind: PowerKind, n: int, k: int, h: int, f: int, cap: int) -> int
     """Rank of the degree-k term that the builder for kind^n makes over
     Z^h -> Z^f, or cap when it is at least cap."""
     if kind is PowerKind.SYM:  # Ext^k(H) (x) Sym^(n-k)(F)
-        factors = (_comb(h, k, cap), _comb(f + n - k - 1, n - k, cap))
-    elif kind is PowerKind.EXT:  # Div^k(H) (x) Ext^(n-k)(F)
-        factors = (_comb(h + k - 1, k, cap), _comb(f, n - k, cap))
-    else:  # tensor: C(n, k) placements of the H letters, h^k f^(n-k) words each
-        factors = (_comb(n, k, cap), _capped_power(h, k, cap), _capped_power(f, n - k, cap))
-    return _capped_product(factors, cap)
+        return _capped_product((_comb(h, k, cap), _comb(f + n - k - 1, n - k, cap)), cap)
+    if kind is PowerKind.EXT:  # Div^k(H) (x) Ext^(n-k)(F)
+        return _capped_product((_comb(h + k - 1, k, cap), _comb(f, n - k, cap)), cap)
+    # tensor: C(n, k) placements of the H letters, h^k f^(n-k) words each;
+    # x^e is past cap for every x >= 2 once e reaches cap's bit length
+    e = cap.bit_length()
+    return _capped_product((_comb(n, k, cap),) + (h,) * min(k, e) + (f,) * min(n - k, e), cap)
 
 
-def check_budget(f: FunctorKind, a: FgAbGroup, padding: int, budget: int) -> None:
+# The most rows*cols of one differential, rank of one term and number of
+# terms that derive builds. A dense differential of 2^36 entries needs
+# 512 GiB for its entry pointers alone (derive of tensor^4 over Z/2 + Z/4 at
+# padding 3 peaks at about 12.6 bytes per differential entry), so only
+# requests that no ordinary host could hold are refused.
+DERIVE_BUDGET = 2**36
+
+
+def check_budget(f: FunctorKind, a: FgAbGroup, padding: int, budget: int = DERIVE_BUDGET) -> None:
     """Raise ResourceBudgetError unless derived(f, a, padding) fits within
     the entry budget, before anything is built.
 
@@ -332,23 +333,23 @@ def check_budget(f: FunctorKind, a: FgAbGroup, padding: int, budget: int) -> Non
     Div^k(H) (x) Ext^(n-k)(F) for ext and C(n, k) h^k f^(n-k) for tensor.
     Every term rank, every differential's rows*cols and the term count
     n + 1 must be at most budget. Ranks are computed capped just above the
-    budget, so a huge request forms no huge number.
+    budget and checked in degree order, so a huge request forms no huge
+    number and is refused at its first term or differential past the budget.
     """
     _builder(f)
     h, g = _padded_ranks(a, padding)
     n = f.degree
 
-    def fits(stage: str, ranks: Sequence[int]) -> None:
+    def fits(stage: str, ranks: Iterable[int]) -> None:
+        prev = 0
         for k, r in enumerate(ranks):
             if r > budget:
                 raise ResourceBudgetError(f"{stage}: term {k} has rank over the budget of {budget}")
-        for k in range(1, len(ranks)):
-            entries = ranks[k - 1] * ranks[k]
-            if entries > budget:
+            if prev * r > budget:
                 raise ResourceBudgetError(
-                    f"{stage}: d_{k} is {ranks[k - 1]}x{ranks[k]} = {entries} entries, "
-                    f"budget is {budget}"
+                    f"{stage}: d_{k} is {prev}x{r} = {prev * r} entries, budget is {budget}"
                 )
+            prev = r
 
     fits(f"presentation Z^{h} -> Z^{g}", (g, h))
     if n + 1 > budget:
@@ -356,7 +357,7 @@ def check_budget(f: FunctorKind, a: FgAbGroup, padding: int, budget: int) -> Non
     cap = budget + 1
     fits(
         f"{f} complex over Z^{h} -> Z^{g}",
-        [_term_rank(f.kind, n, k, h, g, cap) for k in range(n + 1)],
+        (_term_rank(f.kind, n, k, h, g, cap) for k in range(n + 1)),
     )
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from bar_oracle import full_bar_differential
 
 import exacthom.abelian as abelian
 from exacthom.abelian import (
@@ -278,11 +279,12 @@ _COEFFICIENTS = {
 }
 
 
-def _bar_case(table, coeff, i):
-    """The bar complex from degree i - 1 to i + 1 (from 0 when i = 0)."""
+def _bar_case(table, coeff, i, build=full_bar_differential):
+    """The full (or, with build=_bar_differential, the normalized) bar
+    complex from degree i - 1 to i + 1 (from 0 when i = 0)."""
     def make():
         m = _COEFFICIENTS[coeff](table)
-        diffs = tuple(_bar_differential(m, k) for k in range(max(i, 1), i + 2))
+        diffs = tuple(build(m, k) for k in range(max(i, 1), i + 2))
         ranks = (diffs[0].rows,) + tuple(d.cols for d in diffs)
         return ChainComplex(max(i - 1, 0), ranks, diffs)
     return make
@@ -341,6 +343,12 @@ _ORACLE_CASES = {
     },
     "bar-V4-trivial-H2": _bar_case(_V4, "trivial", 2),
     "bar-S3-trivial-H2": _bar_case(_S3, "trivial", 2),
+    **{
+        f"normalized-bar-{name}-{coeff}-H{i}": _bar_case(table, coeff, i, _bar_differential)
+        for name, table in (("V4", _V4), ("S3", _S3))
+        for coeff in _COEFFICIENTS
+        for i in (0, 1, 2)
+    },
     # H_0 is the cokernel that canonical_form returns, H_1 the kernel rank
     # that h1_free reads
     **{

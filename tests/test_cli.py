@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import exacthom.cli as cli
 from exacthom.abelian import FgAbGroup
 from exacthom.cli import (
     JobSpec,
@@ -182,20 +183,18 @@ def test_run_derive_errors():
     assert code == 2
 
 
-def test_run_derive_budget():
-    # ext^2 of Z/4 + Z at padding 2: F = Z^4 and H = Z^3, ranks 6, 12, 6;
-    # its largest differential has 72 entries
-    params = _derive_params(group="Z/4 + Z", padding=2, budget=72)
-    code, _ = run(JobSpec("derive", params))
-    assert code == 0
-    params["budget"] = 71
+def test_run_derive_budget(monkeypatch):
+    # ext^2 of Z/4 + Z at padding 10^5: F = Z^100002 and H = Z^100001, so
+    # d_1 is Ext^2(F) x (H (x) F), past the limit though each term fits
+    params = _derive_params(group="Z/4 + Z", padding=10**5)
     code, text = run(JobSpec("derive", params, output_format="json"))
     assert code == 3
     report = json.loads(text)
     assert report["error"] == "budget"
-    assert "d_1 is 6x12 = 72 entries, budget is 71" in report["message"]
+    assert "d_1 is 5000150001x10000300002 = " in report["message"]
     # every padding of an independence check is sized before any is built
-    params = _derive_params(group="Z/4 + Z", check_independence=True, paddings="0,2", budget=71)
+    monkeypatch.setattr(cli, "derived", lambda *a, **k: pytest.fail("built"))
+    params = _derive_params(group="Z/4 + Z", check_independence=True, paddings=f"0,{10**5}")
     code, _ = run(JobSpec("derive", params))
     assert code == 3
     assert parse_group("Z^9223372036854775807 + Z/2") == FgAbGroup(2**63 - 1, (2,))
@@ -332,7 +331,7 @@ def test_main_exit_codes(tmp_path):
     assert main(["derive", "--functor", "ext", "--n", "0", "--group", "Z/2"]) == 2
     # a free rank past sys.maxsize is refused before it is expanded
     assert main(["derive", "--functor", "ext", "--n", "2", "--group", "Z^100000000000000000000"]) == 2
-    # one that fits is counted, not expanded, and refused by the budget
+    # one that fits is counted, not expanded, and refused by the derive limit
     assert main(["derive", "--functor", "ext", "--n", "2", "--group", "Z^9223372036854775807"]) == 3
     assert (
         main(

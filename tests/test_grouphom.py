@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from bar_oracle import full_bar_differential
 
 from exacthom.abelian import FgAbGroup, canonical_form, homology_at
 from exacthom.errors import InputError, ResourceBudgetError
@@ -344,45 +345,9 @@ def test_homology_bar_budget():
         group_homology(coeff, 1, method="nonsense")
 
 
-def _full_bar_differential(coeff: GModuleFree, k: int) -> IntMatrix:
-    """d_k of the full inhomogeneous bar complex C_k = M (x) Z[G^k], words
-    containing the identity included: the oracle for the normalized one.
-
-    Basis of C_k: pairs (word in G^k, module coordinate), index word-major.
-    d(m (x) [g1|..|gk]) = g1^-1 m (x) [g2|..|gk]
-                          + sum_j (-1)^j m (x) [..|g_j g_{j+1}|..]
-                          + (-1)^k m (x) [g1|..|g_{k-1}].
-    """
-    table = coeff.group
-    n = table.order
-    rank = coeff.rank
-    rows = rank * n ** (k - 1)
-    cols = rank * n**k
-    grid = [[0] * cols for _ in range(rows)]
-    tail = n ** (k - 1)
-    sign_last = -1 if k % 2 else 1
-    for widx, word in enumerate(itertools.product(range(n), repeat=k)):
-        twist = coeff.action[table.inverse[word[0]]].entries
-        faces = []
-        for j in range(1, k):
-            merged = word[: j - 1] + (table.mult[word[j - 1]][word[j]],) + word[j + 1 :]
-            idx = 0
-            for letter in merged:
-                idx = idx * n + letter
-            faces.append((idx * rank, -1 if j % 2 else 1))
-        faces.append(((widx // n) * rank, sign_last))
-        for j in range(rank):
-            col = widx * rank + j
-            for t in range(rank):
-                grid[(widx % tail) * rank + t][col] += twist[t][j]
-            for base, sign in faces:
-                grid[base + j][col] += sign
-    return IntMatrix.from_rows(grid, cols=cols)
-
-
 def _full_bar_homology(coeff: GModuleFree, i: int) -> FgAbGroup:
-    d_in = _full_bar_differential(coeff, i + 1)
-    d_out = IntMatrix.zeros(0, coeff.rank) if i == 0 else _full_bar_differential(coeff, i)
+    d_in = full_bar_differential(coeff, i + 1)
+    d_out = IntMatrix.zeros(0, coeff.rank) if i == 0 else full_bar_differential(coeff, i)
     return homology_at(d_in=d_in, d_out=d_out)
 
 

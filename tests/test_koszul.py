@@ -12,7 +12,9 @@ from exacthom.errors import (
     UnsupportedFunctorError,
 )
 from exacthom.koszul import (
+    DERIVE_BUDGET,
     DerivedResult,
+    _term_rank,
     PresentationPair,
     check_budget,
     complex_for,
@@ -355,6 +357,33 @@ def test_check_budget_sits_on_the_built_sizes(kind):
                 check_budget(f, group, padding, need)
                 with pytest.raises(ResourceBudgetError):
                     check_budget(f, group, padding, need - 1)
+
+
+def test_check_budget_default_keeps_what_builds():
+    # tensor^4 of Z/2 + Z/4 at padding 2: ranks 256 C(4, k), d_2 1024x1536
+    check_budget(FunctorKind(PowerKind.TENSOR, 4), FgAbGroup(0, (2, 4)), 2)
+    with pytest.raises(ResourceBudgetError, match="presentation Z\\^0 -> Z\\^9223372036854775807"):
+        check_budget(EXT2, FgAbGroup(2**63 - 1), 0)
+    # tensor^40 of Z/2 + Z/4: 2^40 words in degree 0
+    with pytest.raises(ResourceBudgetError, match=f"term 0 has rank over the budget of {DERIVE_BUDGET}"):
+        check_budget(FunctorKind(PowerKind.TENSOR, 40), FgAbGroup(0, (2, 4)), 0)
+
+
+@pytest.mark.parametrize("kind", [PowerKind.SYM, PowerKind.EXT, PowerKind.TENSOR])
+def test_term_rank_is_the_capped_formula(kind):
+    def comb(a, b):  # Sym^0 of Z^0 is Z: C(-1, 0) = 1
+        return 1 if b == 0 else math.comb(max(a, 0), b)
+
+    exact = {
+        PowerKind.SYM: lambda n, k, h, f: comb(h, k) * comb(f + n - k - 1, n - k),
+        PowerKind.EXT: lambda n, k, h, f: comb(h + k - 1, k) * comb(f, n - k),
+        PowerKind.TENSOR: lambda n, k, h, f: math.comb(n, k) * h**k * f ** (n - k),
+    }[kind]
+    for cap in (1, 2, 1000, 2**36 + 1):
+        for n in (1, 2, 7, 60):
+            for h, f in ((0, 0), (0, 3), (1, 1), (1, 2), (2, 3), (5, 9)):
+                for k in range(n + 1):
+                    assert _term_rank(kind, n, k, h, f, cap) == min(exact(n, k, h, f), cap)
 
 
 def test_check_budget_refuses_before_building():
