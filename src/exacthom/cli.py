@@ -102,7 +102,7 @@ def decode_matrix(obj: Any) -> IntMatrix:
         if name not in obj:
             raise InputError(f"matrix JSON needs a {name!r} field")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in (rows, cols)):
         raise InputError("matrix dimensions must be nonnegative integers")
     grid_in = obj["entries"]
     if not isinstance(grid_in, list) or len(grid_in) != rows:

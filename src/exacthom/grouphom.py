@@ -111,7 +111,9 @@ class FiniteGroupTable:
 
     @classmethod
     def from_mult(cls, mult: Sequence[Sequence[int]]) -> "FiniteGroupTable":
-        rows = tuple(tuple(int(x) for x in row) for row in mult)
+        if not isinstance(mult, Sequence):
+            raise InputError("'mult' must be a list of table rows")
+        rows = tuple(_int_tuple(row, "every 'mult' row") for row in mult)
         return cls(len(rows), rows)
 
     @classmethod
@@ -234,7 +236,17 @@ class FpGroupPresentation:
         if len(index) != len(generators):
             raise InputError("generator names must be distinct")
         relators = tuple(_parse_word(s, index) for s in relator_strings)
-        return cls(generators, relators, target, tuple(int(x) for x in assignment))
+        return cls(generators, relators, target, _int_tuple(assignment, "'assignment'"))
+
+
+def _int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """values as a tuple, or an InputError naming `what` unless values is a
+    sequence of ints; bools do not count as ints."""
+    if not isinstance(values, Sequence) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in values
+    ):
+        raise InputError(f"{what} must be a list of integers")
+    return tuple(values)
 
 
 def _parse_word(text: str, index: dict[str, int]) -> Word:
@@ -636,8 +648,10 @@ def four_term_report(
     if coeff.group != pres.target:
         raise InputError("coefficient module must live over the presented group")
     relation = magnus_sequence(pres).relation_module
-    b_coeff = tensor_gmodule(tensor_power_gmodule(relation, n), coeff)
     c_coeff = tensor_gmodule(tensor_power_gmodule(relation, n - 1), coeff)
+    # R (x) (R^(n-1) (x) M) has the actions of R^n (x) M: the Kronecker
+    # product is associative
+    b_coeff = tensor_gmodule(relation, c_coeff)
     a = group_homology(coeff, 2 * n, budget=budget)
     b = coinvariants(b_coeff)
     c = h1_free(pres, c_coeff)

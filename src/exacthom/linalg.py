@@ -18,7 +18,8 @@ Conventions:
     kernel lattice {x : a*x = 0} (saturated by construction).
 
 One Smith loop, _smith_engine, does all pivoting, Euclidean reduction and
-divisibility enforcement. snf, kernel_basis and solve run it with the
+divisibility enforcement, and each of its row and column operations has one
+update, x - q*y for every q. snf, kernel_basis and solve run it with the
 transforms they need; smith_diagonal runs it without transforms under a
 bit-length cap. On the rare inputs whose entries swell past that cap,
 smith_diagonal switches to the bounded modular route
@@ -266,16 +267,9 @@ class IntMatrix:
         a_columns = range(inner)
         for arow, orow in zip(self.entries, out):
             for k in compress(a_columns, arow):
-                a, brow = arow[k], sparse_rows[k]
-                if a == 1:
-                    for j, b in brow:
-                        orow[j] += b
-                elif a == -1:
-                    for j, b in brow:
-                        orow[j] -= b
-                else:
-                    for j, b in brow:
-                        orow[j] += a * b
+                a = arow[k]
+                for j, b in sparse_rows[k]:
+                    orow[j] += a * b
         return IntMatrix(rows, cols, tuple(map(tuple, out)))
 
     def __str__(self) -> str:
@@ -380,60 +374,23 @@ def _smith_engine(
     vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_v else None
 
     def row_sub(i: int, t: int, q: int) -> None:
-        if q == 1:
-            d[i] = [x - y for x, y in zip(d[i], d[t])]
-            if u is not None:
-                u[i] = [x - y for x, y in zip(u[i], u[t])]
-        elif q == -1:
-            d[i] = [x + y for x, y in zip(d[i], d[t])]
-            if u is not None:
-                u[i] = [x + y for x, y in zip(u[i], u[t])]
-        else:
-            d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-            if u is not None:
-                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-        if modulus:
-            d[i] = balanced(d[i])
-
-    def row_add(i: int, t: int) -> None:
-        d[i] = [x + y for x, y in zip(d[i], d[t])]
+        d[i] = [x - q * y for x, y in zip(d[i], d[t])]
         if u is not None:
-            u[i] = [x + y for x, y in zip(u[i], u[t])]
+            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
         if modulus:
             d[i] = balanced(d[i])
 
-    def col_sub(j: int, t: int, q: int, from_row: int) -> None:
-        if q == 1:
-            for r in range(from_row, m):
-                row = d[r]
-                x = row[t]
-                if x:
-                    row[j] -= x
-        elif q == -1:
-            for r in range(from_row, m):
-                row = d[r]
-                x = row[t]
-                if x:
-                    row[j] += x
-        else:
-            for r in range(from_row, m):
-                row = d[r]
-                x = row[t]
-                if x:
-                    row[j] -= q * x
-        if modulus:
-            for r in range(from_row, m):
-                row = d[r]
-                if row[t]:
+    def col_sub(j: int, t: int, q: int) -> None:
+        for r in range(t, m):  # rows above t are zero in column t
+            row = d[r]
+            x = row[t]
+            if x:
+                row[j] -= q * x
+                if modulus:
                     x = row[j] % modulus
                     row[j] = x - modulus if x > half else x
         if vt is not None:
-            if q == 1:
-                vt[j] = [x - y for x, y in zip(vt[j], vt[t])]
-            elif q == -1:
-                vt[j] = [x + y for x, y in zip(vt[j], vt[t])]
-            else:
-                vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
 
     def swap_rows(i: int, t: int) -> None:
         d[i], d[t] = d[t], d[i]
@@ -504,7 +461,7 @@ def _smith_engine(
                     if x:
                         q = (x + (p >> 1)) // p
                         if q:
-                            col_sub(j, t, q, t)
+                            col_sub(j, t, q)
                         if row_t[j]:
                             swap_cols(j, t)
                             if row_t[t] < 0:
@@ -529,7 +486,7 @@ def _smith_engine(
                         break
             if bad < 0:
                 break
-            row_add(t, bad)
+            row_sub(t, bad, -1)
         t += 1
         if bit_cap and any(
             x.bit_length() > bit_cap for row in d[t:] for x in row[t:] if x
@@ -593,10 +550,6 @@ def _smith_diagonal_bounded(a: IntMatrix) -> tuple[int, ...]:
     rank, minor = _bareiss(a)
     big_d = abs(minor)
     limit = min(a.rows, a.cols)
-    if rank == 0:
-        return (0,) * limit
-    if big_d == 1:  # some rank x rank minor is a unit: all factors are 1
-        return (1,) * rank + (0,) * (limit - rank)
     diag, _, _ = _smith_engine(a, want_u=False, want_v=False, modulus=big_d)
     # a zero pivot (the block left over was zero mod D) counts as a copy of Z/D
     values = [math.gcd(p, big_d) for p in diag]

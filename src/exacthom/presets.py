@@ -41,9 +41,20 @@ def decode_group_table(obj: Any) -> FiniteGroupTable:
     if not isinstance(obj, dict) or "mult" not in obj:
         raise InputError("group table JSON needs a 'mult' field")
     table = FiniteGroupTable.from_mult(obj["mult"])
-    if "order" in obj and int(obj["order"]) != table.order:
-        raise InputError("declared order does not match the table size")
+    if "order" in obj:
+        order = obj["order"]
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise InputError("group table field 'order' must be an integer")
+        if order != table.order:
+            raise InputError("declared order does not match the table size")
     return table
+
+
+def _strings(obj: dict, field: str) -> list[str]:
+    value = obj[field]
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"presentation field '{field}' must be a list of strings")
+    return value
 
 
 def decode_presentation(obj: Any, table: FiniteGroupTable) -> FpGroupPresentation:
@@ -51,10 +62,7 @@ def decode_presentation(obj: Any, table: FiniteGroupTable) -> FpGroupPresentatio
         if not isinstance(obj, dict) or field not in obj:
             raise InputError(f"presentation JSON needs a '{field}' field")
     return FpGroupPresentation.from_strings(
-        [str(g) for g in obj["generators"]],
-        [str(r) for r in obj["relators"]],
-        table,
-        [int(x) for x in obj["assignment"]],
+        _strings(obj, "generators"), _strings(obj, "relators"), table, obj["assignment"]
     )
 
 
@@ -62,9 +70,9 @@ def decode_group_file(obj: Any, name: str = "group") -> GroupPreset:
     if not isinstance(obj, dict) or "table" not in obj or "presentations" not in obj:
         raise InputError("group file JSON needs 'table' and 'presentations' fields")
     table = decode_group_table(obj["table"])
+    if not isinstance(obj["presentations"], list) or not obj["presentations"]:
+        raise InputError("group file needs a nonempty 'presentations' list")
     presentations = tuple(decode_presentation(p, table) for p in obj["presentations"])
-    if not presentations:
-        raise InputError("group file needs at least one presentation")
     return GroupPreset(str(obj.get("name", name)), table, presentations)
 
 

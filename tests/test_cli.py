@@ -129,6 +129,15 @@ def test_run_snf_malformed(tmp_path):
     assert code == 2
 
 
+def test_run_snf_boolean_dimensions(tmp_path):
+    # bool is an int subclass, but true is no dimension
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": True, "cols": True, "entries": [[2]]}))
+    code, text = run(JobSpec("snf", {"input": str(path)}, output_format="json"))
+    assert code == 2
+    assert json.loads(text)["error"] == "input"
+
+
 def _derive_params(**overrides):
     params = {
         "functor": "ext",
@@ -263,6 +272,35 @@ def test_run_grouphom_group_file(tmp_path):
     report = json.loads(text)
     assert report["order"] == 2
     assert report["homology"][1]["bar"] == "Z/2"
+
+
+def _z2_file(**change):
+    """The Z2 group file with one field of its table or presentation replaced."""
+    table = {"order": 2, "mult": [[0, 1], [1, 0]]}
+    presentation = {"generators": ["a"], "relators": ["aa"], "assignment": [1]}
+    for key, value in change.items():
+        (table if key in table else presentation)[key] = value
+    return {"table": table, "presentations": [presentation]}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _z2_file(assignment=["x"]),
+        _z2_file(generators=5),
+        _z2_file(mult=[[0, 1], [1, "b"]]),
+        _z2_file(order="two"),
+        _z2_file(mult=7),
+    ],
+    ids=["assignment", "generators", "table-entry", "order", "mult"],
+)
+def test_run_grouphom_malformed_group_file(tmp_path, body):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(body))
+    params = _grouphom_params(preset=None, group_file=str(path))
+    code, text = run(JobSpec("grouphom", params, output_format="json"))
+    assert code == 2
+    assert json.loads(text)["error"] == "input"
 
 
 def _verify_params(**overrides):

@@ -430,6 +430,24 @@ def test_four_term_presets():
                          GModuleFree.trivial(Z2, 1), 0)
 
 
+def test_four_term_middle_module_matches_tensor_power():
+    # four_term_report builds R^n (x) M as R (x) (R^(n-1) (x) M); by the
+    # associativity of the Kronecker product the actions, and so B, are those
+    # of the plain tensor power
+    for name in PRESET_NAMES:
+        preset = load_preset(name)
+        coeff = GModuleFree.trivial(preset.table, 1)
+        for pres in preset.presentations:
+            relation = magnus_sequence(pres).relation_module
+            for n in (1, 2):
+                plain = tensor_gmodule(tensor_power_gmodule(relation, n), coeff)
+                nested = tensor_gmodule(
+                    relation, tensor_gmodule(tensor_power_gmodule(relation, n - 1), coeff)
+                )
+                assert nested.action == plain.action
+                assert four_term_report(pres, coeff, n).b == coinvariants(plain)
+
+
 def test_trivial_group_presentation():
     one = FiniteGroupTable.cyclic(1)
     pres = FpGroupPresentation.from_strings(("a",), ("a",), one, (0,))

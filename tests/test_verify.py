@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import exacthom.verify as verify
 from exacthom.errors import InputError
 from exacthom.linalg import det
 from exacthom.verify import (
@@ -52,6 +53,23 @@ def test_four_term_filters():
         run_four_term(10**6, only_preset="Z9")
     with pytest.raises(InputError):
         run_four_term(10**6, only_n=0)
+
+
+def test_four_term_reference_reuses_the_loop_report(monkeypatch):
+    # the frozen Z2 check reads the Z2/presentation0, n = 1 report of the
+    # loop instead of computing it again
+    calls = []
+    real = verify.four_term_report
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "four_term_report", spy)
+    report = run_four_term(10**6, only_preset="Z2", only_n=1)
+    assert len(calls) == 2  # one per Z2 presentation
+    # 4 + 5 checks on the two presentations, and the reference still counts
+    assert report["passed"] and report["cases"] == 10
 
 
 def test_run_suite_dispatch():
