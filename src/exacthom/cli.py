@@ -532,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BAR_BUDGET,
-        help="max entries (rows*cols) of each normalized bar differential",
+        help="max entries (rows*cols) of each normalized bar differential and "
+        "four-term coinvariant matrix, and max four-term degree n",
     )
     p_verify.add_argument(
         "--preset", choices=PRESET_NAMES, help="four-term only: restrict to one group"

@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .abelian import ChainComplex, FgAbGroup, canonical_form, homologies, homology_at
 from .errors import InputError, InvariantViolation, ResourceBudgetError
+from .koszul import _capped_power, _capped_product
 from .linalg import IntMatrix, _kron, hstack, kernel_basis, solve
 
 __all__ = [
@@ -192,6 +193,7 @@ class FpGroupPresentation:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_generator_names(self.generators)
         if len(self.assignment) != len(self.generators):
             raise InputError("one assigned element per generator is required")
         for g in self.assignment:
@@ -232,11 +234,20 @@ class FpGroupPresentation:
         assignment: Sequence[int],
     ) -> "FpGroupPresentation":
         generators = tuple(generators)
+        _check_generator_names(generators)
         index = {name: i for i, name in enumerate(generators)}
-        if len(index) != len(generators):
-            raise InputError("generator names must be distinct")
         relators = tuple(_parse_word(s, index) for s in relator_strings)
         return cls(generators, relators, target, _int_tuple(assignment, "'assignment'"))
+
+
+def _check_generator_names(generators: tuple[str, ...]) -> None:
+    """InputError unless the names are distinct and each is one lowercase
+    ASCII letter, the only names a relator string can spell."""
+    for name in generators:
+        if not (isinstance(name, str) and len(name) == 1 and "a" <= name <= "z"):
+            raise InputError(f"generator {name!r} is not one lowercase ASCII letter")
+    if len(set(generators)) != len(generators):
+        raise InputError("generator names must be distinct")
 
 
 def _int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
@@ -568,7 +579,8 @@ def homology_bar(g: FiniteGroupTable, coeff: GModuleFree, i: int, budget: int = 
     The differential d_(i+1) into degree i, of rank*(|G| - 1)^i rows and
     rank*(|G| - 1)^(i+1) columns, must fit within the entry budget
     (rows*cols), otherwise the computation is rejected rather than
-    attempted; d_i out of degree i is never larger.
+    attempted; d_i out of degree i is never larger. The sizes are computed
+    capped just above the budget, so a huge degree forms no huge number.
     """
     if i < 0:
         raise InputError("homology degree must be nonnegative")
@@ -576,11 +588,12 @@ def homology_bar(g: FiniteGroupTable, coeff: GModuleFree, i: int, budget: int = 
         raise InputError("coefficient module must live over the given group")
     base = g.order - 1
     rank = coeff.rank
-    entries_in = (rank * base**i) * (rank * base ** (i + 1))
-    if entries_in > budget:
-        raise ResourceBudgetError(
-            f"bar differential at degree {i + 1} needs {entries_in} entries, budget is {budget}"
-        )
+    cap = budget + 1
+    rows = _capped_product((rank, _capped_power(base, i, cap)), cap)
+    cols = _capped_product((rank, _capped_power(base, i + 1, cap)), cap)
+    if rows * cols > budget:
+        size = f"is {rows}x{cols} = {rows * cols} entries" if cols < cap else f"has over {budget} columns"
+        raise ResourceBudgetError(f"bar differential at degree {i + 1} {size}, budget is {budget}")
     d_in = _bar_differential(coeff, i + 1)
     if i == 0:
         d_out = IntMatrix.zeros(0, rank)
@@ -642,11 +655,32 @@ def four_term_report(
     n: int,
     budget: int = DEFAULT_BAR_BUDGET,
 ) -> FourTermReport:
-    """Compute the four groups of the degree-n sequence and check them."""
+    """Compute the four groups of the degree-n sequence and check them.
+
+    Before any module is built, n (the tensor loop runs n - 1 times) and
+    the entry count of B's coinvariant matrix, rank_B x |S|*rank_B for the
+    group's generating set S, must be at most budget; rank_B = rank_R^n *
+    rank_M with rank_R = |G|*gens - |G| + 1 is computed capped just above
+    the budget. homology_bar budgets the bar differentials of A and D.
+    """
     if n < 1:
         raise InputError("the sequence degree n must be at least 1")
     if coeff.group != pres.target:
         raise InputError("coefficient module must live over the presented group")
+    if n > budget:
+        raise ResourceBudgetError(f"the sequence degree n is over the budget of {budget}")
+    order = pres.target.order
+    cap = budget + 1
+    rank_b = _capped_product(
+        (_capped_power(order * len(pres.generators) - order + 1, n, cap), coeff.rank), cap
+    )
+    blocks = max(len(pres.target.generating_set), 1)
+    entries = rank_b * rank_b * blocks
+    if entries > budget:
+        size = f"has over {budget} rows"
+        if rank_b < cap:
+            size = f"is {rank_b}x{blocks * rank_b} = {entries} entries"
+        raise ResourceBudgetError(f"coinvariant matrix of R^(x){n} (x) M {size}, budget is {budget}")
     relation = magnus_sequence(pres).relation_module
     c_coeff = tensor_gmodule(tensor_power_gmodule(relation, n - 1), coeff)
     # R (x) (R^(n-1) (x) M) has the actions of R^n (x) M: the Kronecker

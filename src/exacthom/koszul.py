@@ -302,6 +302,12 @@ def _capped_product(factors: Sequence[int], cap: int) -> int:
     return out
 
 
+def _capped_power(x: int, e: int, cap: int) -> int:
+    """x^e for x >= 0, or cap when it is at least cap; x^e is past cap for
+    every x >= 2 once e reaches cap's bit length."""
+    return _capped_product((x,) * min(e, cap.bit_length()), cap)
+
+
 def _term_rank(kind: PowerKind, n: int, k: int, h: int, f: int, cap: int) -> int:
     """Rank of the degree-k term that the builder for kind^n makes over
     Z^h -> Z^f, or cap when it is at least cap."""
@@ -309,10 +315,10 @@ def _term_rank(kind: PowerKind, n: int, k: int, h: int, f: int, cap: int) -> int
         return _capped_product((_comb(h, k, cap), _comb(f + n - k - 1, n - k, cap)), cap)
     if kind is PowerKind.EXT:  # Div^k(H) (x) Ext^(n-k)(F)
         return _capped_product((_comb(h + k - 1, k, cap), _comb(f, n - k, cap)), cap)
-    # tensor: C(n, k) placements of the H letters, h^k f^(n-k) words each;
-    # x^e is past cap for every x >= 2 once e reaches cap's bit length
-    e = cap.bit_length()
-    return _capped_product((_comb(n, k, cap),) + (h,) * min(k, e) + (f,) * min(n - k, e), cap)
+    # tensor: C(n, k) placements of the H letters, h^k f^(n-k) words each
+    return _capped_product(
+        (_comb(n, k, cap), _capped_power(h, k, cap), _capped_power(f, n - k, cap)), cap
+    )
 
 
 # The most rows*cols of one differential, rank of one term and number of

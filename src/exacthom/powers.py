@@ -14,10 +14,9 @@ Worked order for r = 2, n = 2 (write x = e_0, y = e_1):
   Div^2:    g2(x), g1(x)g1(y), g2(y)      (g_a = the a-th divided power)
   Ext^2:    x^y
 
-Divided powers multiply by g_a(v) g_b(v) = C(a+b, a) g_{a+b}(v) and expand
-along g_a(v + w) = sum_{i+j=a} g_i(v) g_j(w) with g_a(c v) = c^a g_a(v); no
-other relations are used. All caches are write-once and safe for concurrent
-readers.
+Div^n(Z^r) is the graded dual of Sym^n(Z^r), its divided-power basis dual
+to the monomial basis, so Div^n(m) = Sym^n(m^T)^T. All caches are
+write-once and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -115,20 +114,6 @@ def dim(f: FunctorKind, r: int) -> int:
     return math.comb(r + n - 1, n)
 
 
-def _exponents(mono: tuple[int, ...], r: int) -> tuple[int, ...]:
-    exps = [0] * r
-    for i in mono:
-        exps[i] += 1
-    return tuple(exps)
-
-
-def _mono_of_exponents(exps: Sequence[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for i, e in enumerate(exps):
-        out.extend([i] * e)
-    return tuple(out)
-
-
 def sym_mult(v: Sequence[int], mono: Sequence[int]) -> list[int]:
     """Multiply a monomial of Sym^k(Z^r) by a vector of Z^r, r = len(v).
 
@@ -195,55 +180,6 @@ def norm_diagonal(n: int, r: int) -> IntMatrix:
     return IntMatrix.diagonal(values)
 
 
-def _weak_compositions(total: int, slots: Sequence[int]):
-    """Yield dicts slot -> positive part, over weak compositions of total."""
-    if not slots:
-        if total == 0:
-            yield {}
-        return
-    first, rest = slots[0], slots[1:]
-    for part in range(total + 1):
-        for tail in _weak_compositions(total - part, rest):
-            if part:
-                out = dict(tail)
-                out[first] = part
-                yield out
-            else:
-                yield tail
-
-
-def _div_of_column(a: int, coeffs: list[tuple[int, int]], r: int) -> dict[tuple[int, ...], int]:
-    """Expand g_a(sum_i c_i e_i) as exponent-vector -> coefficient."""
-    out: dict[tuple[int, ...], int] = {}
-    slots = [i for i, _ in coeffs]
-    values = dict(coeffs)
-    for comp in _weak_compositions(a, slots):
-        coeff = 1
-        exps = [0] * r
-        for i, part in comp.items():
-            coeff *= values[i] ** part
-            exps[i] = part
-        key = tuple(exps)
-        out[key] = out.get(key, 0) + coeff
-    return out
-
-
-def _div_product(
-    x: dict[tuple[int, ...], int], y: dict[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    """Product in the divided power algebra, on exponent-vector dicts."""
-    out: dict[tuple[int, ...], int] = {}
-    for e1, c1 in x.items():
-        for e2, c2 in y.items():
-            coeff = c1 * c2
-            for a, b in zip(e1, e2):
-                if a and b:
-                    coeff *= math.comb(a + b, a)
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + coeff
-    return out
-
-
 def _tensor_induced(n: int, m: IntMatrix) -> IntMatrix:
     # Kronecker power; the blocked row/column order matches the word basis.
     return reduce(_kron, itertools.repeat(m, n), IntMatrix.identity(1))
@@ -286,28 +222,7 @@ def _ext_induced(n: int, m: IntMatrix) -> IntMatrix:
 
 
 def _div_induced(n: int, m: IntMatrix) -> IntMatrix:
-    r_src, r_dst = m.cols, m.rows
-    src = basis(PowerKind.DIV, n, r_src)
-    dst_index = _index_map(PowerKind.DIV, n, r_dst)
-    sparse_cols = [
-        [(i, m.entries[i][j]) for i in range(r_dst) if m.entries[i][j]]
-        for j in range(r_src)
-    ]
-    columns = []
-    for mono in src:
-        acc: dict[tuple[int, ...], int] = {(0,) * r_dst: 1}
-        for j, a in enumerate(_exponents(mono, r_src)):
-            if a:
-                acc = _div_product(acc, _div_of_column(a, sparse_cols[j], r_dst))
-        col = [0] * len(dst_index)
-        for exps, c in acc.items():
-            if c:
-                col[dst_index[_mono_of_exponents(exps)]] = c
-        columns.append(col)
-    return IntMatrix.from_rows(
-        [[columns[j][i] for j in range(len(src))] for i in range(len(dst_index))],
-        cols=len(src),
-    )
+    return _sym_induced(n, m.transpose()).transpose()
 
 
 def induced_map(f: FunctorKind, m: IntMatrix) -> IntMatrix:

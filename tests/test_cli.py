@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -248,6 +249,35 @@ def test_run_grouphom_budget():
     assert json.loads(text)["error"] == "budget"
 
 
+def test_run_grouphom_budget_huge_degree():
+    params = _grouphom_params(preset="Z2xZ2", method="auto", degrees="5000..5000")
+    code, text = run(JobSpec("grouphom", params, output_format="json"))
+    assert code == 3
+    assert json.loads(text)["error"] == "budget"
+    start = time.perf_counter()
+    params = _grouphom_params(preset="Z2xZ2", method="auto", degrees="100000000..100000000")
+    code, _ = run(JobSpec("grouphom", params))
+    assert code == 3
+    assert time.perf_counter() - start < 1
+
+
+def test_run_verify_four_term_budget():
+    start = time.perf_counter()
+    params = _verify_params(preset="Z2xZ2", n=3000)
+    code, text = run(JobSpec("verify", params, output_format="json"))
+    assert code == 3
+    assert json.loads(text) == {
+        "command": "verify",
+        "error": "budget",
+        "message": "coinvariant matrix of R^(x)3000 (x) M has over 1000000 rows, budget is 1000000",
+    }
+    assert time.perf_counter() - start < 1
+    # Z2 at n = 7 needs a 2187x2187 coinvariant matrix
+    code, text = run(JobSpec("verify", _verify_params(preset="Z2", n=7)))
+    assert code == 3
+    assert "2187x2187 = 4782969 entries" in text
+
+
 def test_run_grouphom_errors():
     code, _ = run(JobSpec("grouphom", _grouphom_params(degrees="5..1")))
     assert code == 2
@@ -291,8 +321,10 @@ def _z2_file(**change):
         _z2_file(mult=[[0, 1], [1, "b"]]),
         _z2_file(order="two"),
         _z2_file(mult=7),
+        _z2_file(generators=["ab"]),
+        _z2_file(generators=["A"]),
     ],
-    ids=["assignment", "generators", "table-entry", "order", "mult"],
+    ids=["assignment", "generators", "table-entry", "order", "mult", "name-ab", "name-A"],
 )
 def test_run_grouphom_malformed_group_file(tmp_path, body):
     path = tmp_path / "group.json"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from bar_oracle import full_bar_differential
@@ -71,6 +72,16 @@ def test_presentation_validation():
         FpGroupPresentation.from_strings(("a", "a"), (), Z2, (1, 1))
     with pytest.raises(InputError):
         FpGroupPresentation.from_strings(("a",), ("ab",), Z2, (1,))
+
+
+@pytest.mark.parametrize("name", ["ab", "1", " ", "", "A", "\u00e9"])
+def test_generator_names_are_lowercase_letters(name):
+    # relator strings spell one lowercase letter per generator (uppercase
+    # is the inverse), so no other name can be read back
+    with pytest.raises(InputError, match=f"generator {name!r} is not one lowercase ASCII letter"):
+        FpGroupPresentation.from_strings((name,), (), Z2, (1,))
+    with pytest.raises(InputError, match=f"generator {name!r}"):
+        FpGroupPresentation((name,), (), Z2, (1,))
 
 
 def test_presentation_words():
@@ -339,10 +350,17 @@ def test_homology_bar_budget():
         homology_bar(Z4, coeff, 3, budget=100)
     # H_3 needs d_4 on words of nonidentity letters: 3^3 x 3^4 = 2187 entries
     assert homology_bar(Z4, coeff, 3, budget=2187) == FgAbGroup(0, (4,))
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match="is 27x81 = 2187 entries, budget is 2186"):
         homology_bar(Z4, coeff, 3, budget=2186)
     with pytest.raises(InputError):
         group_homology(coeff, 1, method="nonsense")
+    # 3^(10^8) would take minutes to form and cannot be printed: the sizes
+    # are capped just above the budget and left out of the message
+    start = time.perf_counter()
+    for degree in (5000, 10**6, 10**8):
+        with pytest.raises(ResourceBudgetError, match="has over 1000000 columns"):
+            homology_bar(V4, GModuleFree.trivial(V4, 1), degree)
+    assert time.perf_counter() - start < 1
 
 
 def _full_bar_homology(coeff: GModuleFree, i: int) -> FgAbGroup:
@@ -428,6 +446,26 @@ def test_four_term_presets():
     with pytest.raises(InputError):
         four_term_report(load_preset("Z2").presentations[0],
                          GModuleFree.trivial(Z2, 1), 0)
+
+
+def test_four_term_budget():
+    # Z2's second presentation has rank R = 2*2 - 2 + 1 = 3, so R^(x)2 (x) Z
+    # has rank 9 and one generator's coinvariant block is 9x9
+    pres = load_preset("Z2").presentations[1]
+    coeff = GModuleFree.trivial(Z2, 1)
+    assert four_term_report(pres, coeff, 2, budget=81).passed
+    with pytest.raises(ResourceBudgetError, match="is 9x9 = 81 entries, budget is 80"):
+        four_term_report(pres, coeff, 2, budget=80)
+    # rank R = 1 on the first presentation: only the n - 1 tensor steps count
+    first = load_preset("Z2").presentations[0]
+    assert four_term_report(first, coeff, 4, budget=4).passed
+    with pytest.raises(ResourceBudgetError, match="degree n is over the budget of 4"):
+        four_term_report(first, coeff, 5, budget=4)
+    # Z2xZ2 has two generators in its generating set: 5^2 x 2*5^2
+    klein = load_preset("Z2xZ2")
+    klein_coeff = GModuleFree.trivial(klein.table, 1)
+    with pytest.raises(ResourceBudgetError, match="is 25x50 = 1250 entries"):
+        four_term_report(klein.presentations[0], klein_coeff, 2, budget=1249)
 
 
 def test_four_term_middle_module_matches_tensor_power():

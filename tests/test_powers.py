@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from div_oracle import _div_induced
 
 from exacthom.errors import InputError
 from exacthom.linalg import IntMatrix, det
@@ -145,6 +146,14 @@ def test_divided_symmetric_duality():
         div = induced_map(FunctorKind(PowerKind.DIV, n), m)
         sym_t = induced_map(FunctorKind(PowerKind.SYM, n), m.transpose())
         assert div == sym_t.transpose()
+        assert div == _div_induced(n, m)
+    # the duality against the divided-power algebra expansion, 0-row and
+    # 0-column shapes included
+    for rows in range(5):
+        for cols in range(5):
+            for n in range(1, 5):
+                m = rand_matrix(rng, rows, cols)
+                assert induced_map(FunctorKind(PowerKind.DIV, n), m) == _div_induced(n, m)
 
 
 def test_norm_naturality():

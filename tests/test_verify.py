@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+import exacthom.powers as powers
 import exacthom.verify as verify
 from exacthom.errors import InputError
-from exacthom.linalg import det
+from exacthom.linalg import IntMatrix, det
 from exacthom.verify import (
     SUITE_NAMES,
     random_presentation,
     random_unimodular,
     run_four_term,
+    run_functoriality,
     run_koszul_d2,
     run_suite,
 )
@@ -42,6 +44,24 @@ def test_suite_reports_are_deterministic():
     assert a["suite"] == "koszul-d2" and a["seed"] == 7
     assert a["passed"] and not a["failures"]
     assert run_koszul_d2(8)["passed"]
+
+
+def test_contraction_naturality_catches_a_wrong_sym(monkeypatch):
+    # Div^n(m) is Sym^n(m^T)^T, so a wrong Sym^n also makes Div^n wrong;
+    # the contraction case must see it, not only the composition cases
+    real = powers._sym_induced
+
+    def off_by_one(n, m):
+        out = real(n, m)
+        if n < 2 or not out.rows or not out.cols:
+            return out
+        rows = [list(row) for row in out.entries]
+        rows[0][0] += 1
+        return IntMatrix.from_rows(rows, cols=out.cols)
+
+    monkeypatch.setattr(powers, "_sym_induced", off_by_one)
+    failures = run_functoriality(42)["failures"]
+    assert any(f.startswith("divided-power contraction naturality failed") for f in failures)
 
 
 def test_four_term_filters():
