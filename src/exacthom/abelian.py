@@ -153,9 +153,6 @@ class ChainComplex:
     def top_degree(self) -> int:
         return self.bottom_degree + len(self.ranks) - 1
 
-    def rank_at(self, degree: int) -> int:
-        return self.ranks[degree - self.bottom_degree]
-
 
 def _tensor_product(
     c_ranks: Sequence[int], c_diffs: Sequence[IntMatrix],

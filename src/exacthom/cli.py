@@ -280,6 +280,8 @@ def _run_grouphom(params: dict) -> tuple[int, dict]:
     lo, hi = _parse_degrees(params["degrees"])
     method = params["method"]
     budget = params["budget"]
+    if hi - lo + 1 > budget:
+        raise ResourceBudgetError(f"degrees {lo}..{hi} are {hi - lo + 1} degrees, budget is {budget}")
     rows = []
     code = 0
     for i in range(lo, hi + 1):
@@ -522,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BAR_BUDGET,
-        help="max entries (rows*cols) of each normalized bar differential",
+        help="max entries (rows*cols) of each normalized bar differential, "
+        "and max number of degrees",
     )
 
     p_verify = sub.add_parser("verify", parents=[common], help="self-verification suites")

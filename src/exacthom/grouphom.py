@@ -491,8 +491,8 @@ def h1_free(pres: FpGroupPresentation, n: GModuleFree) -> FgAbGroup:
     return homologies(ChainComplex(0, (stacked.rows, stacked.cols), (stacked,)))[1]
 
 
-def homology_cyclic(m: int, coeff: GModuleFree, i: int) -> FgAbGroup:
-    """H_i of the cyclic group of order m via its 2-periodic resolution.
+def homology_cyclic(coeff: GModuleFree, i: int) -> FgAbGroup:
+    """H_i of a cyclic group via its 2-periodic resolution.
 
     The designated generator is the smallest element index generating the
     group. The resolution ... -> ZG -N-> ZG -(t-1)-> ZG -> Z alternates
@@ -502,8 +502,6 @@ def homology_cyclic(m: int, coeff: GModuleFree, i: int) -> FgAbGroup:
     """
     if i < 0:
         raise InputError("homology degree must be nonnegative")
-    if coeff.group.order != m:
-        raise InputError(f"coefficient module lives over a group of order {coeff.group.order}, not {m}")
     t = coeff.group.generator()
     if t is None:
         raise InputError("the periodic resolution needs a cyclic group")
@@ -511,7 +509,7 @@ def homology_cyclic(m: int, coeff: GModuleFree, i: int) -> FgAbGroup:
     if i == 0:
         return canonical_form(t_minus_1)
     norm = coeff.action[0]
-    for g in range(1, m):
+    for g in range(1, coeff.group.order):
         norm = norm + coeff.action[g]
     if i % 2:
         return homology_at(d_in=norm, d_out=t_minus_1)
@@ -573,7 +571,7 @@ def _bar_differential(coeff: GModuleFree, k: int) -> IntMatrix:
     return IntMatrix.from_rows(grid, cols=cols)
 
 
-def homology_bar(g: FiniteGroupTable, coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:
+def homology_bar(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:
     """H_i(G, coeff) from the normalized bar complex.
 
     The differential d_(i+1) into degree i, of rank*(|G| - 1)^i rows and
@@ -584,9 +582,7 @@ def homology_bar(g: FiniteGroupTable, coeff: GModuleFree, i: int, budget: int = 
     """
     if i < 0:
         raise InputError("homology degree must be nonnegative")
-    if coeff.group != g:
-        raise InputError("coefficient module must live over the given group")
-    base = g.order - 1
+    base = coeff.group.order - 1
     rank = coeff.rank
     cap = budget + 1
     rows = _capped_product((rank, _capped_power(base, i, cap)), cap)
@@ -613,14 +609,11 @@ def group_homology(
     method "periodic" requires a cyclic group, "bar" forces the bar complex,
     and "auto" uses the periodic resolution whenever the group is cyclic.
     """
-    table = coeff.group
     if method not in ("auto", "periodic", "bar"):
         raise InputError(f"unknown homology method {method!r}")
-    if method == "periodic" or (method == "auto" and table.is_cyclic()):
-        if not table.is_cyclic():
-            raise InputError("the periodic method needs a cyclic group")
-        return homology_cyclic(table.order, coeff, i)
-    return homology_bar(table, coeff, i, budget=budget)
+    if method == "periodic" or (method == "auto" and coeff.group.is_cyclic()):
+        return homology_cyclic(coeff, i)
+    return homology_bar(coeff, i, budget=budget)
 
 
 @dataclass(frozen=True)

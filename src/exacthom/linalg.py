@@ -17,12 +17,13 @@ Conventions:
   * kernel_basis(a) returns a matrix whose columns are a basis of the full
     kernel lattice {x : a*x = 0} (saturated by construction).
 
-One Smith loop, _smith_engine, does all pivoting, Euclidean reduction and
-divisibility enforcement, and each of its row and column operations has one
-update, x - q*y for every q. snf, kernel_basis and solve run it with the
-transforms they need; smith_diagonal runs it without transforms under a
-bit-length cap. On the rare inputs whose entries swell past that cap,
-smith_diagonal switches to the bounded modular route
+hnf's column loop, _hermite, also serves kernel_basis and solve, run on a
+stacked over the identity (Cohen, GTM 138, section 2.4). One Smith loop,
+_smith_engine, does all pivoting, Euclidean reduction and divisibility
+enforcement, and each of its row and column operations has one update,
+x - q*y for every q. Only snf runs it with transforms; smith_diagonal runs
+it without them under a bit-length cap. On the rare inputs whose entries
+swell past that cap, smith_diagonal switches to the bounded modular route
 (_smith_diagonal_bounded): one fraction-free Bareiss pass (_bareiss, shared
 with det) finds the rank and a maximal nonzero minor D, and the same engine
 then eliminates with entries kept in balanced residues mod D; the diagonal it
@@ -190,14 +191,8 @@ class IntMatrix:
 
     # -- accessors ---------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-    def column_tuple(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
@@ -344,15 +339,13 @@ def _smallest_pivot(d: list[list[int]], t: int) -> tuple[int, int]:
     return pi, pj
 
 
-def _smith_engine(
-    a: IntMatrix, want_u: bool, want_v: bool, bit_cap: int = 0, modulus: int = 0
-):
+def _smith_engine(a: IntMatrix, transforms: bool, bit_cap: int = 0, modulus: int = 0):
     """Diagonalize a by unimodular row/column operations.
 
     Returns (diag, u_rows, vt_rows) where diag has length min(rows, cols),
     u_rows are the rows of u, and vt_rows are the *columns* of v stored as
     rows (so column operations on the working matrix are row operations on
-    vt_rows). u_rows / vt_rows are None when not requested.
+    vt_rows). u_rows and vt_rows are None unless transforms is set.
 
     A positive bit_cap raises _EntrySwell once any remaining entry outgrows
     it; callers that need only the diagonal use this to bail out of the rare
@@ -370,12 +363,12 @@ def _smith_engine(
         return [x - modulus if x > half else x for x in [y % modulus for y in row]]
 
     d = [balanced(row) for row in a.entries] if modulus else a.to_lists()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_u else None
-    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_v else None
+    u = IntMatrix.identity(m).to_lists() if transforms else None
+    vt = IntMatrix.identity(n).to_lists() if transforms else None
 
     def row_sub(i: int, t: int, q: int) -> None:
         d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-        if u is not None:
+        if transforms:
             u[i] = [x - q * y for x, y in zip(u[i], u[t])]
         if modulus:
             d[i] = balanced(d[i])
@@ -389,29 +382,29 @@ def _smith_engine(
                 if modulus:
                     x = row[j] % modulus
                     row[j] = x - modulus if x > half else x
-        if vt is not None:
+        if transforms:
             vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
 
     def swap_rows(i: int, t: int) -> None:
         d[i], d[t] = d[t], d[i]
-        if u is not None:
+        if transforms:
             u[i], u[t] = u[t], u[i]
 
     def swap_cols(j: int, t: int) -> None:
         for row in d:
             row[j], row[t] = row[t], row[j]
-        if vt is not None:
+        if transforms:
             vt[j], vt[t] = vt[t], vt[j]
 
     def negate_row(t: int) -> None:
         d[t] = [-x for x in d[t]]
-        if u is not None:
+        if transforms:
             u[t] = [-x for x in u[t]]
 
     def negate_col(t: int) -> None:
         for row in d:
             row[t] = -row[t]
-        if vt is not None:
+        if transforms:
             vt[t] = [-x for x in vt[t]]
 
     limit = min(m, n)
@@ -550,7 +543,7 @@ def _smith_diagonal_bounded(a: IntMatrix) -> tuple[int, ...]:
     rank, minor = _bareiss(a)
     big_d = abs(minor)
     limit = min(a.rows, a.cols)
-    diag, _, _ = _smith_engine(a, want_u=False, want_v=False, modulus=big_d)
+    diag, _, _ = _smith_engine(a, transforms=False, modulus=big_d)
     # a zero pivot (the block left over was zero mod D) counts as a copy of Z/D
     values = [math.gcd(p, big_d) for p in diag]
     values += [big_d] * (a.rows - limit)
@@ -574,7 +567,7 @@ def _divisibility_chain(values: list[int]) -> list[int]:
 
 def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form of a: u*a*v = d with u, v unimodular."""
-    diag, u, vt = _smith_engine(a, want_u=True, want_v=True)
+    diag, u, vt = _smith_engine(a, transforms=True)
     d = IntMatrix.diagonal(diag, rows=a.rows, cols=a.cols)
     u_mat = IntMatrix(a.rows, a.rows, tuple(map(tuple, u)))
     v_mat = IntMatrix(a.cols, a.cols, tuple(zip(*vt)))
@@ -592,7 +585,7 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
         (abs(x).bit_length() for row in a.entries for x in row), default=0
     )
     try:
-        diag, _, _ = _smith_engine(a, want_u=False, want_v=False, bit_cap=cap)
+        diag, _, _ = _smith_engine(a, transforms=False, bit_cap=cap)
     except _EntrySwell:
         return _smith_diagonal_bounded(a)
     return tuple(diag)
@@ -605,13 +598,11 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     them, and the lattice they span is saturated (any integer vector killed
     by a is an integer combination of the columns).
     """
-    diag, _, vt = _smith_engine(a, want_u=False, want_v=True)
-    rank = sum(1 for x in diag if x)
-    n = a.cols
-    kernel_cols = [vt[i] for i in range(rank, n)]
-    return IntMatrix.from_rows(
-        [[col[i] for col in kernel_cols] for i in range(n)], cols=len(kernel_cols)
-    )
+    m, n = a.rows, a.cols
+    d = a.to_lists() + IntMatrix.identity(n).to_lists()
+    # d[m:] becomes a unimodular t with a*t = (h | 0), h of full column rank
+    rank = len(_hermite(d, m, n))
+    return IntMatrix.from_rows([row[rank:] for row in d[m:]], cols=n - rank)
 
 
 def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -622,34 +613,30 @@ def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """
     if a.rows != b.rows:
         raise InputError(f"cannot solve: a has {a.rows} rows but b has {b.rows}")
-    dec = snf(a)
-    c = dec.u @ b
-    pivots = [x for x in dec.diagonal if x]
-    rank = len(pivots)
-    y = [[0] * b.cols for _ in range(a.cols)]
-    for i, p in enumerate(pivots):
-        crow = c.entries[i]
-        yrow = y[i]
-        for j, value in enumerate(crow):
-            q, r = divmod(value, p)
+    m, n = a.rows, a.cols
+    d = a.to_lists() + IntMatrix.identity(n).to_lists()
+    pivots = _hermite(d, m, n)
+    # a*t = (h | 0) and h is triangular on its pivot rows, so h*y = b has at
+    # most one solution y there, and x = t*(y; 0) is one iff the rest agree
+    y: list[list[int]] = []
+    for c, i in enumerate(pivots):
+        y.append([])
+        for j, value in enumerate(b.entries[i]):
+            q, r = divmod(value - sum(d[i][k] * y[k][j] for k in range(c)), d[i][c])
             if r:
                 return None
-            yrow[j] = q
-    for i in range(rank, a.rows):
-        if any(c.entries[i]):
-            return None
-    return dec.v @ IntMatrix.from_rows(y, cols=b.cols)
+            y[c].append(q)
+    t = IntMatrix.from_rows([row[: len(pivots)] for row in d[m:]], cols=len(pivots))
+    x = t @ IntMatrix.from_rows(y, cols=b.cols)
+    return x if a @ x == b else None
 
 
-def hnf(a: IntMatrix) -> IntMatrix:
-    """Column-style Hermite normal form of the column lattice of a.
+def _hermite(d: list[list[int]], m: int, n: int) -> list[int]:
+    """Put the first m rows of the n-column grid d in column Hermite form
+    (see hnf), in place, and return the pivot row of each nonzero column.
 
-    Pivots are positive and strictly descend row by row, entries to the left
-    of a pivot in its row lie in [0, pivot), and zero columns are removed, so
-    two matrices have equal column lattices iff their forms are identical.
-    """
-    m, n = a.rows, a.cols
-    d = a.to_lists()
+    Every column operation runs through all rows of d, so rows stacked below
+    the first m record the transform."""
 
     def col_sub(j: int, t: int, q: int) -> None:
         for row in d:
@@ -661,6 +648,7 @@ def hnf(a: IntMatrix) -> IntMatrix:
         for row in d:
             row[j], row[t] = row[t], row[j]
 
+    pivot_rows: list[int] = []
     t = 0
     for i in range(m):
         if t >= n:
@@ -697,13 +685,26 @@ def hnf(a: IntMatrix) -> IntMatrix:
                         clean = False
             if clean:
                 break
-        if t < n and row[t]:
+        if row[t]:
             p = row[t]
             for j in range(t):
                 q = row[j] // p
                 if q:
                     col_sub(j, t, q)
+            pivot_rows.append(i)
             t += 1
+    return pivot_rows
+
+
+def hnf(a: IntMatrix) -> IntMatrix:
+    """Column-style Hermite normal form of the column lattice of a.
+
+    Pivots are positive and strictly descend row by row, entries to the left
+    of a pivot in its row lie in [0, pivot), and zero columns are removed, so
+    two matrices have equal column lattices iff their forms are identical.
+    """
+    d = a.to_lists()
+    t = len(_hermite(d, a.rows, a.cols))
     return IntMatrix.from_rows([r[:t] for r in d], cols=t)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "FunctorKind",
     "basis",
     "basis_index",
-    "dim",
     "induced_map",
     "sym_mult",
     "ext_mult",
@@ -100,18 +99,6 @@ def basis_index(kind: PowerKind, n: int, r: int, element: Sequence[int]) -> int:
         return _index_map(kind, n, r)[tuple(element)]
     except KeyError:
         raise InputError(f"{tuple(element)} is not a {kind.value}^{n} basis index over rank {r}") from None
-
-
-def dim(f: FunctorKind, r: int) -> int:
-    """Rank of f applied to Z^r."""
-    if r < 0:
-        raise InputError("rank must be nonnegative")
-    n = f.degree
-    if f.kind is PowerKind.TENSOR:
-        return r**n
-    if f.kind is PowerKind.EXT:
-        return math.comb(r, n)
-    return math.comb(r + n - 1, n)
 
 
 def sym_mult(v: Sequence[int], mono: Sequence[int]) -> list[int]:

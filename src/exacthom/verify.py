@@ -13,7 +13,7 @@ import random
 from typing import Optional
 
 from .abelian import FgAbGroup, canonical_form
-from .errors import ComplexValidityError, InputError
+from .errors import ComplexValidityError
 from .grouphom import (
     GModuleFree,
     fox_derivative,
@@ -39,7 +39,7 @@ from .powers import (
     induced_map,
     norm_diagonal,
 )
-from .presets import load_preset
+from .presets import PRESET_NAMES, load_preset
 
 __all__ = [
     "random_matrix",
@@ -265,12 +265,7 @@ def run_four_term(
     details: list[dict] = []
     cases = 0
     reference = None
-    names = ("Z2", "Z3", "Z4", "Z2xZ2")
-    if only_preset is not None:
-        if only_preset not in names:
-            raise InputError(f"unknown preset {only_preset!r}; available: {', '.join(names)}")
-        names = (only_preset,)
-    for name in names:
+    for name in PRESET_NAMES if only_preset is None else (only_preset,):
         preset = load_preset(name)
         coeff = GModuleFree.trivial(preset.table, 1)
         for pres_idx, pres in enumerate(preset.presentations):
@@ -297,11 +292,7 @@ def run_four_term(
                     failures.append(f"{label}: Fox vector of relator {ridx} is not in ker sigma")
 
             degrees = (1, 2) if preset.table.is_cyclic() else (1,)
-            if only_n is not None:
-                if only_n < 1:
-                    raise InputError("the sequence degree n must be at least 1")
-                degrees = (only_n,)
-            for n in degrees:
+            for n in degrees if only_n is None else (only_n,):
                 cases += 1
                 report = four_term_report(pres, coeff, n, budget=budget)
                 if (name, pres_idx, n) == ("Z2", 0, 1):

@@ -107,7 +107,6 @@ def test_chain_complex_validation():
     d = IntMatrix.from_rows([[2]])
     c = ChainComplex(0, (1, 1), (d,))
     assert c.top_degree == 0 + 1
-    assert c.rank_at(0) == 1
     with pytest.raises(InputError):
         ChainComplex(0, (1, 1), ())  # missing differential
     with pytest.raises(ComplexValidityError):

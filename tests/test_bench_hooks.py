@@ -2,7 +2,8 @@
 (perfbench/tracing.py); a rename in the package must fail here, not only in
 the benchmark's own smoke test. So must a builder that derived reaches
 without passing the wrapper, which would read 0 in the koszul.build spans,
-and so must a grouphom request whose bar route drops out of the trace."""
+and so must a grouphom request whose bar route drops out of the trace, or a
+kernel or solution that goes back through the Smith transforms of snf."""
 
 import subprocess
 import sys
@@ -42,6 +43,17 @@ tracer.end_job(0.0)
 for name in ("cli.run", "grouphom.homology_bar"):
     calls = tracer.stats[name][0]
     assert calls == 1, (name, calls)
+# one kernel and one solution: the Hermite route must not reach snf
+from exacthom import linalg
+tracer.begin_job("lattice")
+a = linalg.IntMatrix.from_rows([[2, 4, 6], [3, 6, 9]])
+linalg.kernel_basis(a)
+linalg.solve(a, linalg.IntMatrix.column([4, 6]))
+tracer.end_job(0.0)
+metrics = tracer.metrics(1)
+for name, want in (("kernel_basis", 1), ("solve", 1), ("snf", 0)):
+    calls = metrics["linalg." + name + ".calls"]
+    assert calls == want, (name, calls)
 """
 
 

@@ -50,7 +50,7 @@ def test_matrix_codec():
     assert decode_matrix(obj) == m
     assert decode_matrix(json.loads(json.dumps(obj))) == m
     # bare ints are tolerated
-    assert decode_matrix({"rows": 1, "cols": 1, "entries": [[7]]}).entry(0, 0) == 7
+    assert decode_matrix({"rows": 1, "cols": 1, "entries": [[7]]}).entries[0][0] == 7
     for bad in (
         [],
         {"rows": 1, "cols": 1},
@@ -258,6 +258,19 @@ def test_run_grouphom_budget_huge_degree():
     params = _grouphom_params(preset="Z2xZ2", method="auto", degrees="100000000..100000000")
     code, _ = run(JobSpec("grouphom", params))
     assert code == 3
+    assert time.perf_counter() - start < 1
+
+
+def test_run_grouphom_budget_caps_the_degree_count():
+    params = _grouphom_params(preset="Z4", method="auto", degrees="0..10", budget=10)
+    code, text = run(JobSpec("grouphom", params, output_format="json"))
+    assert code == 3
+    assert json.loads(text)["message"] == "degrees 0..10 are 11 degrees, budget is 10"
+    params = _grouphom_params(preset="Z4", method="auto", degrees="0..9", budget=10)
+    assert run(JobSpec("grouphom", params))[0] == 0
+    start = time.perf_counter()
+    params = _grouphom_params(preset="Z4", method="auto", degrees="0..100000000")
+    assert run(JobSpec("grouphom", params))[0] == 3
     assert time.perf_counter() - start < 1
 
 

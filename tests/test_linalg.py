@@ -1,13 +1,16 @@
 import random
+import time
 from array import array
 from itertools import combinations
 from math import gcd
 
+import lattice_oracle
 import pytest
 
 from exacthom import linalg
 from exacthom.abelian import from_cyclic_orders
 from exacthom.errors import InputError
+from exacthom.grouphom import magnus_sequence
 from exacthom.koszul import presentation_from_group, tensor_complex
 from exacthom.linalg import (
     IntMatrix,
@@ -21,6 +24,7 @@ from exacthom.linalg import (
     solve,
 )
 from exacthom.powers import FunctorKind, PowerKind, induced_map
+from exacthom.presets import PRESET_NAMES, load_preset
 
 
 def rand_matrix(rng, rows, cols, lo=-100, hi=100):
@@ -273,7 +277,7 @@ def test_kernel_basis_saturated():
 def test_solve():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
     x = solve(a, IntMatrix.column([4, 9]))
-    assert x is not None and (a @ x).column_tuple(0) == (4, 9)
+    assert x is not None and (a @ x).entries == ((4,), (9,))
     assert solve(a, IntMatrix.column([1, 0])) is None
     assert solve(IntMatrix.from_rows([[1, 1], [1, 1]]), IntMatrix.column([0, 1])) is None
     # multi-column right-hand side
@@ -287,6 +291,69 @@ def test_solve_zero_target():
     x = solve(empty, IntMatrix.column([0, 0]))
     assert x is not None and x.rows == 0
     assert solve(empty, IntMatrix.column([1, 0])) is None
+
+
+def _oracle_cases():
+    """Seeded matrices for the Hermite-against-Smith comparison: every shape
+    0-6 x 0-6 with entries in [-9, 9], sparse 15 x 30 at density 0.2, and
+    sigma of the Magnus sequence of every preset presentation."""
+    rng = random.Random("linalg-lattice-oracle")
+    for rows in range(7):
+        for cols in range(7):
+            for _ in range(4):
+                yield rand_matrix(rng, rows, cols, -9, 9)
+    for _ in range(8):
+        yield IntMatrix.from_rows(
+            [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.2 else 0 for _ in range(30)]
+             for _ in range(15)],
+            cols=30,
+        )
+    for name in PRESET_NAMES:
+        for pres in load_preset(name).presentations:
+            yield magnus_sequence(pres).sigma
+
+
+def test_kernel_and_solve_match_the_smith_oracle():
+    rng = random.Random("linalg-lattice-rhs")
+    for a in _oracle_cases():
+        k = kernel_basis(a)
+        assert k.rows == a.cols and (a @ k).is_zero()
+        assert hnf(k) == hnf(lattice_oracle.kernel_basis(a))
+        x0 = rand_matrix(rng, a.cols, 2, -3, 3)
+        nudge = rand_matrix(rng, a.rows, 2, 0, 1)
+        # solvable by construction, nudged off the lattice, and arbitrary
+        for b in (a @ x0, a @ x0 + nudge, rand_matrix(rng, a.rows, 2, -9, 9)):
+            x, expected = solve(a, b), lattice_oracle.solve(a, b)
+            assert (x is None) == (expected is None)
+            if x is not None:
+                assert a @ x == b
+
+
+def test_kernel_and_solve_skip_the_smith_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Smith engine ran")
+
+    monkeypatch.setattr(linalg, "_smith_engine", refuse)
+    a = IntMatrix.from_rows([[2, 4, 6], [3, 6, 9]])
+    k = kernel_basis(a)
+    assert k.cols == 2 and (a @ k).is_zero()
+    assert hnf(k) == hnf(IntMatrix.from_rows([[3, -2], [0, 1], [-1, 0]]))
+    x = solve(a, IntMatrix.column([4, 6]))
+    assert x is not None and a @ x == IntMatrix.column([4, 6])
+    assert solve(a, IntMatrix.column([1, 0])) is None
+    with pytest.raises(AssertionError):
+        snf(a)
+
+
+def test_kernel_basis_dense_14x16_is_fast():
+    # the Smith transforms swell here: the engine route took over 20 s on
+    # half of these seeds
+    for seed in range(6):
+        a = rand_matrix(random.Random(seed), 14, 16, -9, 9)
+        start = time.perf_counter()
+        k = kernel_basis(a)
+        assert time.perf_counter() - start < 1
+        assert k.cols == 2 and (a @ k).is_zero()
 
 
 def test_hnf_frozen():
@@ -318,16 +385,16 @@ def test_hnf_random_lattice_equality():
         # row is zero to the right and reduced into [0, pivot) to the left
         last_pivot_row = -1
         for j in range(h.cols):
-            col = h.column_tuple(j)
+            col = h.transpose().entries[j]
             pivot_row = min(i for i in range(rows) if col[i] != 0)
             assert pivot_row > last_pivot_row
             last_pivot_row = pivot_row
             pivot = col[pivot_row]
             assert pivot > 0
             for jj in range(j):
-                assert 0 <= h.entry(pivot_row, jj) < pivot
+                assert 0 <= h.entries[pivot_row][jj] < pivot
             for jj in range(j + 1, h.cols):
-                assert h.entry(pivot_row, jj) == 0
+                assert h.entries[pivot_row][jj] == 0
 
 
 def test_det():
@@ -360,12 +427,12 @@ def test_det():
             if m.rows == 0:
                 return 1
             if m.rows == 1:
-                return m.entry(0, 0)
+                return m.entries[0][0]
             total = 0
             rest = tuple(range(1, m.rows))
             for j in range(m.cols):
                 keep = tuple(k for k in range(m.cols) if k != j)
-                total += (-1) ** j * m.entry(0, j) * cofactor(m.submatrix(rest, keep))
+                total += (-1) ** j * m.entries[0][j] * cofactor(m.submatrix(rest, keep))
             return total
 
         assert det(a) == cofactor(a)
@@ -432,7 +499,7 @@ def test_smith_diagonal_swell_fallback(monkeypatch):
 
     a = IntMatrix.from_rows([[10**30, 1], [1, 10**30]])
     with pytest.raises(_EntrySwell):
-        _smith_engine(a, want_u=False, want_v=False, bit_cap=8)
+        _smith_engine(a, transforms=False, bit_cap=8)
     # the public route answers the same whichever path it takes
     assert smith_diagonal(a) == (1, 10**60 - 1)
     # a dense input on which smith_diagonal itself trips the swell guard
