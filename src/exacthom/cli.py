@@ -454,7 +454,7 @@ def run(job: JobSpec) -> tuple[int, str]:
     """Execute a job; returns (exit status, rendered report).
 
     Exit statuses: 0 success, 1 violated mathematical invariant, 2 malformed
-    input, 3 resource budget exceeded.
+    input, 3 resource budget exceeded, including memory that ran out.
     """
     if job.command not in _EXECUTORS:
         return 2, _render_error(job, "input", f"unknown command {job.command!r}")
@@ -462,6 +462,8 @@ def run(job: JobSpec) -> tuple[int, str]:
         code, report = _EXECUTORS[job.command](job.params)
     except ResourceBudgetError as err:
         return 3, _render_error(job, "budget", str(err))
+    except MemoryError:
+        return 3, _render_error(job, "budget", f"{job.command} ran out of memory")
     except InputError as err:
         return 2, _render_error(job, "input", str(err))
     except InvariantViolation as err:

@@ -17,18 +17,20 @@ Conventions:
   * kernel_basis(a) returns a matrix whose columns are a basis of the full
     kernel lattice {x : a*x = 0} (saturated by construction).
 
-hnf's column loop, _hermite, also serves kernel_basis and solve, run on a
-stacked over the identity (Cohen, GTM 138, section 2.4). One Smith loop,
-_smith_engine, does all pivoting, Euclidean reduction and divisibility
-enforcement, and each of its row and column operations has one update,
-x - q*y for every q. Only snf runs it with transforms; smith_diagonal runs
-it without them under a bit-length cap. On the rare inputs whose entries
-swell past that cap, smith_diagonal switches to the bounded modular route
+hnf's column loop, _hermite, is the one elimination loop. kernel_basis and
+solve run it on a stacked over the identity (Cohen, GTM 138, section 2.4).
+The Smith forms come from _diagonalize, which alternates column Hermite
+forms of a and of its transpose until a is diagonal (Kannan and Bachem,
+SIAM J. Comput. 8, 1979); the Hermite reductions keep snf's transforms
+short. snf then makes the diagonal a divisibility chain by 2 x 2 unimodular
+gcd/lcm steps. smith_diagonal runs without transforms under a bit-length
+cap that scales with the Hadamard bound. On the rare inputs whose entries
+outgrow it, it switches to the bounded modular route
 (_smith_diagonal_bounded): one fraction-free Bareiss pass (_bareiss, shared
-with det) finds the rank and a maximal nonzero minor D, and the same engine
-then eliminates with entries kept in balanced residues mod D; the diagonal it
-leaves becomes an invariant chain through _divisibility_chain, the gcd/lcm
-step that abelian.from_cyclic_orders uses too.
+with det) finds the rank and a maximal nonzero minor D, and the same
+alternation then runs with entries kept in balanced residues mod D; the
+diagonal it leaves becomes an invariant chain through _divisibility_chain,
+the gcd/lcm step that abelian.from_cyclic_orders uses too.
 
 _kron, the one Kronecker product, builds powers.induced_map's tensor powers
 and grouphom.tensor_gmodule's diagonal actions.
@@ -60,8 +62,8 @@ __all__ = [
 
 
 # Python refuses int <-> str conversions past 4300 digits by default, and
-# the Smith transforms of 11 x 11 inputs with one-digit entries already pass
-# that. Longer numbers are split in halves until each half converts. Every
+# entries, group orders and Smith transforms of inputs with long entries
+# pass that. Longer numbers are split in halves until each half converts. Every
 # conversion of an entry, a group order or a parsed group term goes through
 # this pair; each tries plain str/int first, so ordinary numbers pay only
 # that try.
@@ -339,157 +341,6 @@ def _smallest_pivot(d: list[list[int]], t: int) -> tuple[int, int]:
     return pi, pj
 
 
-def _smith_engine(a: IntMatrix, transforms: bool, bit_cap: int = 0, modulus: int = 0):
-    """Diagonalize a by unimodular row/column operations.
-
-    Returns (diag, u_rows, vt_rows) where diag has length min(rows, cols),
-    u_rows are the rows of u, and vt_rows are the *columns* of v stored as
-    rows (so column operations on the working matrix are row operations on
-    vt_rows). u_rows and vt_rows are None unless transforms is set.
-
-    A positive bit_cap raises _EntrySwell once any remaining entry outgrows
-    it; callers that need only the diagonal use this to bail out of the rare
-    inputs where elimination entries grow doubly exponentially.
-
-    A nonzero modulus reduces the input and every row or column an operation
-    touches to balanced residues in (-modulus/2, modulus/2]; the diagonal is
-    then only meaningful modulo modulus (see _smith_diagonal_bounded), and
-    callers request no transforms.
-    """
-    m, n = a.rows, a.cols
-    half = modulus >> 1
-
-    def balanced(row: list[int]) -> list[int]:
-        return [x - modulus if x > half else x for x in [y % modulus for y in row]]
-
-    d = [balanced(row) for row in a.entries] if modulus else a.to_lists()
-    u = IntMatrix.identity(m).to_lists() if transforms else None
-    vt = IntMatrix.identity(n).to_lists() if transforms else None
-
-    def row_sub(i: int, t: int, q: int) -> None:
-        d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-        if transforms:
-            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-        if modulus:
-            d[i] = balanced(d[i])
-
-    def col_sub(j: int, t: int, q: int) -> None:
-        for r in range(t, m):  # rows above t are zero in column t
-            row = d[r]
-            x = row[t]
-            if x:
-                row[j] -= q * x
-                if modulus:
-                    x = row[j] % modulus
-                    row[j] = x - modulus if x > half else x
-        if transforms:
-            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
-
-    def swap_rows(i: int, t: int) -> None:
-        d[i], d[t] = d[t], d[i]
-        if transforms:
-            u[i], u[t] = u[t], u[i]
-
-    def swap_cols(j: int, t: int) -> None:
-        for row in d:
-            row[j], row[t] = row[t], row[j]
-        if transforms:
-            vt[j], vt[t] = vt[t], vt[j]
-
-    def negate_row(t: int) -> None:
-        d[t] = [-x for x in d[t]]
-        if transforms:
-            u[t] = [-x for x in u[t]]
-
-    def negate_col(t: int) -> None:
-        for row in d:
-            row[t] = -row[t]
-        if transforms:
-            vt[t] = [-x for x in vt[t]]
-
-    limit = min(m, n)
-    t = 0
-    while t < limit:
-        pi, pj = _smallest_pivot(d, t)
-        if pi < 0:
-            break  # the remaining submatrix is zero
-        if pi != t:
-            swap_rows(pi, t)
-        if pj != t:
-            swap_cols(pj, t)
-
-        while True:
-            if d[t][t] < 0:
-                negate_row(t)
-            # Column phase: Euclidean reduction below the pivot. Quotients
-            # are rounded to nearest, keeping |remainder| <= pivot/2; without
-            # this the transform rows can swell exponentially on inputs a few
-            # hundred columns wide.
-            again = True
-            while again:
-                again = False
-                p = d[t][t]
-                for i in range(t + 1, m):
-                    x = d[i][t]
-                    if x:
-                        q = (x + (p >> 1)) // p
-                        if q:
-                            row_sub(i, t, q)
-                        if d[i][t]:  # remainder becomes the new, smaller pivot
-                            swap_rows(i, t)
-                            if d[t][t] < 0:
-                                negate_row(t)
-                            p = d[t][t]
-                            again = True
-            # Row phase: Euclidean reduction right of the pivot. A column
-            # swap here can reintroduce entries below the pivot, which the
-            # outer loop detects and clears.
-            again = True
-            while again:
-                again = False
-                p = d[t][t]
-                row_t = d[t]
-                for j in range(t + 1, n):
-                    x = row_t[j]
-                    if x:
-                        q = (x + (p >> 1)) // p
-                        if q:
-                            col_sub(j, t, q)
-                        if row_t[j]:
-                            swap_cols(j, t)
-                            if row_t[t] < 0:
-                                negate_col(t)
-                            p = row_t[t]
-                            again = True
-            if any(d[i][t] for i in range(t + 1, m)):
-                continue
-            # Divisibility enforcement: the pivot must divide the remaining
-            # submatrix so the diagonal chains; fold an offending row in and
-            # re-run the reduction (the pivot gcd strictly decreases).
-            p = d[t][t]
-            bad = -1
-            if p != 1:
-                for i in range(t + 1, m):
-                    row = d[i]
-                    for j in range(t + 1, n):
-                        if row[j] % p:
-                            bad = i
-                            break
-                    if bad >= 0:
-                        break
-            if bad < 0:
-                break
-            row_sub(t, bad, -1)
-        t += 1
-        if bit_cap and any(
-            x.bit_length() > bit_cap for row in d[t:] for x in row[t:] if x
-        ):
-            raise _EntrySwell
-
-    diag = [d[i][i] for i in range(limit)]
-    return diag, u, vt
-
-
 def _bareiss(a: IntMatrix) -> tuple[int, int]:
     """The rank r of a and the signed last pivot of fraction-free (Bareiss)
     elimination with full pivoting.
@@ -543,7 +394,7 @@ def _smith_diagonal_bounded(a: IntMatrix) -> tuple[int, ...]:
     rank, minor = _bareiss(a)
     big_d = abs(minor)
     limit = min(a.rows, a.cols)
-    diag, _, _ = _smith_engine(a, transforms=False, modulus=big_d)
+    diag = _diagonalize(a.to_lists(), a.rows, a.cols, [], [], modulus=big_d)
     # a zero pivot (the block left over was zero mod D) counts as a copy of Z/D
     values = [math.gcd(p, big_d) for p in diag]
     values += [big_d] * (a.rows - limit)
@@ -565,30 +416,91 @@ def _divisibility_chain(values: list[int]) -> list[int]:
     return values
 
 
+def _diagonalize(
+    d: list[list[int]],
+    m: int,
+    n: int,
+    v: list[list[int]],
+    ut: list[list[int]],
+    modulus: int = 0,
+    bit_cap: int = 0,
+) -> list[int]:
+    """Diagonalize the m x n grid d in place and return its diagonal, whose
+    entries are nonnegative with the zeros trailing.
+
+    Alternates _hermite on d stacked over v (column operations, so the rows
+    of v record V) with _hermite on the transpose of d stacked over ut (row
+    operations, so the rows of ut record the transpose of U) until d is
+    diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979). Either of v and
+    ut may be []. modulus is _hermite's; a positive bit_cap raises
+    _EntrySwell once an entry of d outgrows it after a pass.
+    """
+
+    def settled() -> bool:
+        if bit_cap and max(map(abs, chain.from_iterable(d)), default=0).bit_length() > bit_cap:
+            raise _EntrySwell
+        return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(d))
+
+    while True:
+        _hermite(d + v, m, n, modulus)
+        if settled():
+            break
+        t = [list(col) for col in zip(*d)]
+        _hermite(t + ut, n, m, modulus)
+        d[:] = [list(row) for row in zip(*t)]
+        if settled():
+            break
+    return [d[i][i] for i in range(min(m, n))]
+
+
 def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form of a: u*a*v = d with u, v unimodular."""
-    diag, u, vt = _smith_engine(a, transforms=True)
-    d = IntMatrix.diagonal(diag, rows=a.rows, cols=a.cols)
-    u_mat = IntMatrix(a.rows, a.rows, tuple(map(tuple, u)))
-    v_mat = IntMatrix(a.cols, a.cols, tuple(zip(*vt)))
-    return SmithDecomposition(u_mat, d, v_mat)
+    m, n = a.rows, a.cols
+    v = IntMatrix.identity(n).to_lists()
+    ut = IntMatrix.identity(m).to_lists()
+    diag = _diagonalize(a.to_lists(), m, n, v, ut)
+    # _divisibility_chain's pass, each step a unimodular operation on rows
+    # i, j of u and columns i, j of v: with g = gcd(x, y), s*(x/g) = 1 mod
+    # y/g and s*x + t*y = g, it turns diag(x, y) into diag(g, x*y/g).
+    rank = len(diag) - diag.count(0)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = diag[i], diag[j]
+            if y % x:
+                g = math.gcd(x, y)
+                xg, yg = x // g, y // g
+                s = pow(xg, -1, yg)
+                t = (g - s * x) // y
+                for row in ut:
+                    ui, uj = row[i], row[j]
+                    row[i], row[j] = s * ui + t * uj, xg * uj - yg * ui
+                for row in v:
+                    vi, vj = row[i], row[j]
+                    row[i], row[j] = vi + vj, s * xg * vj - t * yg * vi
+                diag[i], diag[j] = g, x * yg
+    u_mat = IntMatrix(m, m, tuple(zip(*ut)))
+    v_mat = IntMatrix(n, n, tuple(map(tuple, v)))
+    return SmithDecomposition(u_mat, IntMatrix.diagonal(diag, rows=m, cols=n), v_mat)
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The diagonal of the Smith normal form, without the transforms.
 
-    Runs the integral elimination first and, on the rare inputs where its
-    entries snowball, switches to the bounded modular route; the answer is
-    identical either way and no input can make this blow up.
+    Runs the integral elimination first under a bit-length cap that scales
+    with the Hadamard bound and, on the rare inputs whose entries outgrow it,
+    switches to the bounded modular route; the answer is identical either
+    way and no input can make this blow up.
     """
-    cap = 96 + 16 * max(
-        (abs(x).bit_length() for row in a.entries for x in row), default=0
-    )
+    m, n = a.rows, a.cols
+    bits = max(map(abs, chain.from_iterable(a.entries)), default=0).bit_length()
+    # a k x k minor has at most k * (bits + log2(k) / 2) bits
+    cap = 64 + min(m, n) * (bits + max(m, n).bit_length())
     try:
-        diag, _, _ = _smith_engine(a, transforms=False, bit_cap=cap)
+        diag = _diagonalize(a.to_lists(), m, n, [], [], bit_cap=cap)
     except _EntrySwell:
         return _smith_diagonal_bounded(a)
-    return tuple(diag)
+    rank = len(diag) - diag.count(0)
+    return tuple(_divisibility_chain(diag[:rank])) + (0,) * (len(diag) - rank)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -631,12 +543,15 @@ def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     return x if a @ x == b else None
 
 
-def _hermite(d: list[list[int]], m: int, n: int) -> list[int]:
+def _hermite(d: list[list[int]], m: int, n: int, modulus: int = 0) -> list[int]:
     """Put the first m rows of the n-column grid d in column Hermite form
     (see hnf), in place, and return the pivot row of each nonzero column.
 
     Every column operation runs through all rows of d, so rows stacked below
-    the first m record the transform."""
+    the first m record the transform. A nonzero modulus brings the rows not
+    yet reduced back to balanced residues in (-modulus/2, modulus/2] before
+    each pivot row (see _smith_diagonal_bounded); rows above it no longer
+    change."""
 
     def col_sub(j: int, t: int, q: int) -> None:
         for row in d:
@@ -650,9 +565,13 @@ def _hermite(d: list[list[int]], m: int, n: int) -> list[int]:
 
     pivot_rows: list[int] = []
     t = 0
+    half = modulus >> 1
     for i in range(m):
         if t >= n:
             break
+        if modulus:
+            for r in d[i:]:
+                r[:] = [x - modulus if x > half else x for x in [y % modulus for y in r]]
         row = d[i]
         # Euclidean reduction across columns t.. to put gcd at column t.
         while True:

@@ -1,11 +1,171 @@
-"""Kernels and solutions through the transform-tracking Smith engine: the
-oracle that exacthom.linalg's Hermite routes for kernel_basis and solve are
-checked against."""
+"""The transform-tracking Smith engine and the Smith forms, kernels and
+solutions it gives: the oracle that exacthom.linalg's Hermite routes for
+snf, smith_diagonal, kernel_basis and solve are checked against."""
 
 from typing import Optional
 
 from exacthom.errors import InputError
-from exacthom.linalg import IntMatrix, _smith_engine, snf
+from exacthom.linalg import IntMatrix, SmithDecomposition, _EntrySwell, _smallest_pivot
+
+
+def _smith_engine(a: IntMatrix, transforms: bool, bit_cap: int = 0, modulus: int = 0):
+    """Diagonalize a by unimodular row/column operations.
+
+    Returns (diag, u_rows, vt_rows) where diag has length min(rows, cols),
+    u_rows are the rows of u, and vt_rows are the *columns* of v stored as
+    rows (so column operations on the working matrix are row operations on
+    vt_rows). u_rows and vt_rows are None unless transforms is set.
+
+    A positive bit_cap raises _EntrySwell once any remaining entry outgrows
+    it; callers that need only the diagonal use this to bail out of the rare
+    inputs where elimination entries grow doubly exponentially.
+
+    A nonzero modulus reduces the input and every row or column an operation
+    touches to balanced residues in (-modulus/2, modulus/2]; the diagonal is
+    then only meaningful modulo modulus (see _smith_diagonal_bounded), and
+    callers request no transforms.
+    """
+    m, n = a.rows, a.cols
+    half = modulus >> 1
+
+    def balanced(row: list[int]) -> list[int]:
+        return [x - modulus if x > half else x for x in [y % modulus for y in row]]
+
+    d = [balanced(row) for row in a.entries] if modulus else a.to_lists()
+    u = IntMatrix.identity(m).to_lists() if transforms else None
+    vt = IntMatrix.identity(n).to_lists() if transforms else None
+
+    def row_sub(i: int, t: int, q: int) -> None:
+        d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+        if transforms:
+            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        if modulus:
+            d[i] = balanced(d[i])
+
+    def col_sub(j: int, t: int, q: int) -> None:
+        for r in range(t, m):  # rows above t are zero in column t
+            row = d[r]
+            x = row[t]
+            if x:
+                row[j] -= q * x
+                if modulus:
+                    x = row[j] % modulus
+                    row[j] = x - modulus if x > half else x
+        if transforms:
+            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+
+    def swap_rows(i: int, t: int) -> None:
+        d[i], d[t] = d[t], d[i]
+        if transforms:
+            u[i], u[t] = u[t], u[i]
+
+    def swap_cols(j: int, t: int) -> None:
+        for row in d:
+            row[j], row[t] = row[t], row[j]
+        if transforms:
+            vt[j], vt[t] = vt[t], vt[j]
+
+    def negate_row(t: int) -> None:
+        d[t] = [-x for x in d[t]]
+        if transforms:
+            u[t] = [-x for x in u[t]]
+
+    def negate_col(t: int) -> None:
+        for row in d:
+            row[t] = -row[t]
+        if transforms:
+            vt[t] = [-x for x in vt[t]]
+
+    limit = min(m, n)
+    t = 0
+    while t < limit:
+        pi, pj = _smallest_pivot(d, t)
+        if pi < 0:
+            break  # the remaining submatrix is zero
+        if pi != t:
+            swap_rows(pi, t)
+        if pj != t:
+            swap_cols(pj, t)
+
+        while True:
+            if d[t][t] < 0:
+                negate_row(t)
+            # Column phase: Euclidean reduction below the pivot. Quotients
+            # are rounded to nearest, keeping |remainder| <= pivot/2; without
+            # this the transform rows can swell exponentially on inputs a few
+            # hundred columns wide.
+            again = True
+            while again:
+                again = False
+                p = d[t][t]
+                for i in range(t + 1, m):
+                    x = d[i][t]
+                    if x:
+                        q = (x + (p >> 1)) // p
+                        if q:
+                            row_sub(i, t, q)
+                        if d[i][t]:  # remainder becomes the new, smaller pivot
+                            swap_rows(i, t)
+                            if d[t][t] < 0:
+                                negate_row(t)
+                            p = d[t][t]
+                            again = True
+            # Row phase: Euclidean reduction right of the pivot. A column
+            # swap here can reintroduce entries below the pivot, which the
+            # outer loop detects and clears.
+            again = True
+            while again:
+                again = False
+                p = d[t][t]
+                row_t = d[t]
+                for j in range(t + 1, n):
+                    x = row_t[j]
+                    if x:
+                        q = (x + (p >> 1)) // p
+                        if q:
+                            col_sub(j, t, q)
+                        if row_t[j]:
+                            swap_cols(j, t)
+                            if row_t[t] < 0:
+                                negate_col(t)
+                            p = row_t[t]
+                            again = True
+            if any(d[i][t] for i in range(t + 1, m)):
+                continue
+            # Divisibility enforcement: the pivot must divide the remaining
+            # submatrix so the diagonal chains; fold an offending row in and
+            # re-run the reduction (the pivot gcd strictly decreases).
+            p = d[t][t]
+            bad = -1
+            if p != 1:
+                for i in range(t + 1, m):
+                    row = d[i]
+                    for j in range(t + 1, n):
+                        if row[j] % p:
+                            bad = i
+                            break
+                    if bad >= 0:
+                        break
+            if bad < 0:
+                break
+            row_sub(t, bad, -1)
+        t += 1
+        if bit_cap and any(
+            x.bit_length() > bit_cap for row in d[t:] for x in row[t:] if x
+        ):
+            raise _EntrySwell
+
+    diag = [d[i][i] for i in range(limit)]
+    return diag, u, vt
+
+
+def snf(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form of a: u*a*v = d with u, v unimodular."""
+    diag, u, vt = _smith_engine(a, transforms=True)
+    d = IntMatrix.diagonal(diag, rows=a.rows, cols=a.cols)
+    u_mat = IntMatrix(a.rows, a.rows, tuple(map(tuple, u)))
+    v_mat = IntMatrix(a.cols, a.cols, tuple(zip(*vt)))
+    return SmithDecomposition(u_mat, d, v_mat)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

@@ -2,8 +2,10 @@
 (perfbench/tracing.py); a rename in the package must fail here, not only in
 the benchmark's own smoke test. So must a builder that derived reaches
 without passing the wrapper, which would read 0 in the koszul.build spans,
-and so must a grouphom request whose bar route drops out of the trace, or a
-kernel or solution that goes back through the Smith transforms of snf."""
+and so must a grouphom request whose bar route drops out of the trace, a
+kernel or solution that goes back through the Smith transforms of snf, Smith
+transforms that swell again, or a derive job that needs the bounded modular
+Smith route."""
 
 import subprocess
 import sys
@@ -15,7 +17,7 @@ MODULES = ("abelian", "cli", "grouphom", "koszul", "linalg", "powers", "presets"
 
 # Runs in a child process: install() rebinds module globals for good.
 SCRIPT = f"""
-import importlib, sys
+import importlib, json, os, random, sys, tempfile
 sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
 for name in {MODULES!r}:
     importlib.import_module("exacthom." + name)
@@ -54,6 +56,29 @@ metrics = tracer.metrics(1)
 for name, want in (("kernel_basis", 1), ("solve", 1), ("snf", 0)):
     calls = metrics["linalg." + name + ".calls"]
     assert calls == want, (name, calls)
+# one snf job through the CLI on a dense 8 x 8 input: U and V stay short
+rng = random.Random(1)
+rows = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)]
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "m.json")
+    with open(path, "w") as fh:
+        json.dump({{"rows": 8, "cols": 8, "entries": rows}}, fh)
+    tracer.begin_job("snf")
+    code, text = cli.run(cli.job_from_args(cli.build_parser().parse_args(["snf", "--input", path])))
+    assert code == 0, text
+    tracer.end_job(0.0)
+bits = tracer.metrics(1)["linalg.snf.out_bits"]
+assert bits <= 64, bits
+# one derive job on a random padding: smith_diagonal stays integral
+from exacthom.koszul import derived_from_presentation, random_padded_presentation
+pres = random_padded_presentation(FgAbGroup(0, (2, 4)), 6, random.Random("bench-hooks"))
+before = tracer.stats["linalg.smith_diagonal"][0]
+tracer.begin_job("derive")
+derived_from_presentation(FunctorKind.parse("tensor", 2), pres)
+tracer.end_job(0.0)
+assert tracer.stats["linalg.smith_diagonal"][0] > before
+fallbacks = tracer.counts["linalg.smith_diagonal.fallbacks"]
+assert fallbacks == 0, fallbacks
 """
 
 

@@ -1,5 +1,4 @@
 import json
-import random
 import time
 
 import pytest
@@ -87,19 +86,19 @@ def test_run_snf(tmp_path):
 
 
 def test_run_snf_past_int_str_limit(tmp_path):
-    # U and V of this seeded 11 x 11 input carry entries of more than 4300
-    # digits, past Python's default int <-> str conversion limit
-    rng = random.Random(2)
-    rows = [[rng.randint(-9, 9) for _ in range(11)] for _ in range(11)]
+    # V of (10^5000, 10^5000 + 1) holds Bezout coefficients of 5001 digits,
+    # past Python's default int <-> str conversion limit; the entries go in
+    # as decimal strings, since json.dumps of the ints hits the same limit
+    big = "1" + "0" * 5000
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"rows": 11, "cols": 11, "entries": rows}))
+    path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [[big, big[:-1] + "1"]]}))
     code, text = run(JobSpec("snf", {"input": str(path)}, output_format="json"))
     assert code == 0
     report = json.loads(text)
     longest = max((x for key in "uv" for row in report[key]["entries"] for x in row), key=len)
     assert len(longest.lstrip("-")) > 4300
     u, d, v = (decode_matrix(report[key]) for key in "udv")
-    assert u @ IntMatrix.from_rows(rows) @ v == d
+    assert u @ IntMatrix.from_rows([[10**5000, 10**5000 + 1]]) @ v == d
     code, text = run(JobSpec("snf", {"input": str(path)}, output_format="text"))
     assert code == 0
     assert longest in text
@@ -208,6 +207,23 @@ def test_run_derive_budget(monkeypatch):
     code, _ = run(JobSpec("derive", params))
     assert code == 3
     assert parse_group("Z^9223372036854775807 + Z/2") == FgAbGroup(2**63 - 1, (2,))
+
+
+def test_run_out_of_memory_is_a_budget_error(monkeypatch):
+    # a request the budget check lets through can still exhaust memory
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "derived", exhaust)
+    code, text = run(JobSpec("derive", _derive_params(), output_format="json"))
+    assert code == 3
+    assert json.loads(text) == {
+        "command": "derive",
+        "error": "budget",
+        "message": "derive ran out of memory",
+    }
+    code, text = run(JobSpec("derive", _derive_params()))
+    assert code == 3 and text == "error (budget): derive ran out of memory\n"
 
 
 def test_run_derive_independence():

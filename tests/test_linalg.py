@@ -331,9 +331,9 @@ def test_kernel_and_solve_match_the_smith_oracle():
 
 def test_kernel_and_solve_skip_the_smith_engine(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the Smith engine ran")
+        raise AssertionError("snf ran")
 
-    monkeypatch.setattr(linalg, "_smith_engine", refuse)
+    monkeypatch.setattr(linalg, "snf", refuse)
     a = IntMatrix.from_rows([[2, 4, 6], [3, 6, 9]])
     k = kernel_basis(a)
     assert k.cols == 2 and (a @ k).is_zero()
@@ -342,7 +342,7 @@ def test_kernel_and_solve_skip_the_smith_engine(monkeypatch):
     assert x is not None and a @ x == IntMatrix.column([4, 6])
     assert solve(a, IntMatrix.column([1, 0])) is None
     with pytest.raises(AssertionError):
-        snf(a)
+        linalg.snf(a)
 
 
 def test_kernel_basis_dense_14x16_is_fast():
@@ -354,6 +354,53 @@ def test_kernel_basis_dense_14x16_is_fast():
         k = kernel_basis(a)
         assert time.perf_counter() - start < 1
         assert k.cols == 2 and (a @ k).is_zero()
+
+
+def _sweep_cases():
+    """Seeded matrices for the Smith-against-engine comparison: every shape
+    0-8 x 0-8, each dense with entries in [-9, 9], sparse, of rank at most 2,
+    and with entries up to 10^6 (at density 0.4 once rows + cols > 12, where
+    the engine's own transforms swell to seconds)."""
+    rng = random.Random("linalg-smith-sweep")
+    for rows in range(9):
+        for cols in range(9):
+            yield rand_matrix(rng, rows, cols, -9, 9)
+            yield IntMatrix.from_rows(
+                [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.25 else 0
+                  for _ in range(cols)] for _ in range(rows)],
+                cols=cols,
+            )
+            yield rand_matrix(rng, rows, 2, -5, 5) @ rand_matrix(rng, 2, cols, -5, 5)
+            density = 1 if rows + cols <= 12 else 0.4
+            yield IntMatrix.from_rows(
+                [[rng.randint(-10**6, 10**6) if rng.random() < density else 0
+                  for _ in range(cols)] for _ in range(rows)],
+                cols=cols,
+            )
+
+
+def test_snf_and_smith_diagonal_match_the_engine():
+    for a in _sweep_cases():
+        expected = tuple(lattice_oracle._smith_engine(a, transforms=False)[0])
+        dec = snf(a)
+        assert dec.diagonal == expected, a
+        assert dec.u @ a @ dec.v == dec.d
+        assert abs(det(dec.u)) == 1 and abs(det(dec.v)) == 1
+        assert smith_diagonal(a) == expected, a
+
+
+def test_snf_dense_16x16_is_fast():
+    # the engine's transforms reached tens of thousands of digits and
+    # seconds on the 11 x 11 seeds, and 16 x 16 did not finish
+    for n in (16, 11):
+        for seed in range(6):
+            a = rand_matrix(random.Random(seed), n, n, -9, 9)
+            start = time.perf_counter()
+            dec = snf(a)
+            assert time.perf_counter() - start < 1, (n, seed)
+            assert dec.u @ a @ dec.v == dec.d
+            bits = max(abs(x).bit_length() for m in (dec.u, dec.v) for r in m.entries for x in r)
+            assert bits < 256, (n, seed, bits)
 
 
 def test_hnf_frozen():
@@ -495,16 +542,22 @@ def test_smith_diagonal_bounded_route():
 
 
 def test_smith_diagonal_swell_fallback(monkeypatch):
-    from exacthom.linalg import _EntrySwell, _smith_engine
+    from exacthom.linalg import _diagonalize, _EntrySwell
 
     a = IntMatrix.from_rows([[10**30, 1], [1, 10**30]])
     with pytest.raises(_EntrySwell):
-        _smith_engine(a, transforms=False, bit_cap=8)
+        _diagonalize(a.to_lists(), 2, 2, [], [], bit_cap=8)
     # the public route answers the same whichever path it takes
     assert smith_diagonal(a) == (1, 10**60 - 1)
-    # a dense input on which smith_diagonal itself trips the swell guard
+    # a dense input on which the swell guard trips inside smith_diagonal
+    def swelling(d, m, n, v, ut, modulus=0, bit_cap=0):
+        if bit_cap:
+            raise _EntrySwell
+        return _diagonalize(d, m, n, v, ut, modulus)
+
     taken = []
     bounded = linalg._smith_diagonal_bounded
+    monkeypatch.setattr(linalg, "_diagonalize", swelling)
     monkeypatch.setattr(linalg, "_smith_diagonal_bounded", lambda m: taken.append(m) or bounded(m))
     dense = rand_matrix(random.Random("linalg-swell"), 8, 8, -9, 9)
     assert smith_diagonal(dense) == snf(dense).diagonal
