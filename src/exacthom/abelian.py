@@ -22,6 +22,12 @@ remainder's invariant factors > 1, merged by the gcd/lcm step of linalg.
 homologies reads every degree of a complex off one reduction; homology and
 homology_at reduce only the terms around one degree.
 
+Complexes store their differentials sparse, as linalg.SparseMatrix
+columns {row: nonzero}: the Koszul, tensor and bar builders write columns
+directly, d(d(x)) = 0 is checked by an exact sparse column product, and
+the reduction copies the columns once into its working dicts. Only the
+survivors handed to the Smith diagonal are dense.
+
 This is the only route from a matrix to a group: canonical_form takes the
 cokernel of a presentation matrix as H_0 of the two-term complex
 Z^rows <- Z^cols, and kernel ranks are read as its H_1. Only
@@ -32,11 +38,10 @@ and passes its nonzero orders through the gcd/lcm step of linalg.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ComplexValidityError, InputError
-from .linalg import IntMatrix, _divisibility_chain, _int_to_decimal, smith_diagonal
+from .linalg import IntMatrix, SparseMatrix, _divisibility_chain, _int_to_decimal, smith_diagonal
 
 __all__ = [
     "FgAbGroup",
@@ -99,7 +104,9 @@ def canonical_form(presentation: IntMatrix) -> FgAbGroup:
     This is H_0 of the two-term complex Z^rows <- Z^cols, so it is read off
     one reduction like every other homology group.
     """
-    return _reduced_homologies((presentation.rows, presentation.cols), (presentation,))[0]
+    return _reduced_homologies(
+        (presentation.rows, presentation.cols), (SparseMatrix.from_dense(presentation),)
+    )[0]
 
 
 def from_cyclic_orders(orders: Sequence[int]) -> FgAbGroup:
@@ -117,17 +124,22 @@ class ChainComplex:
 
     ranks[p] is the rank of the term in degree bottom_degree + p, and
     differentials[p] maps the term in degree bottom_degree + p + 1 to the
-    one in degree bottom_degree + p. Construction validates both the shape
-    chaining and d(d(x)) = 0.
+    one in degree bottom_degree + p. Differentials may be given dense or
+    sparse and are stored sparse. Construction validates both the shape
+    chaining and d(d(x)) = 0, the latter by an exact sparse product.
     """
 
     bottom_degree: int
     ranks: tuple[int, ...]
-    differentials: tuple[IntMatrix, ...]
+    differentials: tuple[SparseMatrix, ...]
 
     def __post_init__(self) -> None:
         ranks = tuple(int(r) for r in self.ranks)
         object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "differentials", tuple(
+            d if isinstance(d, SparseMatrix) else SparseMatrix.from_dense(d)
+            for d in self.differentials
+        ))
         if not ranks:
             raise ComplexValidityError("a complex needs at least one term")
         if any(r < 0 for r in ranks):
@@ -144,7 +156,7 @@ class ChainComplex:
                     f"expected {ranks[p]}x{ranks[p + 1]}"
                 )
         for p in range(len(self.differentials) - 1):
-            if not (self.differentials[p] @ self.differentials[p + 1]).is_zero():
+            if any(_product_columns(self.differentials[p], self.differentials[p + 1])):
                 raise ComplexValidityError(
                     f"differentials {p} and {p + 1} do not compose to zero"
                 )
@@ -154,17 +166,30 @@ class ChainComplex:
         return self.bottom_degree + len(self.ranks) - 1
 
 
+def _product_columns(a: SparseMatrix, b: SparseMatrix) -> Iterator[dict[int, int]]:
+    """The columns of a * b, exactly and in order, each as {row: nonzero}."""
+    a_cols = a.columns
+    for col in b.columns:
+        out: dict[int, int] = {}
+        for k, y in col.items():
+            for i, x in a_cols[k].items():
+                out[i] = out.get(i, 0) + x * y
+        yield {i: v for i, v in out.items() if v}
+
+
 def _tensor_product(
-    c_ranks: Sequence[int], c_diffs: Sequence[IntMatrix],
-    d_ranks: Sequence[int], d_diffs: Sequence[IntMatrix],
-) -> tuple[tuple[int, ...], tuple[IntMatrix, ...]]:
+    c_ranks: Sequence[int], c_diffs: Sequence[SparseMatrix],
+    d_ranks: Sequence[int], d_diffs: Sequence[SparseMatrix],
+) -> tuple[tuple[int, ...], tuple[SparseMatrix, ...]]:
     """The tensor product of two complexes given by raw ranks and
     differentials, both starting at index 0.
 
     Term p is the direct sum of C_i (x) D_j over i + j = p, its blocks
     ordered by i descending and each block indexed with C's index major.
     The differential is d(x (x) y) = dx (x) y + (-1)^i x (x) dy for x in
-    C_i; only the nonzero entries of d_C (x) 1 and 1 (x) d_D are written.
+    C_i. Each column is written from the nonzeros of one column of d_C and
+    one of d_D, rows ascending when theirs are: block (i, j - 1), which
+    holds x (x) dy, comes before block (i - 1, j), which holds dx (x) y.
     """
     terms = range(len(c_ranks) + len(d_ranks) - 1)
     offsets: list[dict[int, int]] = [{} for _ in terms]  # [p][i]: block (i, p - i)
@@ -176,41 +201,44 @@ def _tensor_product(
 
     diffs = []
     for p in terms[1:]:
-        grid = [[0] * ranks[p] for _ in range(ranks[p - 1])]
+        columns: list[dict[int, int]] = []
         below = offsets[p - 1]
-        for i, source in offsets[p].items():
+        for i in offsets[p]:  # blocks in column order
             j = p - i
-            if i:  # d_C (x) 1 into block (i - 1, j)
-                dc, width = c_diffs[i - 1], d_ranks[j]
-                for a, row in enumerate(dc.entries):
-                    for b in compress(range(dc.cols), row):
-                        for y in range(width):
-                            grid[below[i - 1] + a * width + y][source + b * width + y] = row[b]
-            if j:  # (-1)^i 1 (x) d_D into block (i, j - 1), one row slice at a time
-                dd = d_diffs[j - 1]
-                rows = dd.entries if i % 2 == 0 else [[-v for v in r] for r in dd.entries]
-                for x in range(c_ranks[i]):
-                    start = source + x * dd.cols
-                    for a, row in enumerate(rows):
-                        grid[below[i] + x * dd.rows + a][start : start + dd.cols] = row
-        diffs.append(IntMatrix(ranks[p - 1], ranks[p], tuple(map(tuple, grid))))
+            width = d_ranks[j]
+            dx = c_diffs[i - 1].columns if i else ({},) * c_ranks[i]
+            dy: Sequence[dict[int, int]] = ({},) * width
+            height = 0
+            if j:
+                dy, height = d_diffs[j - 1].columns, d_ranks[j - 1]
+                if i % 2:
+                    dy = [{a: -v for a, v in col.items()} for col in dy]
+            for x in range(c_ranks[i]):
+                x_dy = below[i] + x * height if j else 0
+                dx_y = [(below[i - 1] + a * width, v) for a, v in dx[x].items()]
+                for y in range(width):
+                    col = {x_dy + a: v for a, v in dy[y].items()}
+                    col.update([(r + y, v) for r, v in dx_y])
+                    columns.append(col)
+        diffs.append(SparseMatrix(ranks[p - 1], ranks[p], tuple(columns)))
     return tuple(ranks), tuple(diffs)
 
 
 def _reduce(
-    ranks: Sequence[int], differentials: Sequence[IntMatrix]
+    ranks: Sequence[int], differentials: Sequence[SparseMatrix]
 ) -> tuple[tuple[int, ...], tuple[IntMatrix, ...], tuple[tuple[int, ...], ...]]:
     """Cancel every pivot that divides its row and its column; the homology
     over Z is unchanged apart from the torsion the pivots record.
 
     differentials[p] maps the term of index p + 1 to the term of index p.
-    Each differential is held as columns {col: {row: value}} with a row ->
-    columns index. Going up the degrees, d_p is cancelled pivot by pivot: a
-    unit x = d[a][b] from the row with the fewest nonzeros while one is
-    left, otherwise the entry of least |x| that divides every entry of row
-    a and of column b, ties going to the fewest nonzeros in its row times
-    its column. The bases e'_a = d_p(f_b) / x and f'_j = f_j - (d[a][j] / x) f_b
-    are integral, and in them d_p is (x) + d' with the Schur complement
+    Each differential's columns are copied once into working columns
+    {col: {row: value}}, with a row -> columns index. Going up the degrees,
+    d_p is cancelled pivot by pivot: a unit x = d[a][b] from the row with
+    the fewest nonzeros while one is left, otherwise the entry of least |x|
+    that divides every entry of row a and of column b, ties going to the
+    fewest nonzeros in its row times its column. The bases
+    e'_a = d_p(f_b) / x and f'_j = f_j - (d[a][j] / x) f_b are integral,
+    and in them d_p is (x) + d' with the Schur complement
     d' = d - d[., b] * (d[a, .] / x). Row b of the differential above and
     column a of the one below become zero, so they are dropped with row a
     and column b, and Z --x--> Z leaves Z/|x| in the homology at index p.
@@ -226,14 +254,11 @@ def _reduce(
     cols: list[dict[int, dict[int, int]]] = []
     rows: list[dict[int, set[int]]] = []
     for d in differentials:
-        dc: dict[int, dict[int, int]] = {j: {} for j in range(d.cols)}
-        dr: dict[int, set[int]] = {}
-        every = range(d.cols)
-        for i, row in enumerate(d.entries):
-            support = set(compress(every, row))
-            dr[i] = support
-            for j in support:
-                dc[j][i] = row[j]
+        dc = {j: dict(col) for j, col in enumerate(d.columns)}
+        dr: dict[int, set[int]] = {i: set() for i in range(d.rows)}
+        for j, col in dc.items():
+            for i in col:
+                dr[i].add(j)
         cols.append(dc)
         rows.append(dr)
 
@@ -311,7 +336,7 @@ def _reduce(
 
 
 def _reduced_homologies(
-    ranks: Sequence[int], differentials: Sequence[IntMatrix]
+    ranks: Sequence[int], differentials: Sequence[SparseMatrix]
 ) -> tuple[FgAbGroup, ...]:
     """Homology at every term: one reduction, one Smith diagonal per
     surviving differential with a nonzero entry, and the cancelled pivots'
@@ -330,7 +355,7 @@ def _reduced_homologies(
     return tuple(groups)
 
 
-def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
+def homology_at(d_in: IntMatrix | SparseMatrix, d_out: IntMatrix | SparseMatrix) -> FgAbGroup:
     """ker(d_out) / im(d_in) for one composable pair of differentials.
 
     The pair is checked as a ChainComplex, so shapes that do not chain and

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 from .abelian import ChainComplex, FgAbGroup, canonical_form, homologies, homology_at
 from .errors import InputError, InvariantViolation, ResourceBudgetError
 from .koszul import _capped_power, _capped_product
-from .linalg import IntMatrix, _kron, hstack, kernel_basis, solve
+from .linalg import IntMatrix, SparseMatrix, _kron, hstack, kernel_basis, solve
 
 __all__ = [
     "FiniteGroupTable",
@@ -516,7 +516,7 @@ def homology_cyclic(coeff: GModuleFree, i: int) -> FgAbGroup:
     return homology_at(d_in=t_minus_1, d_out=norm)
 
 
-def _bar_differential(coeff: GModuleFree, k: int) -> IntMatrix:
+def _bar_differential(coeff: GModuleFree, k: int) -> SparseMatrix:
     """d_k of the normalized bar complex C_k = M (x) Z[(G - e)^k].
 
     Basis of C_k: pairs (word of k nonidentity elements, module coordinate),
@@ -543,32 +543,30 @@ def _bar_differential(coeff: GModuleFree, k: int) -> IntMatrix:
         face0_sparse.append(
             [[(t, m.entries[t][j]) for t in range(rank) if m.entries[t][j]] for j in range(rank)]
         )
-    grid = [[0] * cols for _ in range(rows)]
+    columns = []
     sign_last = -1 if k % 2 else 1
     for widx, word in enumerate(itertools.product(range(1, table.order), repeat=k)):
-        base_col = widx * rank
         # face 0 drops g1 and twists the coefficient
         base0 = (widx % tail) * rank
         sparse = face0_sparse[word[0]]
         # middle face j merges the letters at positions j - 1 and j: the
-        # letters before them are widx // (low * base^2), those after widx % low
-        merged_bases = []
+        # letters before them are widx // (low * base^2), those after widx % low;
+        # the last face drops g_k
+        faces = [((widx // base) * rank, sign_last)]
         low = tail
         for j in range(1, k):
             low //= base
             merged = table.mult[word[j - 1]][word[j]]
             if merged:
                 idx = (widx // (low * base * base) * base + merged - 1) * low + widx % low
-                merged_bases.append((idx * rank, -1 if j % 2 else 1))
-        base_last = (widx // base) * rank
+                faces.append((idx * rank, -1 if j % 2 else 1))
         for j in range(rank):
-            col = base_col + j
-            for t, c in sparse[j]:
-                grid[base0 + t][col] += c
-            for mb, sign in merged_bases:
-                grid[mb + j][col] += sign
-            grid[base_last + j][col] += sign_last
-    return IntMatrix.from_rows(grid, cols=cols)
+            col = {base0 + t: c for t, c in sparse[j]}
+            for face, sign in faces:
+                col[face + j] = col.get(face + j, 0) + sign
+            # faces can meet in one row and cancel; the rows are kept ascending
+            columns.append({i: col[i] for i in sorted(col) if col[i]})
+    return SparseMatrix(rows, cols, tuple(columns))
 
 
 def homology_bar(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:

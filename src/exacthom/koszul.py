@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 from .abelian import ChainComplex, FgAbGroup, _tensor_product, from_cyclic_orders, homologies
 from .errors import InputError, InvariantViolation, ResourceBudgetError, UnsupportedFunctorError
-from .linalg import IntMatrix
+from .linalg import IntMatrix, SparseMatrix
 from .powers import FunctorKind, PowerKind, basis, div_contract, ext_mult, sym_mult
 
 __all__ = [
@@ -126,6 +126,13 @@ def random_padded_presentation(
     return _padded(a, padding, lambda old: -rng.randint(-2, 2))
 
 
+def _power_rank(kind: PowerKind, k: int, r: int) -> int:
+    """Rank of kind^k(Z^r) for the exterior, symmetric and divided powers."""
+    if kind is PowerKind.EXT:
+        return math.comb(r, k)
+    return math.comb(r + k - 1, k) if r else int(k == 0)
+
+
 def _koszul(
     p: PresentationPair, n: int, left_kind: PowerKind, right_kind: PowerKind,
     contractions: Callable, mult: Callable,
@@ -134,32 +141,41 @@ def _koszul(
 
     The differential is d(a (x) b) = sum sign * a' (x) (iota(e_gen) * b)
     over the (gen, a', sign) that contractions(a) lists, with the product
-    taken by mult.
+    taken by mult. Ranks come from the binomial formulas, and only the
+    bases of terms with columns are listed: for one generator, most terms
+    of a high power have rank 0.
     """
     if n < 1:
         raise InputError("functor degree must be at least 1")
+    h, f = p.h_rank, p.f_rank
     iota = p.inclusion.transpose().entries  # iota[gen]: the image of e_gen
-    lefts = [basis(left_kind, k, p.h_rank) for k in range(n + 1)]
-    rights = [basis(right_kind, k, p.f_rank) for k in range(n + 1)]
-    ranks = [len(lefts[k]) * len(rights[n - k]) for k in range(n + 1)]
+    right_ranks = [_power_rank(right_kind, k, f) for k in range(n + 1)]
+    ranks = [_power_rank(left_kind, k, h) * right_ranks[n - k] for k in range(n + 1)]
 
-    diffs: list[IntMatrix] = []
+    diffs: list[SparseMatrix] = []
     for deg in range(1, n + 1):
-        grid = [[0] * ranks[deg] for _ in range(ranks[deg - 1])]
-        left_index = {t: i for i, t in enumerate(lefts[deg - 1])}
-        below = len(rights[n - deg + 1])
-        products: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
-        col = 0
-        for a in lefts[deg]:
-            terms = [(gen, left_index[rest] * below, sign) for gen, rest, sign in contractions(a)]
-            for b in rights[n - deg]:
-                for gen, base, sign in terms:
-                    if (gen, b) not in products:  # the nonzeros of iota(e_gen) * b
-                        products[gen, b] = [(k, c) for k, c in enumerate(mult(iota[gen], b)) if c]
-                    for k, c in products[gen, b]:
-                        grid[base + k][col] += sign * c
-                col += 1
-        diffs.append(IntMatrix(ranks[deg - 1], ranks[deg], tuple(map(tuple, grid))))
+        columns: list[dict[int, int]] = []
+        if ranks[deg]:
+            left_index = {t: i for i, t in enumerate(basis(left_kind, deg - 1, h))}
+            below = right_ranks[n - deg + 1]
+            # products[b][gen]: the nonzeros of iota(e_gen) * b
+            products = [
+                [[(k, c) for k, c in enumerate(mult(iota[gen], b)) if c] for gen in range(h)]
+                for b in basis(right_kind, n - deg, f)
+            ]
+            for a in basis(left_kind, deg, h):
+                # distinct contractions of a leave distinct a', so every row
+                # is written once; contractions list a' in descending basis
+                # order, so reversed they write each column's rows ascending
+                terms = [
+                    (gen, left_index[rest] * below, sign)
+                    for gen, rest, sign in reversed(contractions(a))
+                ]
+                for product in products:
+                    columns.append({
+                        base + k: sign * c for gen, base, sign in terms for k, c in product[gen]
+                    })
+        diffs.append(SparseMatrix(ranks[deg - 1], ranks[deg], tuple(columns)))
     return ChainComplex(0, tuple(ranks), tuple(diffs))
 
 
@@ -207,7 +223,7 @@ def tensor_complex(p: PresentationPair, n: int) -> ChainComplex:
     """
     if n < 1:
         raise InputError("functor degree must be at least 1")
-    two_term = ((p.f_rank, p.h_rank), (p.inclusion,))
+    two_term = ((p.f_rank, p.h_rank), (SparseMatrix.from_dense(p.inclusion),))
     ranks, diffs = two_term
     for _ in range(n - 1):
         ranks, diffs = _tensor_product(ranks, diffs, *two_term)
@@ -322,10 +338,10 @@ def _term_rank(kind: PowerKind, n: int, k: int, h: int, f: int, cap: int) -> int
 
 
 # The most rows*cols of one differential, rank of one term and number of
-# terms that derive builds. A dense differential of 2^36 entries needs
-# 512 GiB for its entry pointers alone (derive of tensor^4 over Z/2 + Z/4 at
-# padding 3 peaks at about 12.6 bytes per differential entry), so only
-# requests that no ordinary host could hold are refused.
+# terms that derive builds. Differentials are stored sparse, so memory grows
+# with the term ranks and the nonzeros; a term of rank 2^36 needs 4 TiB for
+# its empty column dicts alone (64 bytes each), so only requests that no
+# ordinary host could hold are refused.
 DERIVE_BUDGET = 2**36
 
 

@@ -4,7 +4,10 @@ Everything works with Python's arbitrary-precision ints; there is no floating
 point. Products use machine-width fields only under a proven bound on every
 output entry (packed rows, see IntMatrix.__matmul__) and are otherwise exact
 big-int loops. Matrices are immutable value objects, and zero-dimensional
-matrices (0 rows or 0 columns) are legal inputs everywhere.
+matrices (0 rows or 0 columns) are legal inputs everywhere. IntMatrix is
+dense and does the arithmetic; SparseMatrix holds the differentials of
+chain complexes as columns {row: nonzero}, and its dense entries view is
+built on each read, for tests and tracing.
 
 Conventions:
   * matrices act on column vectors, so a matrix with r rows and c columns is
@@ -50,6 +53,7 @@ from .errors import InputError
 
 __all__ = [
     "IntMatrix",
+    "SparseMatrix",
     "SmithDecomposition",
     "snf",
     "smith_diagonal",
@@ -236,22 +240,16 @@ class IntMatrix:
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
         rows, inner, cols = self.rows, other.rows, other.cols
-        # Row-sparse view of the right factor: products of the sparse matrices
-        # built elsewhere in the package dominate, and skipping zeros there
-        # changes the constant factor by orders of magnitude. compress skips
-        # them in C.
-        b_columns = range(cols)
-        sparse_rows = [[(j, row[j]) for j in compress(b_columns, row)] for row in other.entries]
         # The loop below does one multiply-add per nonzero a_ik and nonzero
         # b_kj, `work` in all. The packed route costs about one field operation
         # per output entry and per entry of B, so it pays only when `work` is
         # well above that; it is exact only while every output entry fits a
-        # signed field, and |c_ij| <= sum_k |a_ik| * max|b| proves it. The
-        # sparse d*d checks of complexes fail the first test, and products
-        # with Smith transforms, whose entries run to thousands of bits, the
-        # second. As work <= rows * inner * cols, small products skip the count.
+        # signed field, and |c_ij| <= sum_k |a_ik| * max|b| proves it. Sparse
+        # factors fail the first test, and products with Smith transforms,
+        # whose entries run to thousands of bits, the second. As work <=
+        # rows * inner * cols, small products skip the count.
         if rows * inner > 4 * (rows + inner):
-            nnz = list(map(len, sparse_rows))
+            nnz = [cols - row.count(0) for row in other.entries]
             work = sum(chain.from_iterable(map(compress, repeat(nnz), self.entries)))
             if work > 4 * (rows * cols + inner * cols):
                 bound = max(sum(map(abs, row)) for row in self.entries) * max(
@@ -260,6 +258,9 @@ class IntMatrix:
                 code = _field_code(bound)
                 if code is not None:
                     return _packed_matmul(self, other, code)
+        # Row-sparse view of the right factor, whose zeros compress skips in C
+        b_columns = range(cols)
+        sparse_rows = [[(j, row[j]) for j in compress(b_columns, row)] for row in other.entries]
         out = [[0] * cols for _ in range(rows)]
         a_columns = range(inner)
         for arow, orow in zip(self.entries, out):
@@ -277,6 +278,49 @@ class IntMatrix:
         return "\n".join(
             "[" + "  ".join(t.rjust(w) for t, w in zip(row, widths)) + "]" for row in text
         )
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """An immutable rows x cols integer matrix stored by columns.
+
+    columns[j] maps the row of each nonzero entry of column j to its value;
+    no column holds an explicit zero. Chain complexes keep their
+    differentials in this form, since the Koszul-type and bar
+    differentials have only a few nonzeros per column.
+    """
+
+    rows: int
+    cols: int
+    columns: tuple[dict[int, int], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", tuple(self.columns))
+        if self.rows < 0 or self.cols < 0:
+            raise InputError("matrix dimensions must be nonnegative")
+        if len(self.columns) != self.cols:
+            raise InputError("column count does not match declared shape")
+        for col in self.columns:
+            if col and (min(col) < 0 or max(col) >= self.rows or 0 in col.values()):
+                raise InputError("a column must map rows in range to nonzero entries")
+
+    @classmethod
+    def from_dense(cls, m: IntMatrix) -> "SparseMatrix":
+        every = range(m.rows)
+        dense = zip(*m.entries) if m.rows else repeat((), m.cols)
+        return cls(m.rows, m.cols, tuple({i: col[i] for i in compress(every, col)} for col in dense))
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, built on every call: a view for tests and tracing."""
+        grid = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                grid[i][j] = x
+        return tuple(map(tuple, grid))
+
+    def is_zero(self) -> bool:
+        return not any(self.columns)
 
 
 @dataclass(frozen=True)

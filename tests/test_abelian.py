@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -31,7 +32,7 @@ from exacthom.koszul import (
     random_padded_presentation,
     tensor_complex,
 )
-from exacthom.linalg import IntMatrix, kernel_basis, smith_diagonal, solve
+from exacthom.linalg import IntMatrix, SparseMatrix, kernel_basis, smith_diagonal, solve
 from exacthom.verify import random_unimodular
 
 
@@ -366,11 +367,12 @@ _ORACLE_CASES = {
 @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
 def test_reduced_homology_matches_dense_oracle(name):
     c = _ORACLE_CASES[name]()
+    dense = [IntMatrix(d.rows, d.cols, d.entries) for d in c.differentials]
     # (d_in, d_out) at each term, with zero maps past both ends
     pairs = [
         (
-            c.differentials[p] if p < len(c.differentials) else IntMatrix.zeros(r, 0),
-            c.differentials[p - 1] if p else IntMatrix.zeros(0, r),
+            dense[p] if p < len(dense) else IntMatrix.zeros(r, 0),
+            dense[p - 1] if p else IntMatrix.zeros(0, r),
         )
         for p, r in enumerate(c.ranks)
     ]
@@ -388,6 +390,72 @@ def test_reduced_homology_matches_dense_oracle(name):
         assert not any(d.is_zero() for d in remainder)
     if name == "random-acyclic":
         assert reduced_ranks == (0, 0, 0)
+
+
+# sha256 of each builder's dense differentials over its oracle cases, as the
+# dense builders wrote them before the builders emitted sparse columns
+_BUILDER_DIGESTS = {
+    "kos": "c42fb8991e97b550556743162d9e5b820ccb3b75e5d5143326d891478ea9dcf4",
+    "kos_prime": "6d5bad172e21f9ef332304b5f93f99321343659bbb237cac11d897d00b765bcf",
+    "tensor_complex": "9f08b5a59fc5599a9c694055d0c971901c499ba28652aab3df2fd079d9399bed",
+    "bar": "b0d6aa27a0cf5ad6c07e3dfde833c5220ff20c73f9991174854588fe4e076723",
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDER_DIGESTS))
+def test_sparse_builders_match_the_dense_digests(builder):
+    digest = hashlib.sha256()
+    for name in sorted(_ORACLE_CASES):
+        if builder == "bar":
+            if not name.startswith("normalized-bar-"):
+                continue
+        elif not name.removeprefix("random-padded-").startswith(builder + "-"):
+            continue
+        for d in _ORACLE_CASES[name]().differentials:
+            digest.update(repr((d.rows, d.cols, d.entries)).encode())
+    assert digest.hexdigest() == _BUILDER_DIGESTS[builder]
+
+
+def test_stored_columns_hold_no_zero():
+    for name in sorted(_ORACLE_CASES):
+        for d in _ORACLE_CASES[name]().differentials:
+            assert all(0 not in col.values() for col in d.columns), name
+
+
+def test_sparse_square_zero_check_matches_the_dense_product():
+    rng = random.Random("sparse-dd")
+    for _ in range(60):
+        r, k, c = (rng.randint(0, 6) for _ in range(3))
+        a, b = (
+            IntMatrix.from_rows(
+                [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(cols)] for _ in range(rows)],
+                cols=cols,
+            )
+            for rows, cols in ((r, k), (k, c))
+        )
+        columns = abelian._product_columns(SparseMatrix.from_dense(a), SparseMatrix.from_dense(b))
+        assert SparseMatrix(r, c, tuple(columns)).entries == (a @ b).entries
+    # one changed entry d_p[0][j], with row j of d_(p+1) nonzero, makes row 0
+    # of d_p d_(p+1) nonzero
+    changed = 0
+    for name in sorted(_ORACLE_CASES):
+        c = _ORACLE_CASES[name]()
+        for p in range(len(c.differentials) - 1):
+            lower, upper = c.differentials[p : p + 2]
+            dense = IntMatrix(lower.rows, lower.cols, lower.entries)
+            assert (dense @ IntMatrix(upper.rows, upper.cols, upper.entries)).is_zero()
+            j = next((i for col in upper.columns for i in col), None)
+            if j is None or not lower.rows:
+                continue
+            columns = list(lower.columns)
+            value = columns[j].get(0, 0) + 1
+            columns[j] = {i: x for i, x in columns[j].items() if i} | ({0: value} if value else {})
+            diffs = list(c.differentials)
+            diffs[p] = SparseMatrix(lower.rows, lower.cols, tuple(columns))
+            with pytest.raises(ComplexValidityError):
+                ChainComplex(c.bottom_degree, c.ranks, diffs)
+            changed += 1
+    assert changed >= 60, changed
 
 
 def test_all_zero_survivors_skip_the_smith_diagonal(monkeypatch):

@@ -4,8 +4,9 @@ the benchmark's own smoke test. So must a builder that derived reaches
 without passing the wrapper, which would read 0 in the koszul.build spans,
 and so must a grouphom request whose bar route drops out of the trace, a
 kernel or solution that goes back through the Smith transforms of snf, Smith
-transforms that swell again, or a derive job that needs the bounded modular
-Smith route."""
+transforms that swell again, a derive job that needs the bounded modular
+Smith route or a dense product, or sparse differentials whose dense view
+the tracer miscounts."""
 
 import subprocess
 import sys
@@ -34,7 +35,9 @@ for kind in ("sym", "ext", "tensor"):
 tracer.end_job(0.0)
 metrics = tracer.metrics(1)
 assert metrics["koszul.build.calls"] == 3, metrics["koszul.build.calls"]
-assert metrics["koszul.build.nnz"] > 0, metrics["koszul.build.nnz"]
+# the nonzeros the dense builders wrote for these three complexes
+assert metrics["koszul.build.nnz"] == 28, metrics["koszul.build.nnz"]
+assert metrics["linalg.matmul.calls"] == 0, metrics["linalg.matmul.calls"]
 # one grouphom job through the CLI: the bar route must show in the trace
 from exacthom import cli
 tracer.begin_job("bar")
@@ -73,10 +76,12 @@ assert bits <= 64, bits
 from exacthom.koszul import derived_from_presentation, random_padded_presentation
 pres = random_padded_presentation(FgAbGroup(0, (2, 4)), 6, random.Random("bench-hooks"))
 before = tracer.stats["linalg.smith_diagonal"][0]
+products = tracer.stats["linalg.matmul"][0]
 tracer.begin_job("derive")
 derived_from_presentation(FunctorKind.parse("tensor", 2), pres)
 tracer.end_job(0.0)
 assert tracer.stats["linalg.smith_diagonal"][0] > before
+assert tracer.stats["linalg.matmul"][0] == products, "d(d(x)) = 0 went through a dense product"
 fallbacks = tracer.counts["linalg.smith_diagonal.fallbacks"]
 assert fallbacks == 0, fallbacks
 """

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -215,7 +216,8 @@ def test_tensor_complex_matches_lex_oracle(pres, n):
     orders = [_colex_order(n, k, h**k * f ** (n - k)) for k in range(n + 1)]
     for k, (d_got, d_want) in enumerate(zip(got.differentials, want.differentials)):
         rows, cols = orders[k], orders[k + 1]
-        permuted = tuple(tuple(d_want.entries[i][j] for j in cols) for i in rows)
+        want_rows = d_want.entries  # the dense view is built on every read
+        permuted = tuple(tuple(want_rows[i][j] for j in cols) for i in rows)
         assert d_got.entries == permuted, f"differential {k}"
 
 
@@ -402,3 +404,19 @@ def test_check_budget_refuses_before_building():
         check_budget(FunctorKind(PowerKind.DIV, 2), FgAbGroup(0, (2,)), 0, 10**6)
     with pytest.raises(InputError):
         check_budget(SYM2, FgAbGroup(0, (2,)), -1, 10**6)
+
+
+@pytest.mark.parametrize("kind, n", [("sym", 10000), ("ext", 3000)])
+def test_high_powers_of_a_cyclic_group_stay_small(kind, n):
+    # Over Z --2--> Z only the two top terms have rank, so only their bases
+    # are listed; listing all n + 1 took 608 MiB for sym^10000 (resident)
+    # and a 36 MiB traced peak for ext^3000.
+    tracemalloc.start()
+    try:
+        result = derived(FunctorKind.parse(kind, n), FgAbGroup(0, (2,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    top = 0 if kind == "sym" else n - 1  # the degree of Z/2
+    assert result.values == tuple(FgAbGroup(0, (2,) if k == top else ()) for k in range(n + 1))

@@ -15,6 +15,7 @@ from exacthom.koszul import presentation_from_group, tensor_complex
 from exacthom.linalg import (
     IntMatrix,
     SmithDecomposition,
+    SparseMatrix,
     det,
     hnf,
     hstack,
@@ -162,7 +163,8 @@ def _tensor4_product():
 
 def _koszul_dd_product():
     c = tensor_complex(presentation_from_group(from_cyclic_orders((2, 4)), padding=1), 3)
-    return [(c.differentials[1], c.differentials[2], "sparse")]
+    d1, d2 = (IntMatrix(d.rows, d.cols, d.entries) for d in c.differentials[1:3])
+    return [(d1, d2, "sparse")]
 
 
 _MATMUL_CASES = {
@@ -192,6 +194,21 @@ def test_matmul_matches_loop(case, monkeypatch):
         taken[got] = taken.get(got, 0) + 1
     if case == "random":
         assert set(taken) == {32, 64, "sparse"} and min(taken.values()) >= 20, taken
+
+
+def test_sparse_matrix_validation_and_dense_view():
+    m = IntMatrix.from_rows([[0, 2, 0], [-1, 0, 0]])
+    sparse = SparseMatrix.from_dense(m)
+    assert sparse.columns == ({1: -1}, {0: 2}, {})
+    assert sparse.entries == m.entries
+    assert not sparse.is_zero()
+    assert SparseMatrix.from_dense(IntMatrix.zeros(0, 2)).columns == ({}, {})
+    assert SparseMatrix(3, 2, ({}, {})).is_zero()
+    assert SparseMatrix(2, 0, ()).entries == ((), ())
+    # an explicit zero, rows out of range, a missing column, a negative shape
+    for bad in ((2, 1, ({0: 0},)), (2, 1, ({2: 1},)), (2, 1, ({-1: 1},)), (2, 2, ({},)), (-1, 0, ())):
+        with pytest.raises(InputError):
+            SparseMatrix(*bad)
 
 
 def test_snf_frozen():
