@@ -38,7 +38,8 @@ and passes its nonzero orders through the gcd/lcm step of linalg.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Sequence
 
 from .errors import ComplexValidityError, InputError
 from .linalg import IntMatrix, SparseMatrix, _divisibility_chain, _int_to_decimal, smith_diagonal
@@ -156,7 +157,7 @@ class ChainComplex:
                     f"expected {ranks[p]}x{ranks[p + 1]}"
                 )
         for p in range(len(self.differentials) - 1):
-            if any(_product_columns(self.differentials[p], self.differentials[p + 1])):
+            if not _composes_to_zero(self.differentials[p], self.differentials[p + 1]):
                 raise ComplexValidityError(
                     f"differentials {p} and {p + 1} do not compose to zero"
                 )
@@ -166,15 +167,24 @@ class ChainComplex:
         return self.bottom_degree + len(self.ranks) - 1
 
 
-def _product_columns(a: SparseMatrix, b: SparseMatrix) -> Iterator[dict[int, int]]:
-    """The columns of a * b, exactly and in order, each as {row: nonzero}."""
+def _composes_to_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
+    """Whether a * b = 0, by an exact sparse product one column at a time.
+
+    Column j of a * b is summed into a dense accumulator over the rows that
+    the columns of a named by column j of b touch; when all of them read
+    zero, the accumulator is all zero again for the next column.
+    """
     a_cols = a.columns
+    acc = [0] * a.rows
     for col in b.columns:
-        out: dict[int, int] = {}
         for k, y in col.items():
             for i, x in a_cols[k].items():
-                out[i] = out.get(i, 0) + x * y
-        yield {i: v for i, v in out.items() if v}
+                acc[i] += x * y
+        for k in col:
+            for i in a_cols[k]:
+                if acc[i]:
+                    return False
+    return True
 
 
 def _tensor_product(
@@ -256,9 +266,8 @@ def _reduce(
     for d in differentials:
         dc = {j: dict(col) for j, col in enumerate(d.columns)}
         dr: dict[int, set[int]] = {i: set() for i in range(d.rows)}
-        for j, col in dc.items():
-            for i in col:
-                dr[i].add(j)
+        for j, col in dc.items():  # add j to the row set of every i in col
+            any(map(set.add, map(dr.__getitem__, col), repeat(j)))
         cols.append(dc)
         rows.append(dr)
 

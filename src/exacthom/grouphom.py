@@ -551,8 +551,9 @@ def _bar_differential(coeff: GModuleFree, k: int) -> SparseMatrix:
         sparse = face0_sparse[word[0]]
         # middle face j merges the letters at positions j - 1 and j: the
         # letters before them are widx // (low * base^2), those after widx % low;
-        # the last face drops g_k
-        faces = [((widx // base) * rank, sign_last)]
+        # the last face drops g_k. Each face writes one block of rank rows,
+        # face 0 (sign 0 here) the twisted coefficient and the others +-m.
+        faces = [(base0, 0), ((widx // base) * rank, sign_last)]
         low = tail
         for j in range(1, k):
             low //= base
@@ -560,12 +561,19 @@ def _bar_differential(coeff: GModuleFree, k: int) -> SparseMatrix:
             if merged:
                 idx = (widx // (low * base * base) * base + merged - 1) * low + widx % low
                 faces.append((idx * rank, -1 if j % 2 else 1))
+        faces.sort()
+        # faces on one block can meet in one row and cancel; otherwise the
+        # blocks in order write each column's rows ascending
+        clash = len({face for face, _ in faces}) < len(faces)
         for j in range(rank):
-            col = {base0 + t: c for t, c in sparse[j]}
+            col: dict[int, int] = {}
             for face, sign in faces:
-                col[face + j] = col.get(face + j, 0) + sign
-            # faces can meet in one row and cancel; the rows are kept ascending
-            columns.append({i: col[i] for i in sorted(col) if col[i]})
+                if sign:
+                    col[face + j] = col.get(face + j, 0) + sign
+                else:
+                    for t, c in sparse[j]:
+                        col[face + t] = col.get(face + t, 0) + c
+            columns.append({i: col[i] for i in sorted(col) if col[i]} if clash else col)
     return SparseMatrix(rows, cols, tuple(columns))
 
 

@@ -308,7 +308,7 @@ class SparseMatrix:
     def from_dense(cls, m: IntMatrix) -> "SparseMatrix":
         every = range(m.rows)
         dense = zip(*m.entries) if m.rows else repeat((), m.cols)
-        return cls(m.rows, m.cols, tuple({i: col[i] for i in compress(every, col)} for col in dense))
+        return cls(m.rows, m.cols, tuple(dict(zip(compress(every, col), compress(col, col))) for col in dense))
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:

@@ -424,8 +424,9 @@ def test_stored_columns_hold_no_zero():
 
 def test_sparse_square_zero_check_matches_the_dense_product():
     rng = random.Random("sparse-dd")
-    for _ in range(60):
-        r, k, c = (rng.randint(0, 6) for _ in range(3))
+    outcomes = []
+    for _ in range(80):
+        r, k, c = (rng.randint(1, 6) for _ in range(3))
         a, b = (
             IntMatrix.from_rows(
                 [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(cols)] for _ in range(rows)],
@@ -433,8 +434,15 @@ def test_sparse_square_zero_check_matches_the_dense_product():
             )
             for rows, cols in ((r, k), (k, c))
         )
-        columns = abelian._product_columns(SparseMatrix.from_dense(a), SparseMatrix.from_dense(b))
-        assert SparseMatrix(r, c, tuple(columns)).entries == (a @ b).entries
+        if rng.random() < 0.5:  # a product that vanishes
+            kernel = kernel_basis(a)
+            b = kernel @ IntMatrix.from_rows(
+                [[rng.randint(-2, 2) for _ in range(c)] for _ in range(kernel.cols)], cols=c
+            )
+        zero = abelian._composes_to_zero(SparseMatrix.from_dense(a), SparseMatrix.from_dense(b))
+        assert zero == (a @ b).is_zero()
+        outcomes.append(zero)
+    assert outcomes.count(True) >= 25 and outcomes.count(False) >= 25, outcomes.count(True)
     # one changed entry d_p[0][j], with row j of d_(p+1) nonzero, makes row 0
     # of d_p d_(p+1) nonzero
     changed = 0
