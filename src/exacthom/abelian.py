@@ -38,7 +38,6 @@ and passes its nonzero orders through the gcd/lcm step of linalg.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 from .errors import ComplexValidityError, InputError
@@ -230,7 +229,7 @@ def _tensor_product(
                     col = {x_dy + a: v for a, v in dy[y].items()}
                     col.update([(r + y, v) for r, v in dx_y])
                     columns.append(col)
-        diffs.append(SparseMatrix(ranks[p - 1], ranks[p], tuple(columns)))
+        diffs.append(SparseMatrix._unchecked(ranks[p - 1], ranks[p], tuple(columns)))
     return tuple(ranks), tuple(diffs)
 
 
@@ -266,8 +265,9 @@ def _reduce(
     for d in differentials:
         dc = {j: dict(col) for j, col in enumerate(d.columns)}
         dr: dict[int, set[int]] = {i: set() for i in range(d.rows)}
-        for j, col in dc.items():  # add j to the row set of every i in col
-            any(map(set.add, map(dr.__getitem__, col), repeat(j)))
+        for j, col in dc.items():
+            for i in col:
+                dr[i].add(j)
         cols.append(dc)
         rows.append(dr)
 

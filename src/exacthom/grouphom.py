@@ -574,7 +574,7 @@ def _bar_differential(coeff: GModuleFree, k: int) -> SparseMatrix:
                     for t, c in sparse[j]:
                         col[face + t] = col.get(face + t, 0) + c
             columns.append({i: col[i] for i in sorted(col) if col[i]} if clash else col)
-    return SparseMatrix(rows, cols, tuple(columns))
+    return SparseMatrix._unchecked(rows, cols, tuple(columns))
 
 
 def homology_bar(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:

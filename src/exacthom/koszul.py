@@ -175,7 +175,7 @@ def _koszul(
                     columns.append({
                         base + k: sign * c for gen, base, sign in terms for k, c in product[gen]
                     })
-        diffs.append(SparseMatrix(ranks[deg - 1], ranks[deg], tuple(columns)))
+        diffs.append(SparseMatrix._unchecked(ranks[deg - 1], ranks[deg], tuple(columns)))
     return ChainComplex(0, tuple(ranks), tuple(diffs))
 
 
