@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 from .abelian import ChainComplex, FgAbGroup, _tensor_product, from_cyclic_orders, homologies
 from .errors import InputError, InvariantViolation, ResourceBudgetError, UnsupportedFunctorError
 from .linalg import IntMatrix, SparseMatrix
-from .powers import FunctorKind, PowerKind, basis, div_contract, ext_mult, sym_mult
+from .powers import FunctorKind, PowerKind, _mult_table, _times, basis, div_contract
 
 __all__ = [
     "PresentationPair",
@@ -135,20 +135,21 @@ def _power_rank(kind: PowerKind, k: int, r: int) -> int:
 
 def _koszul(
     p: PresentationPair, n: int, left_kind: PowerKind, right_kind: PowerKind,
-    contractions: Callable, mult: Callable,
+    contractions: Callable,
 ) -> ChainComplex:
     """The complex with left^k(H) (x) right^(n-k)(F) in degree k.
 
     The differential is d(a (x) b) = sum sign * a' (x) (iota(e_gen) * b)
     over the (gen, a', sign) that contractions(a) lists, with the product
-    taken by mult. Ranks come from the binomial formulas, and only the
-    bases of terms with columns are listed: for one generator, most terms
-    of a high power have rank 0.
+    read from right_kind's multiplication table. Ranks come from the
+    binomial formulas, and only the bases of terms with columns are listed:
+    for one generator, most terms of a high power have rank 0.
     """
     if n < 1:
         raise InputError("functor degree must be at least 1")
     h, f = p.h_rank, p.f_rank
-    iota = p.inclusion.transpose().entries  # iota[gen]: the image of e_gen
+    # images[gen]: the nonzero terms (i, c) of iota(e_gen)
+    images = [[(i, c) for i, c in enumerate(col) if c] for col in p.inclusion.transpose().entries]
     right_ranks = [_power_rank(right_kind, k, f) for k in range(n + 1)]
     ranks = [_power_rank(left_kind, k, h) * right_ranks[n - k] for k in range(n + 1)]
 
@@ -158,10 +159,10 @@ def _koszul(
         if ranks[deg]:
             left_index = {t: i for i, t in enumerate(basis(left_kind, deg - 1, h))}
             below = right_ranks[n - deg + 1]
-            # products[b][gen]: the nonzeros of iota(e_gen) * b
+            # products[b][gen]: the nonzeros of iota(e_gen) * b, rows ascending
             products = [
-                [[(k, c) for k, c in enumerate(mult(iota[gen], b)) if c] for gen in range(h)]
-                for b in basis(right_kind, n - deg, f)
+                [_times(row, terms) for terms in images]
+                for row in _mult_table(right_kind, n - deg, f)
             ]
             for a in basis(left_kind, deg, h):
                 # distinct contractions of a leave distinct a', so every row
@@ -196,7 +197,7 @@ def kos(p: PresentationPair, n: int) -> ChainComplex:
     differential removes the wedge slots one at a time with alternating
     signs and multiplies the image vector into the symmetric part.
     """
-    return _koszul(p, n, PowerKind.EXT, PowerKind.SYM, _ext_contractions, sym_mult)
+    return _koszul(p, n, PowerKind.EXT, PowerKind.SYM, _ext_contractions)
 
 
 def kos_prime(p: PresentationPair, n: int) -> ChainComplex:
@@ -207,7 +208,7 @@ def kos_prime(p: PresentationPair, n: int) -> ChainComplex:
     and wedges the image vector onto the exterior part; wedge antisymmetry
     makes the square zero.
     """
-    return _koszul(p, n, PowerKind.DIV, PowerKind.EXT, _div_contractions, ext_mult)
+    return _koszul(p, n, PowerKind.DIV, PowerKind.EXT, _div_contractions)
 
 
 def tensor_complex(p: PresentationPair, n: int) -> ChainComplex:

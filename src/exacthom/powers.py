@@ -15,8 +15,15 @@ Worked order for r = 2, n = 2 (write x = e_0, y = e_1):
   Ext^2:    x^y
 
 Div^n(Z^r) is the graded dual of Sym^n(Z^r), its divided-power basis dual
-to the monomial basis, so Div^n(m) = Sym^n(m^T)^T. All caches are
-write-once and safe for concurrent readers.
+to the monomial basis, so Div^n(m) = Sym^n(m^T)^T.
+
+Sym^n(m) and Ext^n(m) are products of m's columns, built level by level
+from one multiplication table per (kind, k, r): row t of _mult_table gives
+e_i * t in kind^(k+1)(Z^r) for every generator i, with Ext's sign for
+left multiplication. The Koszul builders read their products from the
+same table, and sym_mult and ext_mult are short reads of it. All caches
+(bases, index maps, multiplication tables) are write-once and safe for
+concurrent readers.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .linalg import IntMatrix, _kron, det
+from .linalg import IntMatrix, _kron
 
 __all__ = [
     "PowerKind",
@@ -101,20 +108,53 @@ def basis_index(kind: PowerKind, n: int, r: int, element: Sequence[int]) -> int:
         raise InputError(f"{tuple(element)} is not a {kind.value}^{n} basis index over rank {r}") from None
 
 
+@lru_cache(maxsize=None)
+def _mult_table(kind: PowerKind, k: int, r: int) -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
+    """Left multiplication by the generators, kind^k(Z^r) -> kind^(k+1)(Z^r),
+    for kind Sym or Ext.
+
+    Row t, in basis order, holds for each generator i the pair (index, sign)
+    with e_i * t = sign * (the basis element of kind^(k+1) at index), or
+    None when e_i * t = 0 (Ext with i in t). The Ext sign is
+    (-1)^#{j in t : j < i}, the sign of moving e_i past the wedge indices
+    below it; the Sym sign is 1. Within a row the indices grow with i.
+    """
+    ext = kind is PowerKind.EXT
+    target = _index_map(kind, k + 1, r)
+    table = []
+    for t in basis(kind, k, r):
+        row: list[Optional[tuple[int, int]]] = []
+        for i in range(r):
+            if ext and i in t:
+                row.append(None)
+            else:
+                sign = -1 if ext and sum(j < i for j in t) % 2 else 1
+                row.append((target[tuple(sorted(t + (i,)))], sign))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _times(row: Sequence[Optional[tuple[int, int]]], terms: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The nonzero terms (index, coefficient) of v * t, rows ascending, from
+    row t of a _mult_table and the nonzero terms (i, c) of v, i ascending."""
+    return [(entry[0], entry[1] * c) for i, c in terms if (entry := row[i])]
+
+
+def _mult_column(kind: PowerKind, v: Sequence[int], element: Sequence[int]) -> list[int]:
+    r, k = len(v), len(element)
+    row = _mult_table(kind, k, r)[basis_index(kind, k, r, element)]
+    out = [0] * len(basis(kind, k + 1, r))
+    for index, c in _times(row, [(i, c) for i, c in enumerate(v) if c]):
+        out[index] = c
+    return out
+
+
 def sym_mult(v: Sequence[int], mono: Sequence[int]) -> list[int]:
     """Multiply a monomial of Sym^k(Z^r) by a vector of Z^r, r = len(v).
 
     Returns the coordinate column of the product in Sym^(k+1)(Z^r).
     """
-    r = len(v)
-    mono = tuple(mono)
-    k = len(mono)
-    target = _index_map(PowerKind.SYM, k + 1, r)
-    out = [0] * len(target)
-    for i, c in enumerate(v):
-        if c:
-            out[target[tuple(sorted(mono + (i,)))]] += c
-    return out
+    return _mult_column(PowerKind.SYM, v, sorted(mono))
 
 
 def ext_mult(v: Sequence[int], wedge: Sequence[int]) -> list[int]:
@@ -123,20 +163,7 @@ def ext_mult(v: Sequence[int], wedge: Sequence[int]) -> list[int]:
     Returns the coordinate column in Ext^(k+1)(Z^r); the sign of each term
     is (-1)^(number of wedge indices below the inserted one).
     """
-    r = len(v)
-    wedge = tuple(wedge)
-    k = len(wedge)
-    target = _index_map(PowerKind.EXT, k + 1, r)
-    out = [0] * len(target)
-    for i, c in enumerate(v):
-        if c and i not in wedge:
-            below = sum(1 for j in wedge if j < i)
-            merged = tuple(sorted(wedge + (i,)))
-            if below % 2:
-                out[target[merged]] -= c
-            else:
-                out[target[merged]] += c
-    return out
+    return _mult_column(PowerKind.EXT, v, wedge)
 
 
 def div_contract(mono: Sequence[int], j: int) -> Optional[tuple[int, ...]]:
@@ -172,44 +199,45 @@ def _tensor_induced(n: int, m: IntMatrix) -> IntMatrix:
     return reduce(_kron, itertools.repeat(m, n), IntMatrix.identity(1))
 
 
-def _sym_induced(n: int, m: IntMatrix) -> IntMatrix:
-    r_src, r_dst = m.cols, m.rows
-    src = basis(PowerKind.SYM, n, r_src)
-    dst_index = _index_map(PowerKind.SYM, n, r_dst)
-    columns = []
-    for mono in src:
-        acc: dict[tuple[int, ...], int] = {(): 1}
-        for j in mono:
-            new: dict[tuple[int, ...], int] = {}
-            for partial, c in acc.items():
-                for i in range(r_dst):
-                    coeff = m.entries[i][j]
-                    if coeff:
-                        key = tuple(sorted(partial + (i,)))
-                        new[key] = new.get(key, 0) + c * coeff
-            acc = new
-        col = [0] * len(dst_index)
-        for mono_dst, c in acc.items():
-            col[dst_index[mono_dst]] = c
-        columns.append(col)
-    return IntMatrix.from_rows(
-        [[columns[j][i] for j in range(len(src))] for i in range(len(dst_index))],
-        cols=len(src),
-    )
+def _product_induced(kind: PowerKind, n: int, m: IntMatrix) -> IntMatrix:
+    """Sym^n(m) or Ext^n(m): column (j_1, ..., j_n) is the product
+    m_(j_1) * ... * m_(j_n) of m's columns in the symmetric or exterior
+    algebra of Z^rows.
 
-
-def _ext_induced(n: int, m: IntMatrix) -> IntMatrix:
-    src = basis(PowerKind.EXT, n, m.cols)
-    dst = basis(PowerKind.EXT, n, m.rows)
-    grid = [
-        [det(m.submatrix(rows_idx, cols_idx)) for cols_idx in src]
-        for rows_idx in dst
-    ]
-    return IntMatrix.from_rows(grid, cols=len(src))
+    The products are built level by level as m_(j_1) * (m_(j_2) * ...), so
+    each product of k - 1 columns is computed once and shared by every
+    product of k columns it ends, and each term is placed by _mult_table.
+    """
+    if n == 1:
+        return m
+    # the nonzero terms (i, m_ij) of each column j: the products of level 1
+    heads = [[(i, row[j]) for i, row in enumerate(m.entries) if row[j]] for j in range(m.cols)]
+    products = heads
+    for k in range(1, n):
+        table = _mult_table(kind, k, m.rows)
+        tails = _index_map(kind, k, m.cols)
+        size = len(basis(kind, k + 1, m.rows))
+        level = []
+        for t in basis(kind, k + 1, m.cols):
+            head = heads[t[0]]
+            acc = [0] * size
+            for s, c in products[tails[t[1:]]]:
+                row = table[s]
+                for i, a in head:
+                    entry = row[i]
+                    if entry is not None:
+                        index, sign = entry
+                        acc[index] += sign * a * c
+            level.append(acc)
+        if k + 1 < n:
+            products = [[(index, c) for index, c in enumerate(acc) if c] for acc in level]
+    # level holds the dense columns of the top products
+    rows = tuple(zip(*level)) if level else ((),) * size
+    return IntMatrix(size, len(level), rows)
 
 
 def _div_induced(n: int, m: IntMatrix) -> IntMatrix:
-    return _sym_induced(n, m.transpose()).transpose()
+    return _product_induced(PowerKind.SYM, n, m.transpose()).transpose()
 
 
 def induced_map(f: FunctorKind, m: IntMatrix) -> IntMatrix:
@@ -221,8 +249,6 @@ def induced_map(f: FunctorKind, m: IntMatrix) -> IntMatrix:
     n = f.degree
     if f.kind is PowerKind.TENSOR:
         return _tensor_induced(n, m)
-    if f.kind is PowerKind.SYM:
-        return _sym_induced(n, m)
-    if f.kind is PowerKind.EXT:
-        return _ext_induced(n, m)
-    return _div_induced(n, m)
+    if f.kind is PowerKind.DIV:
+        return _div_induced(n, m)
+    return _product_induced(f.kind, n, m)

@@ -5,8 +5,8 @@ without passing the wrapper, which would read 0 in the koszul.build spans,
 and so must a grouphom request whose bar route drops out of the trace, a
 kernel or solution that goes back through the Smith transforms of snf, Smith
 transforms that swell again, a derive job that needs the bounded modular
-Smith route or a dense product, or sparse differentials whose dense view
-the tracer miscounts."""
+Smith route or a dense product, sparse differentials whose dense view
+the tracer miscounts, or an exterior power that goes back to determinants."""
 
 import subprocess
 import sys
@@ -25,10 +25,23 @@ for name in {MODULES!r}:
 import tracing
 tracer = tracing.Tracer()
 tracer.install()
+# one exterior power, traced first: it comes from the multiplication
+# table, not from a determinant per pair of subsets
+from exacthom.linalg import IntMatrix
+from exacthom.powers import FunctorKind, induced_map
+rng = random.Random("bench-hooks-ext")
+tracer.begin_job("ext")
+induced_map(FunctorKind.parse("ext", 3), IntMatrix.from_rows(
+    [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
+))
+tracer.end_job(0.0)
+metrics = tracer.metrics(1)
+for name, want in (("powers.induced_map", 1), ("linalg.det", 0)):
+    calls = metrics[name + ".calls"]
+    assert calls == want, (name, calls)
 # one job through derived: every builder it reaches must be the wrapped one
 from exacthom.abelian import FgAbGroup
 from exacthom.koszul import derived
-from exacthom.powers import FunctorKind
 tracer.begin_job("builders")
 for kind in ("sym", "ext", "tensor"):
     derived(FunctorKind.parse(kind, 2), FgAbGroup(0, (2, 4)))

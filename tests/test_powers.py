@@ -1,14 +1,18 @@
 import random
+import time
 from math import comb
 
 import pytest
 from div_oracle import _div_induced
+from power_oracle import _ext_induced, _sym_induced
 
 from exacthom.errors import InputError
 from exacthom.linalg import IntMatrix, det
 from exacthom.powers import (
     FunctorKind,
     PowerKind,
+    _mult_table,
+    _times,
     basis,
     basis_index,
     div_contract,
@@ -78,6 +82,32 @@ def test_ext_mult():
     assert ext_mult([1, 1, 0], (2,)) == [0, 1, 1]
 
 
+def test_mult_table_rows():
+    # row t holds the position and sign of e_i * t for each generator i,
+    # with the indices growing in i, so _times writes every Koszul column
+    # with its rows ascending
+    rng = random.Random("powers-table")
+    for kind in (PowerKind.SYM, PowerKind.EXT):
+        for r in range(5):
+            for k in range(4):
+                table = _mult_table(kind, k, r)
+                assert len(table) == len(basis(kind, k, r))
+                for t, row in zip(basis(kind, k, r), table):
+                    for i, entry in enumerate(row):
+                        if kind is PowerKind.EXT and i in t:
+                            assert entry is None
+                            continue
+                        below = sum(1 for j in t if j < i)
+                        sign = -1 if kind is PowerKind.EXT and below % 2 else 1
+                        assert entry == (basis_index(kind, k + 1, r, sorted(t + (i,))), sign)
+                    indices = [entry[0] for entry in row if entry is not None]
+                    assert indices == sorted(indices)
+                    v = [rng.randint(-2, 2) for _ in range(r)]
+                    terms = _times(row, [(i, c) for i, c in enumerate(v) if c])
+                    mult = sym_mult if kind is PowerKind.SYM else ext_mult
+                    assert terms == [(index, c) for index, c in enumerate(mult(v, t)) if c]
+
+
 def test_div_contract():
     assert div_contract((0, 0, 1), 0) == (0, 1)
     assert div_contract((0, 0, 1), 1) == (0, 0)
@@ -134,6 +164,45 @@ def test_functoriality_rectangular():
         for kind in PowerKind:
             f = FunctorKind(kind, n)
             assert induced_map(f, a @ b) == induced_map(f, a) @ induced_map(f, b)
+
+
+def _oracle(kind, n, m):
+    if kind is PowerKind.SYM:
+        return _sym_induced(n, m)
+    if kind is PowerKind.EXT:
+        return _ext_induced(n, m)
+    return _div_induced(n, m)
+
+
+def test_sym_ext_div_match_their_oracles():
+    # Sym and Ext against the column-by-column and minor expansions, Div
+    # against the divided-power algebra; every shape 0..5 x 0..5 at n = 1..5,
+    # random, zero and identity matrices, so n > r for Ext is included
+    rng = random.Random("powers-oracles")
+    for rows in range(6):
+        for cols in range(6):
+            cases = [rand_matrix(rng, rows, cols, -9, 9), IntMatrix.zeros(rows, cols)]
+            if rows == cols:
+                cases.append(IntMatrix.identity(rows))
+            for n in range(1, 6):
+                for kind in (PowerKind.SYM, PowerKind.EXT, PowerKind.DIV):
+                    for m in cases:
+                        assert induced_map(FunctorKind(kind, n), m) == _oracle(kind, n, m), (kind, n, m)
+
+
+def test_large_sym_and_ext_powers_stay_fast():
+    # dense Sym^6 of 6 x 6 (462 x 462) and Ext^4 of 8 x 8 (70 x 70); best of
+    # three, so one slow moment of a shared host does not decide
+    rng = random.Random("powers-size")
+    for kind, n, r in ((PowerKind.SYM, 6, 6), (PowerKind.EXT, 4, 8)):
+        m = rand_matrix(rng, r, r, -9, 9)
+        seconds = []
+        for _ in range(3):
+            start = time.process_time()
+            out = induced_map(FunctorKind(kind, n), m)
+            seconds.append(time.process_time() - start)
+        assert out.rows == out.cols == len(basis(kind, n, r))
+        assert min(seconds) < 0.5, (kind, seconds)
 
 
 def test_top_exterior_power_is_det():

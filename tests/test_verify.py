@@ -49,19 +49,37 @@ def test_suite_reports_are_deterministic():
 def test_contraction_naturality_catches_a_wrong_sym(monkeypatch):
     # Div^n(m) is Sym^n(m^T)^T, so a wrong Sym^n also makes Div^n wrong;
     # the contraction case must see it, not only the composition cases
-    real = powers._sym_induced
+    real = powers._product_induced
 
-    def off_by_one(n, m):
-        out = real(n, m)
-        if n < 2 or not out.rows or not out.cols:
+    def off_by_one(kind, n, m):
+        out = real(kind, n, m)
+        if kind is not powers.PowerKind.SYM or n < 2 or not out.rows or not out.cols:
             return out
         rows = [list(row) for row in out.entries]
         rows[0][0] += 1
         return IntMatrix.from_rows(rows, cols=out.cols)
 
-    monkeypatch.setattr(powers, "_sym_induced", off_by_one)
+    monkeypatch.setattr(powers, "_product_induced", off_by_one)
     failures = run_functoriality(42)["failures"]
     assert any(f.startswith("divided-power contraction naturality failed") for f in failures)
+
+
+def test_determinant_check_catches_a_wrong_ext_sign(monkeypatch):
+    # the top exterior power comes from the multiplication table and det
+    # from Bareiss elimination, so one flipped sign of e_1 ^ e_0 in the
+    # table must show as a wrong determinant
+    real = powers._mult_table
+
+    def flipped(kind, k, r):
+        table = real(kind, k, r)
+        if kind is not powers.PowerKind.EXT or k != 1 or r < 2:
+            return table
+        index, sign = table[0][1]
+        return ((table[0][0], (index, -sign)) + table[0][2:],) + table[1:]
+
+    monkeypatch.setattr(powers, "_mult_table", flipped)
+    failures = run_functoriality(42)["failures"]
+    assert any(f.startswith("top exterior power is not the determinant") for f in failures)
 
 
 def test_four_term_filters():
