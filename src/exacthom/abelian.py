@@ -7,15 +7,17 @@ Homology of a complex of free abelian groups is computed in two steps.
 First the complex is reduced (Kaczynski, Mischaikow and Mrozek,
 *Computational Homology*, 2004; Dumas, Heckenbach, Saunders and Welker,
 "Computing simplicial homology based on efficient Smith normal form
-algorithms", 2003): going up the degrees, every +-1 entry of a differential
-is cancelled by a Schur-complement update, and so is every entry x that
-divides its whole row and column, once no unit is left. Each cancellation
-drops one basis element from each of the two terms it joins; a unit keeps
-the homology over Z unchanged, and a divisor pivot splits off Z --x--> Z,
-whose Z/|x| is recorded as torsion of the lower term. Then each surviving
-differential, the small remainder that the cancellations could not split,
-is eliminated once by a transform-free Smith diagonal (one with no nonzero
-entry is skipped: it has rank 0 and no invariant factors): H_p is free
+algorithms", 2003): going up the degrees, each differential is cancelled
+pivot by pivot by Schur-complement updates. One rule picks every pivot x:
+the first unit of a row or, in a row with none, its first entry of least
+|x| when that divides its whole row and column, from the row with the
+fewest nonzeros. Each cancellation drops one basis element from each of
+the two terms it joins; a unit keeps the homology over Z unchanged, and
+any other pivot splits off Z --x--> Z, whose Z/|x| is recorded as torsion
+of the lower term. Then each surviving differential, the small remainder
+that the cancellations could not split, is eliminated once by a
+transform-free Smith diagonal (one with no nonzero entry is skipped: it
+has rank 0 and no invariant factors): H_p is free
 of rank r_p - rank d_p - rank d_(p-1), and its torsion is the recorded
 factors of the differential d_p arriving at degree p together with the
 remainder's invariant factors > 1, merged by the gcd/lcm step of linalg.
@@ -236,25 +238,28 @@ def _tensor_product(
 def _reduce(
     ranks: Sequence[int], differentials: Sequence[SparseMatrix]
 ) -> tuple[tuple[int, ...], tuple[IntMatrix, ...], tuple[tuple[int, ...], ...]]:
-    """Cancel every pivot that divides its row and its column; the homology
+    """Cancel pivots that divide their row and their column; the homology
     over Z is unchanged apart from the torsion the pivots record.
 
     differentials[p] maps the term of index p + 1 to the term of index p.
     Each differential's columns are copied once into working columns
     {col: {row: value}}, with a row -> columns index. Going up the degrees,
-    d_p is cancelled pivot by pivot: a unit x = d[a][b] from the row with
-    the fewest nonzeros while one is left, otherwise the entry of least |x|
-    that divides every entry of row a and of column b, ties going to the
-    fewest nonzeros in its row times its column. The bases
+    d_p is cancelled pivot by pivot, each pivot x = d[a][b] found by one
+    scan of the rows in order. Only a row with fewer nonzeros than the best
+    row so far is read; it offers its first unit, or, when it has none, its
+    first entry x of least |x|, accepted when x divides every entry of row
+    a and of column b. The scan stops at an accepted row with one nonzero.
+    A unit divides everything, so it is the easiest divisor pivot. The bases
     e'_a = d_p(f_b) / x and f'_j = f_j - (d[a][j] / x) f_b are integral,
     and in them d_p is (x) + d' with the Schur complement
     d' = d - d[., b] * (d[a, .] / x). Row b of the differential above and
     column a of the one below become zero, so they are dropped with row a
     and column b, and Z --x--> Z leaves Z/|x| in the homology at index p.
     Cancelling in d_p only ever removes columns from the differentials
-    below it, so no unit is left when the pass ends; but a removed column
-    can leave a divisor pivot in d_(p-1), and that one is left to the Smith
-    diagonal, which is exact on whatever remains.
+    below it, so no unit is left when the pass ends. A divisor pivot can be
+    left, though: one that a removed column frees in d_(p-1), or one in a
+    row whose first entry of least |x| fails the column test. Those go to
+    the Smith diagonal, which is exact on whatever remains.
 
     Returns the surviving ranks, the dense surviving differentials with
     their basis order kept, and for each differential the |x| > 1 it
@@ -279,29 +284,28 @@ def _reduce(
             best = None
             best_len = len(dc) + 1
             for a, support in dr.items():
-                if len(support) < best_len:
+                n = len(support)
+                if n < best_len:
+                    m = 0
                     for b in support:
                         x = dc[b][a]
                         if x == 1 or x == -1:
-                            best, best_len = (a, b, x), len(support)
+                            best, best_len = (a, b, x), n
                             break
+                        if not m or -m < x < m:
+                            m, pick = abs(x), b
+                    else:
+                        if m and all(dc[j][a] % m == 0 for j in support) and all(
+                            y % m == 0 for y in dc[pick].values()
+                        ):
+                            best, best_len = (a, pick, dc[pick][a]), n
                     if best_len == 1:
                         break
             if best is None:
-                best_abs = best_cost = 0
-                for b, col_b in dc.items():
-                    for a, x in col_b.items():
-                        m, cost = abs(x), len(dr[a]) * len(col_b)
-                        if best and (m > best_abs or m == best_abs and cost >= best_cost):
-                            continue
-                        if all(y % x == 0 for y in col_b.values()) and all(
-                            dc[j][a] % x == 0 for j in dr[a]
-                        ):
-                            best, best_abs, best_cost = (a, b, x), m, cost
-                if best is None:
-                    break
-                cancelled.append(best_abs)
+                break
             a, b, x = best
+            if x != 1 and x != -1:
+                cancelled.append(abs(x))
             col_b = dc.pop(b)
             del col_b[a]
             for i in col_b:

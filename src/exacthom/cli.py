@@ -268,7 +268,15 @@ def _coefficient_module(table, which: str) -> GModuleFree:
     raise InputError(f"unknown coefficient module {which!r}")
 
 
+def _budget(params: dict) -> int:
+    budget = params["budget"]
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
+    return budget
+
+
 def _run_grouphom(params: dict) -> tuple[int, dict]:
+    budget = _budget(params)
     if params.get("preset"):
         preset = load_preset(params["preset"])
         table, source = preset.table, params["preset"]
@@ -279,7 +287,6 @@ def _run_grouphom(params: dict) -> tuple[int, dict]:
     coeff = _coefficient_module(table, params["coeff"])
     lo, hi = _parse_degrees(params["degrees"])
     method = params["method"]
-    budget = params["budget"]
     if hi - lo + 1 > budget:
         raise ResourceBudgetError(f"degrees {lo}..{hi} are {hi - lo + 1} degrees, budget is {budget}")
     rows = []
@@ -322,7 +329,7 @@ def _run_grouphom(params: dict) -> tuple[int, dict]:
 def _run_verify(params: dict) -> tuple[int, dict]:
     suite = params["suite"]
     seed = params["seed"]
-    budget = params["budget"]
+    budget = _budget(params)
     preset = params.get("preset")
     only_n = params.get("n")
     if (preset is not None or only_n is not None) and suite != "four-term":

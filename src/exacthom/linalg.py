@@ -300,9 +300,12 @@ class SparseMatrix:
             raise InputError("matrix dimensions must be nonnegative")
         if len(self.columns) != self.cols:
             raise InputError("column count does not match declared shape")
+        rows = range(self.rows)
         for col in self.columns:
-            if col and (min(col) < 0 or max(col) >= self.rows or 0 in col.values()):
-                raise InputError("a column must map rows in range to nonzero entries")
+            if not isinstance(col, dict) or not all(
+                type(i) is int and i in rows and type(x) is int and x for i, x in col.items()
+            ):
+                raise InputError("a column must map int rows in range to nonzero int entries")
 
     @classmethod
     def _unchecked(cls, rows: int, cols: int, columns: tuple[dict[int, int], ...]) -> "SparseMatrix":

@@ -21,9 +21,8 @@ Sym^n(m) and Ext^n(m) are products of m's columns, built level by level
 from one multiplication table per (kind, k, r): row t of _mult_table gives
 e_i * t in kind^(k+1)(Z^r) for every generator i, with Ext's sign for
 left multiplication. The Koszul builders read their products from the
-same table, and sym_mult and ext_mult are short reads of it. All caches
-(bases, index maps, multiplication tables) are write-once and safe for
-concurrent readers.
+same table. All caches (bases, index maps, multiplication tables) are
+write-once and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ __all__ = [
     "basis",
     "basis_index",
     "induced_map",
-    "sym_mult",
-    "ext_mult",
     "div_contract",
     "norm_diagonal",
 ]
@@ -138,32 +135,6 @@ def _times(row: Sequence[Optional[tuple[int, int]]], terms: Sequence[tuple[int, 
     """The nonzero terms (index, coefficient) of v * t, rows ascending, from
     row t of a _mult_table and the nonzero terms (i, c) of v, i ascending."""
     return [(entry[0], entry[1] * c) for i, c in terms if (entry := row[i])]
-
-
-def _mult_column(kind: PowerKind, v: Sequence[int], element: Sequence[int]) -> list[int]:
-    r, k = len(v), len(element)
-    row = _mult_table(kind, k, r)[basis_index(kind, k, r, element)]
-    out = [0] * len(basis(kind, k + 1, r))
-    for index, c in _times(row, [(i, c) for i, c in enumerate(v) if c]):
-        out[index] = c
-    return out
-
-
-def sym_mult(v: Sequence[int], mono: Sequence[int]) -> list[int]:
-    """Multiply a monomial of Sym^k(Z^r) by a vector of Z^r, r = len(v).
-
-    Returns the coordinate column of the product in Sym^(k+1)(Z^r).
-    """
-    return _mult_column(PowerKind.SYM, v, sorted(mono))
-
-
-def ext_mult(v: Sequence[int], wedge: Sequence[int]) -> list[int]:
-    """Left-multiply a wedge of Ext^k(Z^r) by a vector: v ^ wedge.
-
-    Returns the coordinate column in Ext^(k+1)(Z^r); the sign of each term
-    is (-1)^(number of wedge indices below the inserted one).
-    """
-    return _mult_column(PowerKind.EXT, v, wedge)
 
 
 def div_contract(mono: Sequence[int], j: int) -> Optional[tuple[int, ...]]:

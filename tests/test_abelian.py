@@ -361,6 +361,19 @@ _ORACLE_CASES = {
         IntMatrix.from_rows([[6, 10, 15]]),
         IntMatrix.from_rows([[5, 5, 0], [-3, 0, 3], [0, -2, -2]]),
     )),
+    # row 0 holds only the divisor pivot 2 and is shorter than row 1, the
+    # only row with a unit, so 2 is cancelled first
+    "divisor-before-unit": lambda: ChainComplex(0, (2, 3, 1), (
+        IntMatrix.from_rows([[2, 0, 0], [4, 1, 1]]),
+        IntMatrix.from_rows([[0], [2], [-2]]),
+    )),
+    # the first least entry of each row of d_0 fails its column test, though
+    # the 2 at (0, 1) would divide its row and column; d_0 goes to the Smith
+    # diagonal once d_1's pivot has dropped column 0
+    "missed-divisor": lambda: ChainComplex(0, (2, 3, 1), (
+        IntMatrix.from_rows([[2, 2, 0], [3, 0, 3]]),
+        IntMatrix.from_rows([[2], [-2], [-2]]),
+    )),
 }
 
 
@@ -390,6 +403,11 @@ def test_reduced_homology_matches_dense_oracle(name):
         assert not any(d.is_zero() for d in remainder)
     if name == "random-acyclic":
         assert reduced_ranks == (0, 0, 0)
+    if name == "divisor-before-unit":
+        assert expected == (FgAbGroup(0, (2,)), FgAbGroup(0, (2,)), FgAbGroup(0))
+    if name == "missed-divisor":
+        assert reduced_ranks == (2, 2, 0) and not remainder[0].is_zero()
+        assert expected == (FgAbGroup(0, (6,)), FgAbGroup(0, (2,)), FgAbGroup(0))
 
 
 # sha256 of each builder's dense differentials over its oracle cases, as the

@@ -448,4 +448,8 @@ def test_main_exit_codes(tmp_path):
         )
         == 3
     )
+    # a budget below 1 is malformed input, even where nothing reads it
+    assert main(["grouphom", "--preset", "Z2", "--budget", "-1"]) == 2
+    assert main(["verify", "four-term", "--budget", "-1"]) == 2
+    assert main(["verify", "functoriality", "--budget", "0"]) == 2
     assert main(["verify", "four-term", "--preset", "Z2", "--n", "1"]) == 0

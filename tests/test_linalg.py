@@ -205,8 +205,12 @@ def test_sparse_matrix_validation_and_dense_view():
     assert SparseMatrix.from_dense(IntMatrix.zeros(0, 2)).columns == ({}, {})
     assert SparseMatrix(3, 2, ({}, {})).is_zero()
     assert SparseMatrix(2, 0, ()).entries == ((), ())
-    # an explicit zero, rows out of range, a missing column, a negative shape
-    for bad in ((2, 1, ({0: 0},)), (2, 1, ({2: 1},)), (2, 1, ({-1: 1},)), (2, 2, ({},)), (-1, 0, ())):
+    # an explicit zero, rows out of range, a missing column, a negative
+    # shape, a row that is not an int, a bool entry
+    for bad in (
+        (2, 1, ({0: 0},)), (2, 1, ({2: 1},)), (2, 1, ({-1: 1},)), (2, 2, ({},)), (-1, 0, ()),
+        (2, 1, ({"a": 1},)), (2, 1, ({1: True},)),
+    ):
         with pytest.raises(InputError):
             SparseMatrix(*bad)
 

@@ -16,10 +16,8 @@ from exacthom.powers import (
     basis,
     basis_index,
     div_contract,
-    ext_mult,
     induced_map,
     norm_diagonal,
-    sym_mult,
 )
 
 
@@ -66,20 +64,28 @@ def test_dim_matches_basis():
                 assert len(basis(kind, n, r)) == rank
 
 
+def _product(kind, v, t):
+    """The nonzero terms (index, coefficient) of v * t, read from row t of
+    the multiplication table."""
+    r, k = len(v), len(t)
+    row = _mult_table(kind, k, r)[basis_index(kind, k, r, t)]
+    return _times(row, [(i, c) for i, c in enumerate(v) if c])
+
+
 def test_sym_mult():
     # x * (x*y) = x^2*y, the second monomial of S^3 = (x^3, x^2y, xy^2, y^3)
-    assert sym_mult([1, 0], (0, 1)) == [0, 1, 0, 0]
+    assert _product(PowerKind.SYM, [1, 0], (0, 1)) == [(1, 1)]
     # (2x + 3y) * y^2 = 2 x*y^2 + 3 y^3
-    assert sym_mult([2, 3], (1, 1)) == [0, 0, 2, 3]
+    assert _product(PowerKind.SYM, [2, 3], (1, 1)) == [(2, 2), (3, 3)]
 
 
 def test_ext_mult():
     # e1 ^ (e0 ^ e2) = -(e0 ^ e1 ^ e2): one wedge index below the insertion
-    assert ext_mult([0, 1, 0], (0, 2)) == [-1]
+    assert _product(PowerKind.EXT, [0, 1, 0], (0, 2)) == [(0, -1)]
     # e0 ^ (e0 ^ e2) = 0
-    assert ext_mult([1, 0, 0], (0, 2)) == [0]
+    assert _product(PowerKind.EXT, [1, 0, 0], (0, 2)) == []
     # (e0 + e1) ^ e2 over rank 3: basis (0,1), (0,2), (1,2)
-    assert ext_mult([1, 1, 0], (2,)) == [0, 1, 1]
+    assert _product(PowerKind.EXT, [1, 1, 0], (2,)) == [(1, 1), (2, 1)]
 
 
 def test_mult_table_rows():
@@ -93,19 +99,21 @@ def test_mult_table_rows():
                 table = _mult_table(kind, k, r)
                 assert len(table) == len(basis(kind, k, r))
                 for t, row in zip(basis(kind, k, r), table):
+                    v = [rng.randint(-2, 2) for _ in range(r)]
+                    want = [0] * len(basis(kind, k + 1, r))
                     for i, entry in enumerate(row):
                         if kind is PowerKind.EXT and i in t:
                             assert entry is None
                             continue
                         below = sum(1 for j in t if j < i)
                         sign = -1 if kind is PowerKind.EXT and below % 2 else 1
-                        assert entry == (basis_index(kind, k + 1, r, sorted(t + (i,))), sign)
+                        index = basis_index(kind, k + 1, r, sorted(t + (i,)))
+                        assert entry == (index, sign)
+                        want[index] += sign * v[i]
                     indices = [entry[0] for entry in row if entry is not None]
                     assert indices == sorted(indices)
-                    v = [rng.randint(-2, 2) for _ in range(r)]
                     terms = _times(row, [(i, c) for i, c in enumerate(v) if c])
-                    mult = sym_mult if kind is PowerKind.SYM else ext_mult
-                    assert terms == [(index, c) for index, c in enumerate(mult(v, t)) if c]
+                    assert terms == [(index, c) for index, c in enumerate(want) if c]
 
 
 def test_div_contract():
