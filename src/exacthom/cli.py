@@ -46,6 +46,10 @@ __all__ = [
 
 DEFAULT_SEED = 42  # every seeded verify suite uses this unless --seed overrides
 
+# The most entries snf may write for U, A and V together: rows^2 + rows*cols
+# + cols^2. The largest bundled or benchmarked input, sparse 15x30, needs 1575.
+SNF_BUDGET = 2**20
+
 
 def parse_group(text: str) -> FgAbGroup:
     """Parse the group grammar: `Z`, `Z^k`, `Z/k` joined by `+`, or `0`.
@@ -165,6 +169,11 @@ def _load_json(path: str) -> Any:
 
 def _run_snf(params: dict) -> tuple[int, dict]:
     matrix = decode_matrix(_load_json(params["input"]))
+    rows, cols = matrix.rows, matrix.cols
+    if rows * rows + rows * cols + cols * cols > SNF_BUDGET:
+        raise ResourceBudgetError(
+            f"U, A and V of a {rows}x{cols} matrix are over the budget of {SNF_BUDGET} entries"
+        )
     dec = snf(matrix)
     report = {
         "command": "snf",

@@ -1,13 +1,12 @@
 """Exact linear algebra over the integers.
 
 Everything works with Python's arbitrary-precision ints; there is no floating
-point. Products use machine-width fields only under a proven bound on every
-output entry (packed rows, see IntMatrix.__matmul__) and are otherwise exact
-big-int loops. Matrices are immutable value objects, and zero-dimensional
-matrices (0 rows or 0 columns) are legal inputs everywhere. IntMatrix is
-dense and does the arithmetic; SparseMatrix holds the differentials of
-chain complexes as columns {row: nonzero}, and its dense entries view is
-built on each read, for tests and tracing.
+point, and a product is one loop over the nonzeros of both factors. Matrices
+are immutable value objects, and zero-dimensional matrices (0 rows or 0
+columns) are legal inputs everywhere. IntMatrix is dense and does the
+arithmetic; SparseMatrix holds the differentials of chain complexes as
+columns {row: nonzero}, and its dense entries view is built on each read,
+for tests and tracing.
 
 Conventions:
   * matrices act on column vectors, so a matrix with r rows and c columns is
@@ -42,11 +41,8 @@ and grouphom.tensor_gmodule's diagonal actions.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -94,45 +90,6 @@ def _decimal_to_int(text: str) -> int:
     k = len(digits) // 2
     value = _decimal_to_int(digits[:-k]) * 10**k + _decimal_to_int(digits[-k:])
     return -value if body[0] == "-" else value
-
-
-# Signed machine fields for packed products, narrowest first; the widths are
-# whatever the platform gives these array codes (32 and 64 bits in practice).
-_FIELDS = tuple((code, array(code).itemsize * 8) for code in ("i", "q"))
-
-
-def _field_code(bound: int) -> Optional[str]:
-    """The narrowest array code whose signed field holds every integer of
-    absolute value at most `bound`, or None when no field does."""
-    bits = bound.bit_length() + 1  # the sign bit
-    for code, width in _FIELDS:
-        if bits <= width:
-            return code
-    return None
-
-
-def _packed_matmul(a: "IntMatrix", b: "IntMatrix", code: str) -> "IntMatrix":
-    """a @ b by Kronecker substitution: row k of b becomes the integer
-    P_k = sum_j b_kj * 2^(w*j), so row i of the product is the single big-int
-    sum over k of a_ik * P_k, and CPython's C arithmetic does a whole row of
-    multiply-adds at once. The caller proves every output entry fits a signed
-    w-bit field, so no field carries into the next."""
-    width = array(code).itemsize * 8
-    nbytes = b.cols * (width // 8)
-    order = sys.byteorder
-    # 2^(w-1) in every field: XOR-ing it and subtracting it turns the
-    # two's-complement fields array() writes into signed digits, and adding
-    # it and XOR-ing it turns signed digits back.
-    bias = (((1 << (width * b.cols)) - 1) // ((1 << width) - 1)) << (width - 1)
-    packed = [
-        (int.from_bytes(array(code, row).tobytes(), order) ^ bias) - bias
-        for row in b.entries
-    ]
-    rows = []
-    for arow in a.entries:
-        acc = sum(map(mul, compress(arow, arow), compress(packed, arow)))
-        rows.append(tuple(array(code, ((acc + bias) ^ bias).to_bytes(nbytes, order))))
-    return IntMatrix(a.rows, b.cols, tuple(rows))
 
 
 def _kron(a: "IntMatrix", b: "IntMatrix") -> "IntMatrix":
@@ -240,24 +197,6 @@ class IntMatrix:
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
         rows, inner, cols = self.rows, other.rows, other.cols
-        # The loop below does one multiply-add per nonzero a_ik and nonzero
-        # b_kj, `work` in all. The packed route costs about one field operation
-        # per output entry and per entry of B, so it pays only when `work` is
-        # well above that; it is exact only while every output entry fits a
-        # signed field, and |c_ij| <= sum_k |a_ik| * max|b| proves it. Sparse
-        # factors fail the first test, and products with Smith transforms,
-        # whose entries run to thousands of bits, the second. As work <=
-        # rows * inner * cols, small products skip the count.
-        if rows * inner > 4 * (rows + inner):
-            nnz = [cols - row.count(0) for row in other.entries]
-            work = sum(chain.from_iterable(map(compress, repeat(nnz), self.entries)))
-            if work > 4 * (rows * cols + inner * cols):
-                bound = max(sum(map(abs, row)) for row in self.entries) * max(
-                    max(map(abs, row)) for row in other.entries
-                )
-                code = _field_code(bound)
-                if code is not None:
-                    return _packed_matmul(self, other, code)
         # Row-sparse view of the right factor, whose zeros compress skips in C
         b_columns = range(cols)
         sparse_rows = [[(j, row[j]) for j in compress(b_columns, row)] for row in other.entries]

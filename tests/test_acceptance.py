@@ -6,6 +6,7 @@ assertion is exact (integer equality / group isomorphism by canonical
 form). The whole module runs in well under five minutes.
 """
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -191,6 +192,9 @@ def test_criterion_8_four_term_checks():
     assert _report(8, "4-term sequence checks", ok)
 
 
+_VERIFY_ALL_SHA256 = "62a87e27e3cb8da86201dc7d172616d1f2db0ffc61ab740bf3f4da330ebfa22d"
+
+
 def test_criterion_9_determinism(tmp_path):
     argv = ["verify", "all", "--seed", "42", "--format", "json"]
     first = tmp_path / "first.json"
@@ -199,5 +203,8 @@ def test_criterion_9_determinism(tmp_path):
     code2 = main(argv + ["--output", str(second)])
     identical = first.read_bytes() == second.read_bytes()
     passed = json.loads(first.read_text())["passed"]
-    ok = code1 == 0 and code2 == 0 and identical and passed
+    # the bytes are pinned too, so a change that keeps both runs equal but
+    # moves the report (a new draw, a reordered case) is caught
+    pinned = hashlib.sha256(first.read_bytes()).hexdigest() == _VERIFY_ALL_SHA256
+    ok = code1 == 0 and code2 == 0 and identical and passed and pinned
     assert _report(9, "deterministic verify reports", ok, "byte-identical")

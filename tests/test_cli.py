@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -127,6 +128,27 @@ def test_run_snf_malformed(tmp_path):
     assert json.loads(text)["error"] == "input"
     code, _ = run(JobSpec("snf", {"input": str(tmp_path / "missing.json")}))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [{"rows": 0, "cols": 2**63, "entries": []}, {"rows": 2000, "cols": 0, "entries": [[]] * 2000}],
+    ids=["0x2^63", "2000x0"],
+)
+def test_run_snf_budget(tmp_path, matrix):
+    # a 0 x c input has a c x c V and an r x 0 input an r x r U, so both
+    # are refused before snf allocates either
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    tracemalloc.start()
+    try:
+        code, text = run(JobSpec("snf", {"input": str(path)}, output_format="json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert json.loads(text)["error"] == "budget"
+    assert peak < 2**20, peak
 
 
 def test_run_snf_boolean_dimensions(tmp_path):

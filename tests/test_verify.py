@@ -64,6 +64,38 @@ def test_contraction_naturality_catches_a_wrong_sym(monkeypatch):
     assert any(f.startswith("divided-power contraction naturality failed") for f in failures)
 
 
+def test_composition_catches_a_wrong_tensor_power(monkeypatch):
+    # the tensor composites are checked by mode products, not by __matmul__;
+    # an off-by-one tensor power must still fail them
+    real = powers._tensor_induced
+
+    def off_by_one(n, m):
+        out = real(n, m)
+        if n < 2 or not out.rows or not out.cols:
+            return out
+        rows = [list(row) for row in out.entries]
+        rows[0][0] += 1
+        return IntMatrix.from_rows(rows, cols=out.cols)
+
+    monkeypatch.setattr(powers, "_tensor_induced", off_by_one)
+    failures = run_functoriality(42)["failures"]
+    composition = [f for f in failures if f.startswith("composition failed")]
+    assert composition and all(", tensor^" in f for f in composition)
+
+
+def test_mode_products_match_the_plain_product():
+    # x is random, not a Kronecker power, so this checks the helper on
+    # every input the composites could give it
+    rng = random.Random("verify-mode-products")
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        r1, r2 = rng.randint(1, 4), rng.randint(1, 4)
+        a = verify.random_matrix(rng, r1, r2)
+        x = verify.random_matrix(rng, r2**n, rng.randint(1, 6), -9, 9)
+        power = powers.induced_map(powers.FunctorKind(powers.PowerKind.TENSOR, n), a)
+        assert verify._mode_products(a, n, x) == power @ x
+
+
 def test_determinant_check_catches_a_wrong_ext_sign(monkeypatch):
     # the top exterior power comes from the multiplication table and det
     # from Bareiss elimination, so one flipped sign of e_1 ^ e_0 in the
