@@ -100,15 +100,13 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def canonical_form(presentation: IntMatrix) -> FgAbGroup:
+def canonical_form(presentation: IntMatrix | SparseMatrix) -> FgAbGroup:
     """The cokernel Z^rows / (column span of the presentation matrix).
 
-    This is H_0 of the two-term complex Z^rows <- Z^cols, so it is read off
-    one reduction like every other homology group.
+    This is H_0 of the two-term complex Z^rows <- Z^cols, given dense or
+    sparse, so it is read off one reduction like every other homology group.
     """
-    return _reduced_homologies(
-        (presentation.rows, presentation.cols), (SparseMatrix.from_dense(presentation),)
-    )[0]
+    return homologies(ChainComplex(0, (presentation.rows, presentation.cols), (presentation,)))[0]
 
 
 def from_cyclic_orders(orders: Sequence[int]) -> FgAbGroup:

@@ -6,7 +6,9 @@ Homology comes from the 2-periodic resolution when the group is cyclic and
 from the normalized bar complex otherwise: its words have no identity
 letter, so degree k has (|G| - 1)^k of them instead of |G|^k, and a face
 that merges two letters into the identity is degenerate and dropped. Each
-differential it builds must fit a configurable entry budget. The Magnus
+differential it builds must fit a configurable entry budget. Coinvariants,
+H_1 of the free group and the periodic route's t - 1 all read the sparse
+columns of [rho(g_1) - 1 | rho(g_2) - 1 | ...] from one writer. The Magnus
 embedding realizes the relation module of a finite presentation as an
 explicit kernel lattice inside Z[G]^generators, with Fox derivatives giving
 the words' images there.
@@ -451,14 +453,17 @@ def tensor_gmodule(a: GModuleFree, b: GModuleFree) -> GModuleFree:
     return GModuleFree._valid_by_construction(a.group, a.rank * b.rank, actions)
 
 
-def tensor_power_gmodule(a: GModuleFree, n: int) -> GModuleFree:
-    """n-fold diagonal tensor power; n = 0 gives the rank-1 trivial module."""
-    if n < 0:
-        raise InputError("tensor power degree must be nonnegative")
-    out = GModuleFree.trivial(a.group, 1)
-    for _ in range(n):
-        out = tensor_gmodule(out, a)
-    return out
+def _minus_one(m: GModuleFree, elements: Sequence[int]) -> SparseMatrix:
+    """The sparse columns of [rho(g_1) - 1 | rho(g_2) - 1 | ...], rows
+    ascending; no elements give a rank x 0 matrix, a legal presentation."""
+    every = range(m.rank)
+    columns = []
+    for g in elements:
+        for j, col in enumerate(zip(*m.action[g].entries)):
+            col = list(col)
+            col[j] -= 1
+            columns.append({i: col[i] for i in itertools.compress(every, col)})
+    return SparseMatrix._unchecked(m.rank, len(columns), tuple(columns))
 
 
 def coinvariants(m: GModuleFree) -> FgAbGroup:
@@ -468,11 +473,7 @@ def coinvariants(m: GModuleFree) -> FgAbGroup:
     the group's generating set already span every gm - m (Brown, Cohomology
     of Groups, II.2), so only those blocks are stacked.
     """
-    ident = IntMatrix.identity(m.rank)
-    blocks = [m.action[s] - ident for s in m.group.generating_set]
-    if not blocks:
-        return FgAbGroup(m.rank)
-    return canonical_form(hstack(blocks))
+    return canonical_form(_minus_one(m, m.group.generating_set))
 
 
 def h1_free(pres: FpGroupPresentation, n: GModuleFree) -> FgAbGroup:
@@ -483,11 +484,7 @@ def h1_free(pres: FpGroupPresentation, n: GModuleFree) -> FgAbGroup:
     """
     if n.group != pres.target:
         raise InputError("coefficient module must live over the presentation's group")
-    if not pres.generators:
-        return FgAbGroup(0)
-    ident = IntMatrix.identity(n.rank)
-    blocks = [n.action[pres.assignment[s]] - ident for s in range(len(pres.generators))]
-    stacked = hstack(blocks)
+    stacked = _minus_one(n, pres.assignment)
     return homologies(ChainComplex(0, (stacked.rows, stacked.cols), (stacked,)))[1]
 
 
@@ -505,7 +502,7 @@ def homology_cyclic(coeff: GModuleFree, i: int) -> FgAbGroup:
     t = coeff.group.generator()
     if t is None:
         raise InputError("the periodic resolution needs a cyclic group")
-    t_minus_1 = coeff.action[t] - IntMatrix.identity(coeff.rank)
+    t_minus_1 = _minus_one(coeff, (t,))
     if i == 0:
         return canonical_form(t_minus_1)
     norm = coeff.action[0]
@@ -656,11 +653,14 @@ def four_term_report(
 ) -> FourTermReport:
     """Compute the four groups of the degree-n sequence and check them.
 
-    Before any module is built, n (the tensor loop runs n - 1 times) and
-    the entry count of B's coinvariant matrix, rank_B x |S|*rank_B for the
-    group's generating set S, must be at most budget; rank_B = rank_R^n *
-    rank_M with rank_R = |G|*gens - |G| + 1 is computed capped just above
-    the budget. homology_bar budgets the bar differentials of A and D.
+    C's module R (x) (... (x) (R (x) M)) takes n - 1 tensor steps onto M and
+    B's module R (x) C one more; the Kronecker product is associative, so
+    these are the actions of R^(x)(n-1) (x) M and R^(x)n (x) M. Before any
+    module is built, n and the entry count of B's coinvariant matrix,
+    rank_B x |S|*rank_B for the group's generating set S, must be at most
+    budget; rank_B = rank_R^n * rank_M with rank_R = |G|*gens - |G| + 1 is
+    computed capped just above the budget. homology_bar budgets the bar
+    differentials of A and D.
     """
     if n < 1:
         raise InputError("the sequence degree n must be at least 1")
@@ -681,9 +681,9 @@ def four_term_report(
             size = f"is {rank_b}x{blocks * rank_b} = {entries} entries"
         raise ResourceBudgetError(f"coinvariant matrix of R^(x){n} (x) M {size}, budget is {budget}")
     relation = magnus_sequence(pres).relation_module
-    c_coeff = tensor_gmodule(tensor_power_gmodule(relation, n - 1), coeff)
-    # R (x) (R^(n-1) (x) M) has the actions of R^n (x) M: the Kronecker
-    # product is associative
+    c_coeff = coeff
+    for _ in range(n - 1):
+        c_coeff = tensor_gmodule(relation, c_coeff)
     b_coeff = tensor_gmodule(relation, c_coeff)
     a = group_homology(coeff, 2 * n, budget=budget)
     b = coinvariants(b_coeff)

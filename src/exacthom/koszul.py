@@ -1,7 +1,9 @@
 """Koszul-type complexes computing left derived power functors.
 
 A finitely generated abelian group A is presented by an injective map
-iota: H -> F of free Z-modules with cokernel A. For each power functor and
+iota: H -> F of free Z-modules with cokernel A, held as SparseMatrix
+columns; a padded presentation writes only each column's nonzeros, at most
+3 per column of the standard padding. For each power functor and
 degree n this module builds a complex of free modules concentrated in
 degrees 0..n whose homology gives the derived functors L_i of the functor
 evaluated on A, independent of the chosen presentation:
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 from .abelian import ChainComplex, FgAbGroup, _tensor_product, from_cyclic_orders, homologies
 from .errors import InputError, InvariantViolation, ResourceBudgetError, UnsupportedFunctorError
-from .linalg import IntMatrix, SparseMatrix
+from .linalg import SparseMatrix
 from .powers import FunctorKind, PowerKind, _mult_table, _times, basis, div_contract
 
 __all__ = [
@@ -51,12 +53,14 @@ class PresentationPair:
     """An injective map of free modules iota: Z^h_rank -> Z^f_rank.
 
     The inclusion matrix is f_rank x h_rank and must have full column rank,
-    so the cokernel is the group being presented.
+    so the cokernel is the group being presented. It may be given dense or
+    sparse; the two-term complex that checks it converts a dense one once,
+    and its SparseMatrix columns are what the builders read.
     """
 
     h_rank: int
     f_rank: int
-    inclusion: IntMatrix
+    inclusion: SparseMatrix
 
     def __post_init__(self) -> None:
         if self.inclusion.rows != self.f_rank or self.inclusion.cols != self.h_rank:
@@ -66,6 +70,7 @@ class PresentationPair:
             )
         # one reduction of F <- H gives the kernel (H_1) and the cokernel (H_0)
         two_term = ChainComplex(0, (self.f_rank, self.h_rank), (self.inclusion,))
+        object.__setattr__(self, "inclusion", two_term.differentials[0])
         cokernel, kernel = homologies(two_term)
         if not kernel.is_trivial():
             raise InputError("inclusion must be injective (full column rank)")
@@ -84,22 +89,17 @@ def _padded_ranks(a: FgAbGroup, padding: int) -> tuple[int, int]:
     return t + padding, t + a.free_rank + padding
 
 
-def _padded(a: FgAbGroup, padding: int, coefficient: Callable[[int], int]) -> PresentationPair:
+def _padded(a: FgAbGroup, padding: int, earlier: Callable[[int], dict[int, int]]) -> PresentationPair:
     """The minimal presentation of a plus padding redundant generators g, each
-    with the relation g + sum of coefficient(old) * old over earlier ones."""
+    with the relation g + sum of c * old over the nonzeros {old: c} that
+    earlier(g) lists, rows ascending, among the generators before g."""
     h, f = _padded_ranks(a, padding)
-    t = len(a.invariant_factors)
-    f0 = f - padding
-    grid = [[0] * h for _ in range(f)]
-    for i, d in enumerate(a.invariant_factors):
-        grid[i][i] = d
-    for k in range(padding):
-        new_gen = f0 + k
-        col = t + k
-        grid[new_gen][col] = 1
-        for old in range(new_gen):
-            grid[old][col] = coefficient(old)
-    return PresentationPair(h, f, IntMatrix.from_rows(grid, cols=h))
+    columns = [{i: d} for i, d in enumerate(a.invariant_factors)]
+    for new_gen in range(f - padding, f):
+        column = earlier(new_gen)
+        column[new_gen] = 1
+        columns.append(column)
+    return PresentationPair(h, f, SparseMatrix._unchecked(f, h, tuple(columns)))
 
 
 def presentation_from_group(a: FgAbGroup, padding: int = 0) -> PresentationPair:
@@ -111,7 +111,7 @@ def presentation_from_group(a: FgAbGroup, padding: int = 0) -> PresentationPair:
     the relation g - (e_0 + e_1) (or g - e_0 when only one earlier generator
     exists, or g alone when none does); the cokernel is unchanged.
     """
-    return _padded(a, padding, lambda old: -1 if old < 2 else 0)
+    return _padded(a, padding, lambda gen: dict.fromkeys(range(min(gen, 2)), -1))
 
 
 def random_padded_presentation(
@@ -123,7 +123,8 @@ def random_padded_presentation(
     earlier generators, coefficients in [-2, 2]); by Tietze elimination the
     cokernel is the group a for every choice.
     """
-    return _padded(a, padding, lambda old: -rng.randint(-2, 2))
+    # one draw per earlier generator in order, zeros included, as the seeds expect
+    return _padded(a, padding, lambda g: {old: c for old in range(g) if (c := -rng.randint(-2, 2))})
 
 
 def _power_rank(kind: PowerKind, k: int, r: int) -> int:
@@ -148,8 +149,8 @@ def _koszul(
     if n < 1:
         raise InputError("functor degree must be at least 1")
     h, f = p.h_rank, p.f_rank
-    # images[gen]: the nonzero terms (i, c) of iota(e_gen)
-    images = [[(i, c) for i, c in enumerate(col) if c] for col in p.inclusion.transpose().entries]
+    # images[gen]: the nonzero terms (i, c) of iota(e_gen), i ascending
+    images = [sorted(col.items()) for col in p.inclusion.columns]
     right_ranks = [_power_rank(right_kind, k, f) for k in range(n + 1)]
     ranks = [_power_rank(left_kind, k, h) * right_ranks[n - k] for k in range(n + 1)]
 
@@ -224,7 +225,7 @@ def tensor_complex(p: PresentationPair, n: int) -> ChainComplex:
     """
     if n < 1:
         raise InputError("functor degree must be at least 1")
-    two_term = ((p.f_rank, p.h_rank), (SparseMatrix.from_dense(p.inclusion),))
+    two_term = ((p.f_rank, p.h_rank), (p.inclusion,))
     ranks, diffs = two_term
     for _ in range(n - 1):
         ranks, diffs = _tensor_product(ranks, diffs, *two_term)

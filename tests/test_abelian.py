@@ -80,6 +80,9 @@ def test_canonical_form_frozen():
     assert canonical_form(IntMatrix.zeros(2, 0)) == FgAbGroup(2)
     assert canonical_form(IntMatrix.from_rows([[2, 0], [0, 0]])) == FgAbGroup(1, (2,))
     assert canonical_form(IntMatrix.from_rows([[2, 4], [6, 8]])) == FgAbGroup(0, (2, 4))
+    # the same matrices given as sparse columns
+    assert canonical_form(SparseMatrix(2, 2, ({0: 2, 1: 6}, {0: 4, 1: 8}))) == FgAbGroup(0, (2, 4))
+    assert canonical_form(SparseMatrix(2, 0, ())) == FgAbGroup(2)
 
 
 def test_from_cyclic_orders():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -23,7 +24,6 @@ from exacthom.grouphom import (
     homology_cyclic,
     magnus_sequence,
     tensor_gmodule,
-    tensor_power_gmodule,
 )
 from exacthom.linalg import IntMatrix, hstack, smith_diagonal
 from exacthom.presets import PRESET_NAMES, load_preset
@@ -32,6 +32,13 @@ Z2 = FiniteGroupTable.cyclic(2)
 Z3 = FiniteGroupTable.cyclic(3)
 Z4 = FiniteGroupTable.cyclic(4)
 V4 = FiniteGroupTable.direct_product(Z2, Z2)
+
+
+def _fold(m, n, onto):
+    """m (x) (... (x) (m (x) onto)): n tensor_gmodule steps onto a module."""
+    for _ in range(n):
+        onto = tensor_gmodule(m, onto)
+    return onto
 
 
 def test_table_validation():
@@ -120,7 +127,7 @@ def test_built_modules_pass_the_full_check(preset):
         relation = magnus_sequence(pres).relation_module
         built = [relation]
         for coeff in (GModuleFree.trivial(pres.target, 1), augmentation_ideal(pres.target)):
-            built += [tensor_gmodule(tensor_power_gmodule(relation, n), coeff) for n in range(3)]
+            built += [_fold(relation, n, coeff) for n in range(3)]
         for m in built:
             assert GModuleFree(m.group, m.rank, m.action) == m
 
@@ -141,7 +148,6 @@ def test_tensor_gmodule():
     sq = tensor_gmodule(zg, zg)
     assert sq.rank == 4
     assert coinvariants(sq) == FgAbGroup(2)  # ZG (x) ZG = ZG^2 as a G-module
-    assert tensor_power_gmodule(zg, 0).rank == 1
     with pytest.raises(InputError):
         tensor_gmodule(zg, group_ring(Z3))
 
@@ -255,15 +261,17 @@ _PRESENTATIONS = {
     },
     "S3": _s3_presentation,
     "Z6-relabelled": _relabelled_z6_presentation,
+    "trivial-no-generators": lambda: FpGroupPresentation((), (), FiniteGroupTable.cyclic(1), ()),
 }
 
 _MODULES = {
     "trivial": lambda pres: GModuleFree.trivial(pres.target, 1),
     "regular": lambda pres: group_ring(pres.target),
     "augmentation": lambda pres: augmentation_ideal(pres.target),
-    "relation-squared": lambda pres: tensor_power_gmodule(
-        magnus_sequence(pres).relation_module, 2
+    "relation-squared": lambda pres: _fold(
+        magnus_sequence(pres).relation_module, 2, GModuleFree.trivial(pres.target, 1)
     ),
+    "rank-0": lambda pres: GModuleFree.trivial(pres.target, 0),
 }
 
 
@@ -278,12 +286,15 @@ def test_coinvariants_and_h1_match_all_elements_oracle(group, module):
     pres = _PRESENTATIONS[group]()
     m = _MODULES[module](pres)
     ident = IntMatrix.identity(m.rank)
-    # coinvariants: the old route stacked g - 1 for every g != 1
-    every = [m.action[g] - ident for g in range(1, m.group.order)]
-    assert len(m.group.generating_set) <= len(every)
+    # coinvariants: the old route stacked g - 1 for every g != 1; the zero
+    # block of g = 1 keeps the stack nonempty for the trivial group
+    every = [m.action[g] - ident for g in range(m.group.order)]
+    assert len(m.group.generating_set) < len(every)
     assert coinvariants(m) == _smith_cokernel(hstack(every))
-    # h1_free: the kernel rank from one dense Smith diagonal
-    stacked = hstack([m.action[g] - ident for g in pres.assignment])
+    # h1_free: the kernel rank from one dense Smith diagonal; with no
+    # generators the map Z^0 -> M has kernel 0
+    blocks = [m.action[g] - ident for g in pres.assignment]
+    stacked = hstack(blocks) if blocks else IntMatrix.zeros(m.rank, 0)
     kernel_rank = stacked.cols - sum(1 for x in smith_diagonal(stacked) if x)
     assert h1_free(pres, m) == FgAbGroup(kernel_rank)
 
@@ -471,19 +482,17 @@ def test_four_term_budget():
 
 
 def test_four_term_middle_module_matches_tensor_power():
-    # four_term_report builds R^n (x) M as R (x) (R^(n-1) (x) M); by the
+    # four_term_report builds R^n (x) M as R (x) (... (x) (R (x) M)); by the
     # associativity of the Kronecker product the actions, and so B, are those
-    # of the plain tensor power
+    # of the plain tensor power (R (x) ... (x) R) (x) M
     for name in PRESET_NAMES:
         preset = load_preset(name)
         coeff = GModuleFree.trivial(preset.table, 1)
         for pres in preset.presentations:
             relation = magnus_sequence(pres).relation_module
             for n in (1, 2):
-                plain = tensor_gmodule(tensor_power_gmodule(relation, n), coeff)
-                nested = tensor_gmodule(
-                    relation, tensor_gmodule(tensor_power_gmodule(relation, n - 1), coeff)
-                )
+                plain = tensor_gmodule(functools.reduce(tensor_gmodule, [relation] * n), coeff)
+                nested = _fold(relation, n, coeff)
                 assert nested.action == plain.action
                 assert four_term_report(pres, coeff, n).b == coinvariants(plain)
 
@@ -494,3 +503,11 @@ def test_trivial_group_presentation():
     ms = magnus_sequence(pres)
     assert ms.relation_module.rank == 1
     assert four_term_report(pres, GModuleFree.trivial(one, 1), 1).passed
+    # no generators at all: R = 0, C = H_1(F, M) = 0 and B = 0
+    bare = FpGroupPresentation((), (), one, ())
+    assert magnus_sequence(bare).relation_module.rank == 0
+    assert h1_free(bare, GModuleFree.trivial(one, 1)) == FgAbGroup(0)
+    for n in (1, 2):
+        report = four_term_report(bare, GModuleFree.trivial(one, 1), n)
+        assert report.passed
+        assert all(x.is_trivial() for x in (report.a, report.b, report.c, report.d))
