@@ -542,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BAR_BUDGET,
-        help="max entries (rows*cols) of each normalized bar differential, "
+        help="max entries (rows*cols) of each normalized bar differential (bar, both) "
+        "or of the relation-module coinvariant matrix (auto on a non-cyclic group), "
         "and max number of degrees",
     )
 

@@ -3,15 +3,20 @@
 A group is a validated multiplication table with the identity at index 0.
 Modules are free Z-modules with one integer action matrix per element.
 Homology comes from the 2-periodic resolution when the group is cyclic and
-from the normalized bar complex otherwise: its words have no identity
-letter, so degree k has (|G| - 1)^k of them instead of |G|^k, and a face
-that merges two letters into the identity is degenerate and dropped. Each
-differential it builds must fit a configurable entry budget. Coinvariants,
-H_1 of the free group and the periodic route's t - 1 all read the sparse
-columns of [rho(g_1) - 1 | rho(g_2) - 1 | ...] from one writer. The Magnus
-embedding realizes the relation module of a finite presentation as an
-explicit kernel lattice inside Z[G]^generators, with Fox derivatives giving
-the words' images there.
+otherwise from the relation-module sequence
+0 -> H_2n -> (R^(x)n (x) M)_G -> H_1(F, R^(x)(n-1) (x) M) -> H_(2n-1) -> 0
+of the table's generating set, whose middle map is built as one sparse
+four-term complex (homology_four_term). The normalized bar complex stays
+as an explicit route: its words have no identity letter, so degree k has
+(|G| - 1)^k of them instead of |G|^k, and a face that merges two letters
+into the identity is degenerate and dropped. Every route checks a
+configurable entry budget before it builds anything. Coinvariants, H_1 of
+the free group and the periodic route's t - 1 all read the sparse columns
+of [rho(g_1) - 1 | rho(g_2) - 1 | ...] from one writer, and the
+coinvariant relations of a tensor product come from a second one that
+forms no Kronecker product. The Magnus embedding realizes the relation
+module of a finite presentation as an explicit kernel lattice inside
+Z[G]^generators, with Fox derivatives giving the words' images there.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .abelian import ChainComplex, FgAbGroup, canonical_form, homologies, homology_at
+from .abelian import ChainComplex, FgAbGroup, canonical_form, homologies, homology, homology_at
 from .errors import InputError, InvariantViolation, ResourceBudgetError
 from .koszul import _capped_power, _capped_product
 from .linalg import IntMatrix, SparseMatrix, _kron, hstack, kernel_basis, solve
@@ -40,6 +45,7 @@ __all__ = [
     "h1_free",
     "homology_cyclic",
     "homology_bar",
+    "homology_four_term",
     "group_homology",
     "FourTermReport",
     "four_term_report",
@@ -466,6 +472,33 @@ def _minus_one(m: GModuleFree, elements: Sequence[int]) -> SparseMatrix:
     return SparseMatrix._unchecked(m.rank, len(columns), tuple(columns))
 
 
+def _sparse_columns(m: IntMatrix) -> list[list[tuple[int, int]]]:
+    """The (row, nonzero) pairs of each column of m, rows ascending."""
+    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.entries)]
+
+
+def _tensor_minus_one(a: GModuleFree, b: GModuleFree, elements: Sequence[int]) -> SparseMatrix:
+    """_minus_one(tensor_gmodule(a, b), elements) without a Kronecker
+    product: column (j, t) of block g, index j * b.rank + t, is the outer
+    product of column j of rho_a(g) and column t of rho_b(g), minus
+    e_(j, t), so only the actions of the listed elements are read."""
+    rb = b.rank
+    columns = []
+    for g in elements:
+        b_cols = _sparse_columns(b.action[g])
+        for j, a_col in enumerate(_sparse_columns(a.action[g])):
+            for t, b_col in enumerate(b_cols):
+                col = {i * rb + u: x * y for i, x in a_col for u, y in b_col}
+                diag = j * rb + t
+                v = col.get(diag, 0) - 1
+                if v:
+                    col[diag] = v
+                else:
+                    del col[diag]
+                columns.append(col)
+    return SparseMatrix._unchecked(a.rank * rb, len(columns), tuple(columns))
+
+
 def coinvariants(m: GModuleFree) -> FgAbGroup:
     """H_0(G, M): the quotient of M by all gm - m.
 
@@ -601,22 +634,125 @@ def homology_bar(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -
     return homology_at(d_in=d_in, d_out=d_out)
 
 
+def _check_sequence_budget(rank_r: int, rank_m: int, n: int, blocks: int, budget: int) -> None:
+    """ResourceBudgetError unless n and the coinvariant matrix of
+    B = R^(x)n (x) M fit the budget: rank_B x blocks*rank_B entries, with
+    rank_B = rank_R^n * rank_M computed capped just above the budget and
+    blocks, the size of the group's generating set, counted as at least 1."""
+    if n > budget:
+        raise ResourceBudgetError(f"the sequence degree n is over the budget of {budget}")
+    cap = budget + 1
+    rank_b = _capped_product((_capped_power(rank_r, n, cap), rank_m), cap)
+    blocks = max(blocks, 1)
+    entries = rank_b * rank_b * blocks
+    if entries > budget:
+        size = f"has over {budget} rows"
+        if rank_b < cap:
+            size = f"is {rank_b}x{blocks * rank_b} = {entries} entries"
+        raise ResourceBudgetError(f"coinvariant matrix of R^(x){n} (x) M {size}, budget is {budget}")
+
+
+def _middle_module(relation: GModuleFree, coeff: GModuleFree, n: int) -> GModuleFree:
+    """N = R^(x)(n-1) (x) M, built as R (x) (... (x) (R (x) M)) by n - 1
+    tensor steps onto M; the Kronecker product is associative, so these are
+    the actions of the plain tensor power."""
+    for _ in range(n - 1):
+        coeff = tensor_gmodule(relation, coeff)
+    return coeff
+
+
+def _sequence_complex(
+    pres: FpGroupPresentation, ms: MagnusSequence, module: GModuleFree
+) -> ChainComplex:
+    """The middle map phi: B -> C of the sequence with N = module, as the
+    complex N <-delta- N^d <-Phi- R (x) N <-P- Z^(|S| rank_R rank_N).
+
+    d is the number of generators, pi the assignment, K the Magnus
+    inclusion (row s*|G| + g is the basis element g (x) e_s) and S the
+    group's generating set. delta's block s is rho_N(pi(s)^-1) - 1; its
+    kernel is C = H_1(F, N) in the coordinates of Gruenberg ("Resolutions
+    by relations", J. London Math. Soc. 35, 1960). Phi, R index major,
+    sends r_j (x) x to sum_(s, g) K[s*|G| + g, j] e_s (x) rho_N(g^-1) x:
+    K (x) 1 followed by the untwisting (ZG^d (x) N)_G = N^d,
+    (g e_s) (x) x -> e_s (x) g^-1 x. P stacks rho_R(s) (x) rho_N(s) - 1
+    over S, so coker P = B. The complex's d(d(x)) = 0 check proves
+    delta Phi = 0, so Phi lands in C, and Phi P = 0, so phi is well defined
+    on B. Then ker phi is the homology at R (x) N and coker phi at N^d.
+    """
+    table = module.group
+    order, rn = table.order, module.rank
+    gens = len(pres.assignment)
+    relation = ms.relation_module
+    delta = _minus_one(module, [table.inverse[s] for s in pres.assignment])
+    untwist = [_sparse_columns(module.action[table.inverse[g]]) for g in range(order)]
+    k = ms.inclusion.entries
+    columns = []
+    for j in range(relation.rank):
+        terms = [
+            (s * rn, untwist[g], x)
+            for s in range(gens)
+            for g in range(order)
+            if (x := k[s * order + g][j])
+        ]
+        for t in range(rn):
+            col: dict[int, int] = {}
+            for base, cols, x in terms:
+                for u, y in cols[t]:
+                    col[base + u] = col.get(base + u, 0) + x * y
+            columns.append({i: v for i, v in col.items() if v})
+    phi = SparseMatrix._unchecked(gens * rn, len(columns), tuple(columns))
+    p = _tensor_minus_one(relation, module, table.generating_set)
+    return ChainComplex(0, (rn, phi.rows, phi.cols, p.cols), (delta, phi, p))
+
+
+def homology_four_term(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:
+    """H_i(G, coeff) from the relation-module sequence.
+
+    The presentation takes the group's generating set S as its generators,
+    pi(s) = s, and no relators: sigma and its kernel R depend only on the
+    generators' images. H_0 is the coinvariants of coeff. For i = 2n - 1
+    and i = 2n, n >= 1, H_i is coker phi and ker phi of the degree-n
+    sequence, read off _sequence_complex. Before anything is built, n and
+    B's coinvariant matrix, rank_B x |S|*rank_B with rank_B =
+    rank_R^n * rank_M and rank_R = |G|*|S| - |G| + 1, must fit the budget
+    (n = 0 for H_0, whose B is M).
+    """
+    if i < 0:
+        raise InputError("homology degree must be nonnegative")
+    table = coeff.group
+    gens = table.generating_set
+    n = (i + 1) // 2
+    _check_sequence_budget(table.order * (len(gens) - 1) + 1, coeff.rank, n, len(gens), budget)
+    if i == 0:
+        return coinvariants(coeff)
+    letters = tuple(chr(ord("a") + k) for k in range(len(gens)))
+    pres = FpGroupPresentation(letters, (), table, gens)
+    ms = magnus_sequence(pres)
+    c = _sequence_complex(pres, ms, _middle_module(ms.relation_module, coeff, n))
+    return homology(c, 2 - i % 2)
+
+
 def group_homology(
     coeff: GModuleFree,
     i: int,
     method: str = "auto",
     budget: int = DEFAULT_BAR_BUDGET,
 ) -> FgAbGroup:
-    """H_i(G, coeff), choosing the periodic or bar route.
+    """H_i(G, coeff), choosing the periodic, four-term or bar route.
 
-    method "periodic" requires a cyclic group, "bar" forces the bar complex,
-    and "auto" uses the periodic resolution whenever the group is cyclic.
+    method "periodic" requires a cyclic group and "bar" forces the bar
+    complex. "auto" uses the periodic resolution whenever the group is
+    cyclic and the relation-module sequence (homology_four_term) otherwise;
+    budget then caps B's coinvariant matrix instead of the bar
+    differentials.
     """
     if method not in ("auto", "periodic", "bar"):
         raise InputError(f"unknown homology method {method!r}")
-    if method == "periodic" or (method == "auto" and coeff.group.is_cyclic()):
+    if method == "bar":
+        return homology_bar(coeff, i, budget=budget)
+    if method == "periodic" or coeff.group.is_cyclic():
         return homology_cyclic(coeff, i)
-    return homology_bar(coeff, i, budget=budget)
+    return homology_four_term(coeff, i, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -627,8 +763,8 @@ class FourTermReport:
     B = H_0(G, R^(x)n (x) M), C = H_1(F, R^(x)(n-1) (x) M), D = H_{2n-1}(G, M),
     where R is the relation module of the presentation. Exactness forces the
     alternating rank sum to vanish, the order identity |A||C| = |B||D| when
-    all four groups are finite, and A to embed into B; the middle map itself
-    is not constructed.
+    all four groups are finite, and A to embed into B. The report does not
+    use the middle map; homology_four_term builds it.
     """
 
     n: int
@@ -650,45 +786,38 @@ def four_term_report(
     coeff: GModuleFree,
     n: int,
     budget: int = DEFAULT_BAR_BUDGET,
+    *,
+    magnus: Optional[MagnusSequence] = None,
 ) -> FourTermReport:
     """Compute the four groups of the degree-n sequence and check them.
 
-    C's module R (x) (... (x) (R (x) M)) takes n - 1 tensor steps onto M and
-    B's module R (x) C one more; the Kronecker product is associative, so
-    these are the actions of R^(x)(n-1) (x) M and R^(x)n (x) M. Before any
-    module is built, n and the entry count of B's coinvariant matrix,
-    rank_B x |S|*rank_B for the group's generating set S, must be at most
-    budget; rank_B = rank_R^n * rank_M with rank_R = |G|*gens - |G| + 1 is
-    computed capped just above the budget. homology_bar budgets the bar
-    differentials of A and D.
+    With N = R^(x)(n-1) (x) M, C is H_1(F, N) and B the cokernel of the
+    coinvariant relations of R (x) N, written from R's and N's actions of
+    the group's generating set S with no Kronecker product. A and D come
+    from the periodic route on a cyclic group and from the bar route
+    otherwise, never from homology_four_term: built from the same R and N
+    as B and C, it would make the checks hold by construction. Before any
+    module is built, n and B's coinvariant matrix, rank_B x |S|*rank_B with
+    rank_B = rank_R^n * rank_M and rank_R = |G|*gens - |G| + 1, must fit the
+    budget; homology_bar budgets the bar differentials of A and D. magnus,
+    when given, must be magnus_sequence(pres), which is then not computed
+    again.
     """
     if n < 1:
         raise InputError("the sequence degree n must be at least 1")
     if coeff.group != pres.target:
         raise InputError("coefficient module must live over the presented group")
-    if n > budget:
-        raise ResourceBudgetError(f"the sequence degree n is over the budget of {budget}")
     order = pres.target.order
-    cap = budget + 1
-    rank_b = _capped_product(
-        (_capped_power(order * len(pres.generators) - order + 1, n, cap), coeff.rank), cap
-    )
-    blocks = max(len(pres.target.generating_set), 1)
-    entries = rank_b * rank_b * blocks
-    if entries > budget:
-        size = f"has over {budget} rows"
-        if rank_b < cap:
-            size = f"is {rank_b}x{blocks * rank_b} = {entries} entries"
-        raise ResourceBudgetError(f"coinvariant matrix of R^(x){n} (x) M {size}, budget is {budget}")
-    relation = magnus_sequence(pres).relation_module
-    c_coeff = coeff
-    for _ in range(n - 1):
-        c_coeff = tensor_gmodule(relation, c_coeff)
-    b_coeff = tensor_gmodule(relation, c_coeff)
-    a = group_homology(coeff, 2 * n, budget=budget)
-    b = coinvariants(b_coeff)
+    gens = pres.target.generating_set
+    rank_r = order * len(pres.generators) - order + 1
+    _check_sequence_budget(rank_r, coeff.rank, n, len(gens), budget)
+    relation = (magnus or magnus_sequence(pres)).relation_module
+    c_coeff = _middle_module(relation, coeff, n)
+    method = "periodic" if pres.target.is_cyclic() else "bar"
+    a = group_homology(coeff, 2 * n, method=method, budget=budget)
+    b = canonical_form(_tensor_minus_one(relation, c_coeff, gens))
     c = h1_free(pres, c_coeff)
-    d = group_homology(coeff, 2 * n - 1, budget=budget)
+    d = group_homology(coeff, 2 * n - 1, method=method, budget=budget)
     rank_check = a.free_rank - b.free_rank + c.free_rank - d.free_rank == 0
     orders = [x.order() for x in (a, b, c, d)]
     product_check: Optional[bool] = None

@@ -331,7 +331,7 @@ def run_four_term(
             degrees = (1, 2) if preset.table.is_cyclic() else (1,)
             for n in degrees if only_n is None else (only_n,):
                 cases += 1
-                report = four_term_report(pres, coeff, n, budget=budget)
+                report = four_term_report(pres, coeff, n, budget=budget, magnus=ms)
                 if (name, pres_idx, n) == ("Z2", 0, 1):
                     reference = report
                 quadruple = [str(report.a), str(report.b), str(report.c), str(report.d)]

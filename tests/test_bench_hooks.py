@@ -2,7 +2,8 @@
 (perfbench/tracing.py); a rename in the package must fail here, not only in
 the benchmark's own smoke test. So must a builder that derived reaches
 without passing the wrapper, which would read 0 in the koszul.build spans,
-and so must a grouphom request whose bar route drops out of the trace, a
+and so must a grouphom --method bar request whose bar route drops out of
+the trace, an auto one that falls back to the bar route, a
 kernel or solution that goes back through the Smith transforms of snf, Smith
 transforms that swell again, a derive job that needs the bounded modular
 Smith route or a dense product, sparse differentials whose dense view
@@ -51,16 +52,6 @@ assert metrics["koszul.build.calls"] == 3, metrics["koszul.build.calls"]
 # the nonzeros the dense builders wrote for these three complexes
 assert metrics["koszul.build.nnz"] == 28, metrics["koszul.build.nnz"]
 assert metrics["linalg.matmul.calls"] == 0, metrics["linalg.matmul.calls"]
-# one grouphom job through the CLI: the bar route must show in the trace
-from exacthom import cli
-tracer.begin_job("bar")
-argv = ["grouphom", "--preset", "Z2xZ2", "--degrees", "2..2", "--format", "json"]
-code, text = cli.run(cli.job_from_args(cli.build_parser().parse_args(argv)))
-assert code == 0 and '"group": "Z/2"' in text, text
-tracer.end_job(0.0)
-for name in ("cli.run", "grouphom.homology_bar"):
-    calls = tracer.stats[name][0]
-    assert calls == 1, (name, calls)
 # one kernel and one solution: the Hermite route must not reach snf
 from exacthom import linalg
 tracer.begin_job("lattice")
@@ -72,6 +63,21 @@ metrics = tracer.metrics(1)
 for name, want in (("kernel_basis", 1), ("solve", 1), ("snf", 0)):
     calls = metrics["linalg." + name + ".calls"]
     assert calls == want, (name, calls)
+# two grouphom jobs through the CLI: --method bar must show the bar route in
+# the trace, and auto on a non-cyclic group one Magnus sequence and no bar
+from exacthom import cli
+for method, bar, magnus in (("bar", 1, 0), ("auto", 0, 1)):
+    before = {{name: tracer.stats[name][0] for name in tracer.stats}}
+    tracer.begin_job(method)
+    argv = ["grouphom", "--preset", "Z2xZ2", "--degrees", "2..2", "--method", method,
+            "--format", "json"]
+    code, text = cli.run(cli.job_from_args(cli.build_parser().parse_args(argv)))
+    assert code == 0 and '"group": "Z/2"' in text, text
+    tracer.end_job(0.0)
+    wants = (("cli.run", 1), ("grouphom.homology_bar", bar), ("grouphom.magnus_sequence", magnus))
+    for name, want in wants:
+        calls = tracer.stats[name][0] - before[name]
+        assert calls == want, (method, name, calls)
 # one snf job through the CLI on a dense 8 x 8 input: U and V stay short
 rng = random.Random(1)
 rows = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)]

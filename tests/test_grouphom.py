@@ -13,6 +13,8 @@ from exacthom.grouphom import (
     FpGroupPresentation,
     GModuleFree,
     _bar_differential,
+    _minus_one,
+    _tensor_minus_one,
     augmentation_ideal,
     coinvariants,
     four_term_report,
@@ -22,6 +24,7 @@ from exacthom.grouphom import (
     h1_free,
     homology_bar,
     homology_cyclic,
+    homology_four_term,
     magnus_sequence,
     tensor_gmodule,
 )
@@ -231,10 +234,9 @@ def test_coinvariants():
     assert coinvariants(GModuleFree.trivial(FiniteGroupTable.cyclic(1), 3)) == FgAbGroup(3)
 
 
-def _s3_presentation() -> FpGroupPresentation:
-    """S3 as the permutations of three points, <a, b | aa, bbb, abab> with a
-    a transposition and b a 3-cycle."""
-    perms = list(itertools.permutations(range(3)))
+def _s3_presentation(perms=tuple(itertools.permutations(range(3)))) -> FpGroupPresentation:
+    """S3 as the permutations of three points, labelled in the order perms,
+    <a, b | aa, bbb, abab> with a a transposition and b a 3-cycle."""
     table = FiniteGroupTable.from_mult(
         [[perms.index(tuple(g[h[i]] for i in range(3))) for h in perms] for g in perms]
     )
@@ -260,6 +262,11 @@ _PRESENTATIONS = {
         for name in ("Z2", "Z3", "Z4", "Z2xZ2")
     },
     "S3": _s3_presentation,
+    # the greedy generating set of S3 above is two transpositions, of this
+    # labelling a 3-cycle and a transposition, so pi(s)^-1 != pi(s)
+    "S3-rotations-first": lambda: _s3_presentation(
+        ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0))
+    ),
     "Z6-relabelled": _relabelled_z6_presentation,
     "trivial-no-generators": lambda: FpGroupPresentation((), (), FiniteGroupTable.cyclic(1), ()),
 }
@@ -339,10 +346,12 @@ def test_homology_klein_four():
     assert group_homology(coeff, 2, method="bar") == FgAbGroup(0, (2,))
     with pytest.raises(InputError):
         group_homology(coeff, 1, method="periodic")
-    # auto falls back to the bar complex for non-cyclic tables
+    # auto takes the relation-module sequence for non-cyclic tables
     assert group_homology(coeff, 1) == FgAbGroup(0, (2, 2))
     # Kunneth: H_5 = (Z/2)^4; the normalized d_6 is 243 x 729 entries, inside
-    # the default budget (the full bar complex would need 1024 x 4096)
+    # the default budget (the full bar complex would need 1024 x 4096), and
+    # the auto route's B at n = 3 is 125 x 250
+    assert group_homology(coeff, 5, method="bar") == FgAbGroup(0, (2, 2, 2, 2))
     assert group_homology(coeff, 5) == FgAbGroup(0, (2, 2, 2, 2))
 
 
@@ -426,6 +435,78 @@ def test_normalized_bar_shapes_and_square_zero(group, module):
     dense = [IntMatrix(d.rows, d.cols, d.entries) for d in diffs]
     for lower, upper in zip(dense, dense[1:]):
         assert (lower @ upper).is_zero()
+
+
+def _four_term_route_cases():
+    """Every preset, S3 in two labellings and the trivial group, M in
+    {Z, I, ZG}, at every degree up to 7 that the bar route fits at the
+    default budget."""
+    for group in ("Z2", "Z3", "Z4", "Z2xZ2", "S3", "S3-rotations-first", "trivial-no-generators"):
+        table = _PRESENTATIONS[group]().target
+        for module in sorted(_BAR_MODULES):
+            rank = _BAR_MODULES[module](table).rank
+            for i in range(8):
+                if rank * rank * (table.order - 1) ** (2 * i + 1) <= 10**6:
+                    yield group, module, i
+
+
+@pytest.mark.parametrize("group, module, degree", list(_four_term_route_cases()))
+def test_four_term_route_matches_bar_and_periodic(group, module, degree):
+    table = _PRESENTATIONS[group]().target
+    coeff = _BAR_MODULES[module](table)
+    got = homology_four_term(coeff, degree)
+    assert got == homology_bar(coeff, degree)
+    if table.is_cyclic():
+        assert got == homology_cyclic(coeff, degree)
+
+
+def test_four_term_route_s3_frozen():
+    # H_1..H_6(S3; Z) have period 4 (Brown, Cohomology of Groups, VI.9); the
+    # bar route refuses H_4 and above at the default budget
+    coeff = GModuleFree.trivial(_s3_presentation().target, 1)
+    zero, two, six = FgAbGroup(0), FgAbGroup(0, (2,)), FgAbGroup(0, (6,))
+    assert [group_homology(coeff, i) for i in range(1, 7)] == [two, zero, six, zero, two, zero]
+    with pytest.raises(ResourceBudgetError):
+        homology_bar(coeff, 4)
+
+
+def test_four_term_route_budget():
+    # H_3 and H_4 of V4 take n = 2: rank_B = 5^2 over the two generators
+    # of the greedy generating set
+    coeff = GModuleFree.trivial(V4, 1)
+    assert homology_four_term(coeff, 3, budget=1250) == FgAbGroup(0, (2, 2, 2))
+    message = r"R\^\(x\)2 \(x\) M is 25x50 = 1250 entries, budget is 1249"
+    with pytest.raises(ResourceBudgetError, match=message):
+        group_homology(coeff, 4, budget=1249)
+    # H_1 with ZG coefficients: B = R (x) ZG needs 20 x 40 entries, where
+    # the bar route's d_2 needs 12 x 36
+    zg = group_ring(V4)
+    assert group_homology(zg, 1, budget=800) == homology_bar(zg, 1, budget=432) == FgAbGroup(0)
+    with pytest.raises(ResourceBudgetError, match="is 20x40 = 800 entries, budget is 799"):
+        group_homology(zg, 1, budget=799)
+    # H_0 is the coinvariants of M, n = 0
+    with pytest.raises(ResourceBudgetError, match=r"R\^\(x\)0 \(x\) M is 4x8 = 32 entries"):
+        group_homology(zg, 0, budget=31)
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError, match=r"R\^\(x\)2500 \(x\) M has over 1000000 rows"):
+        group_homology(coeff, 5000)
+    # a rank-0 module has rank_B = 0 at every n, so n itself is capped
+    for module in (coeff, GModuleFree.trivial(V4, 0)):
+        with pytest.raises(ResourceBudgetError, match="degree n is over the budget of 1000000"):
+            group_homology(module, 10**8)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("group", sorted(_PRESENTATIONS))
+@pytest.mark.parametrize("module", sorted(_MODULES))
+def test_tensor_minus_one_matches_the_kronecker_stack(group, module):
+    pres = _PRESENTATIONS[group]()
+    m = _MODULES[module](pres)
+    relation = magnus_sequence(pres).relation_module
+    gens = pres.target.generating_set
+    got = _tensor_minus_one(relation, m, gens)
+    want = _minus_one(tensor_gmodule(relation, m), gens)
+    assert (got.rows, got.cols, got.columns) == (want.rows, want.cols, want.columns)
 
 
 def test_four_term_z2_frozen():

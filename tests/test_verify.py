@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import exacthom.grouphom as grouphom
 import exacthom.powers as powers
 import exacthom.verify as verify
 from exacthom.errors import InputError
@@ -140,6 +141,23 @@ def test_four_term_reference_reuses_the_loop_report(monkeypatch):
     assert len(calls) == 2  # one per Z2 presentation
     # 4 + 5 checks on the two presentations, and the reference still counts
     assert report["passed"] and report["cases"] == 10
+
+
+def test_four_term_computes_one_magnus_sequence_per_presentation(monkeypatch):
+    # the suite's own Magnus sequence goes into four_term_report, and A and D
+    # come from the periodic or bar route, which need none
+    calls = []
+    real = grouphom.magnus_sequence
+
+    def spy(pres):
+        calls.append(pres)
+        return real(pres)
+
+    monkeypatch.setattr(verify, "magnus_sequence", spy)
+    monkeypatch.setattr(grouphom, "magnus_sequence", spy)
+    report = run_four_term(10**6)
+    assert report["passed"] and len(report["details"]) == 14
+    assert len(calls) == 8  # two presentations for each of four presets
 
 
 def test_run_suite_dispatch():
