@@ -10,18 +10,21 @@ four-term complex (homology_four_term). The normalized bar complex stays
 as an explicit route: its words have no identity letter, so degree k has
 (|G| - 1)^k of them instead of |G|^k, and a face that merges two letters
 into the identity is degenerate and dropped. Every route checks a
-configurable entry budget before it builds anything. Coinvariants, H_1 of
-the free group and the periodic route's t - 1 all read the sparse columns
-of [rho(g_1) - 1 | rho(g_2) - 1 | ...] from one writer, and the
-coinvariant relations of a tensor product come from a second one that
-forms no Kronecker product. The Magnus embedding realizes the relation
-module of a finite presentation as an explicit kernel lattice inside
-Z[G]^generators, with Fox derivatives giving the words' images there.
+configurable entry budget before it builds anything. Every matrix of the
+sequence, coinvariants, H_1 of the free group, the periodic route's t - 1
+and the bar complex's twisted face come from one writer of sparse action
+columns (_action_columns), which reads the actions of the tensor factors
+R, ..., R, M and never forms R^(x)(n-1) (x) M or a Kronecker product. The
+Magnus embedding realizes the relation module of a finite presentation as
+an explicit kernel lattice inside Z[G]^generators, with Fox derivatives
+giving the words' images there.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -82,32 +85,34 @@ class FiniteGroupTable:
             for x in row:
                 if not 0 <= x < n:
                     raise InputError("table entries must be element indices")
-        for j in range(n):
-            if self.mult[0][j] != j or self.mult[j][0] != j:
-                raise InputError("index 0 must be a two-sided identity")
         mult = self.mult
-        for i in range(n):
-            for j in range(n):
-                ij = mult[i][j]
-                row_i = mult[i]
-                for k in range(n):
-                    if mult[ij][k] != row_i[mult[j][k]]:
-                        raise InputError("multiplication table is not associative")
-        inverse = [-1] * n
-        for i in range(n):
-            for j in range(n):
-                if mult[i][j] == 0 and mult[j][i] == 0:
-                    inverse[i] = j
-                    break
-            if inverse[i] < 0:
-                raise InputError(f"element {i} has no two-sided inverse")
-        object.__setattr__(self, "_inverse", tuple(inverse))
+        for j in range(n):
+            if mult[0][j] != j or mult[j][0] != j:
+                raise InputError("index 0 must be a two-sided identity")
+        # _closure is plain reachability, so the greedy generating set
+        # exists before the table is known to be associative
         gens: list[int] = []
         reached = {0}
         for g in range(n):
             if g not in reached:
                 gens.append(g)
                 reached = _closure(self, gens)
+        # Light's test: the a with (xa)y = x(ay) for all x, y are closed
+        # under products, and every element is a product of generators, so
+        # (xs)y = x(sy) for the generators s proves every triple
+        for s in gens:
+            times_s = operator.itemgetter(*mult[s])  # n >= 2: returns a row
+            for row in mult:
+                if mult[row[s]] != times_s(row):
+                    raise InputError("multiplication table is not associative")
+        # a two-sided inverse k is the only right inverse: ij = 0 gives
+        # j = (ki)j = k(ij) = k, so the first zero of row i decides
+        inverse = []
+        for i, row in enumerate(mult):
+            if 0 not in row or mult[row.index(0)][i] != 0:
+                raise InputError(f"element {i} has no two-sided inverse")
+            inverse.append(row.index(0))
+        object.__setattr__(self, "_inverse", tuple(inverse))
         object.__setattr__(self, "_generating_set", tuple(gens))
 
     @property
@@ -316,7 +321,8 @@ class GModuleFree:
         cls, group: FiniteGroupTable, rank: int, action: tuple[IntMatrix, ...]
     ) -> "GModuleFree":
         """A module whose action follows the group law because it was derived
-        from checked actions; the check is not repeated."""
+        from checked actions or from the checked table; the check is not
+        repeated."""
         module = object.__new__(cls)
         object.__setattr__(module, "group", group)
         object.__setattr__(module, "rank", rank)
@@ -325,8 +331,10 @@ class GModuleFree:
 
     @classmethod
     def trivial(cls, group: FiniteGroupTable, rank: int = 1) -> "GModuleFree":
+        if rank < 0:
+            raise InputError("module rank must be nonnegative")
         ident = IntMatrix.identity(rank)
-        return cls(group, rank, tuple(ident for _ in range(group.order)))
+        return cls._valid_by_construction(group, rank, (ident,) * group.order)
 
 
 def group_ring(g: FiniteGroupTable) -> GModuleFree:
@@ -339,7 +347,8 @@ def group_ring(g: FiniteGroupTable) -> GModuleFree:
         for j, i in enumerate(col_to_row):
             grid[i][j] = 1
         actions.append(IntMatrix.from_rows(grid, cols=n))
-    return GModuleFree(g, n, tuple(actions))
+    # rho(x) rho(y) e_h = e_(x(yh)) = e_((xy)h) by the table's associativity
+    return GModuleFree._valid_by_construction(g, n, tuple(actions))
 
 
 def augmentation_ideal(g: FiniteGroupTable) -> GModuleFree:
@@ -362,7 +371,8 @@ def augmentation_ideal(g: FiniteGroupTable) -> GModuleFree:
             if elt != 0:
                 grid[elt - 1][col] -= 1
         actions.append(IntMatrix.from_rows(grid, cols=rank))
-    return GModuleFree(g, rank, tuple(actions))
+    # a submodule of Z[G] in the basis h - 1: the regular action restricted
+    return GModuleFree._valid_by_construction(g, rank, tuple(actions))
 
 
 def fox_derivative(word: Word, s: int, pres: FpGroupPresentation) -> list[int]:
@@ -450,7 +460,9 @@ def magnus_sequence(pres: FpGroupPresentation) -> MagnusSequence:
 
 
 def tensor_gmodule(a: GModuleFree, b: GModuleFree) -> GModuleFree:
-    """Tensor product over Z with the diagonal action."""
+    """Tensor product over Z with the diagonal action, one Kronecker matrix
+    per element. The homology routes never form it: they read the factors'
+    actions through _action_columns."""
     if a.group != b.group:
         raise InputError("tensor factors must share their group")
     actions = tuple(_kron(x, y) for x, y in zip(a.action, b.action))
@@ -459,65 +471,71 @@ def tensor_gmodule(a: GModuleFree, b: GModuleFree) -> GModuleFree:
     return GModuleFree._valid_by_construction(a.group, a.rank * b.rank, actions)
 
 
-def _minus_one(m: GModuleFree, elements: Sequence[int]) -> SparseMatrix:
-    """The sparse columns of [rho(g_1) - 1 | rho(g_2) - 1 | ...], rows
-    ascending; no elements give a rank x 0 matrix, a legal presentation."""
-    every = range(m.rank)
+def _action_columns(factors: Sequence[GModuleFree], g: int) -> list[dict[int, int]]:
+    """The sparse columns of rho(g) on the tensor product of the factors,
+    the first factor's index major: column (j_1, ..., j_k) is the outer
+    product of column j_i of each factor's rho(g), rows ascending. Only
+    element g's actions are read, and no Kronecker matrix is formed.
+
+    The product grows from the last factor, so the coefficient module M of
+    (R, ..., R, M) enters while it is small."""
+
+    def own(m: GModuleFree) -> list[dict[int, int]]:
+        every = range(m.rank)
+        dense = zip(*m.action[g].entries)
+        return [{i: col[i] for i in itertools.compress(every, col)} for col in dense]
+
+    *head, last = factors
+    columns, rank = own(last), last.rank
+    for m in reversed(head):
+        columns = [
+            {i * rank + u: x * y for i, x in a.items() for u, y in b.items()}
+            for a in own(m)
+            for b in columns
+        ]
+        rank *= m.rank
+    return columns
+
+
+def _minus_one(factors: Sequence[GModuleFree], elements: Sequence[int]) -> SparseMatrix:
+    """The sparse columns of [rho(g_1) - 1 | rho(g_2) - 1 | ...] on the
+    tensor product of the factors, which must share their group; no
+    elements give a rank x 0 matrix, a legal presentation."""
+    if any(m.group != factors[0].group for m in factors):
+        raise InputError("tensor factors must share their group")
     columns = []
     for g in elements:
-        for j, col in enumerate(zip(*m.action[g].entries)):
-            col = list(col)
-            col[j] -= 1
-            columns.append({i: col[i] for i in itertools.compress(every, col)})
-    return SparseMatrix._unchecked(m.rank, len(columns), tuple(columns))
+        for j, col in enumerate(_action_columns(factors, g)):
+            v = col.pop(j, 0) - 1
+            if v:
+                col[j] = v
+            columns.append(col)
+    rank = math.prod(m.rank for m in factors)
+    return SparseMatrix._unchecked(rank, len(columns), tuple(columns))
 
 
-def _sparse_columns(m: IntMatrix) -> list[list[tuple[int, int]]]:
-    """The (row, nonzero) pairs of each column of m, rows ascending."""
-    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.entries)]
-
-
-def _tensor_minus_one(a: GModuleFree, b: GModuleFree, elements: Sequence[int]) -> SparseMatrix:
-    """_minus_one(tensor_gmodule(a, b), elements) without a Kronecker
-    product: column (j, t) of block g, index j * b.rank + t, is the outer
-    product of column j of rho_a(g) and column t of rho_b(g), minus
-    e_(j, t), so only the actions of the listed elements are read."""
-    rb = b.rank
-    columns = []
-    for g in elements:
-        b_cols = _sparse_columns(b.action[g])
-        for j, a_col in enumerate(_sparse_columns(a.action[g])):
-            for t, b_col in enumerate(b_cols):
-                col = {i * rb + u: x * y for i, x in a_col for u, y in b_col}
-                diag = j * rb + t
-                v = col.get(diag, 0) - 1
-                if v:
-                    col[diag] = v
-                else:
-                    del col[diag]
-                columns.append(col)
-    return SparseMatrix._unchecked(a.rank * rb, len(columns), tuple(columns))
-
-
-def coinvariants(m: GModuleFree) -> FgAbGroup:
-    """H_0(G, M): the quotient of M by all gm - m.
+def coinvariants(m: GModuleFree, *more: GModuleFree) -> FgAbGroup:
+    """H_0(G, M): the quotient of M by all gm - m, where M is m, or with
+    more modules the tensor product m (x) more[0] (x) ... with the diagonal
+    action.
 
     Since (gh - 1)m = (g - 1)(hm) + (h - 1)m, the images of s - 1 for s in
     the group's generating set already span every gm - m (Brown, Cohomology
     of Groups, II.2), so only those blocks are stacked.
     """
-    return canonical_form(_minus_one(m, m.group.generating_set))
+    return canonical_form(_minus_one((m, *more), m.group.generating_set))
 
 
-def h1_free(pres: FpGroupPresentation, n: GModuleFree) -> FgAbGroup:
-    """H_1 of the free group on the presentation's generators, acting via pi.
+def h1_free(pres: FpGroupPresentation, n: GModuleFree, *more: GModuleFree) -> FgAbGroup:
+    """H_1 of the free group on the presentation's generators, acting via pi,
+    on N = n, or with more modules N = n (x) more[0] (x) ...
 
     This is the kernel of (n_s)_s -> sum_s (pi(s) - 1) n_s, a free group;
     only the generator assignments of pres are used, not its relators.
     """
     if n.group != pres.target:
         raise InputError("coefficient module must live over the presentation's group")
-    stacked = _minus_one(n, pres.assignment)
+    stacked = _minus_one((n, *more), pres.assignment)
     return homologies(ChainComplex(0, (stacked.rows, stacked.cols), (stacked,)))[1]
 
 
@@ -535,7 +553,7 @@ def homology_cyclic(coeff: GModuleFree, i: int) -> FgAbGroup:
     t = coeff.group.generator()
     if t is None:
         raise InputError("the periodic resolution needs a cyclic group")
-    t_minus_1 = _minus_one(coeff, (t,))
+    t_minus_1 = _minus_one((coeff,), (t,))
     if i == 0:
         return canonical_form(t_minus_1)
     norm = coeff.action[0]
@@ -567,18 +585,13 @@ def _bar_differential(coeff: GModuleFree, k: int) -> SparseMatrix:
     tail = base ** (k - 1)
     rows = rank * tail
     cols = rows * base
-    face0_sparse = [[]]
-    for g in range(1, table.order):
-        m = coeff.action[table.inverse[g]]
-        face0_sparse.append(
-            [[(t, m.entries[t][j]) for t in range(rank) if m.entries[t][j]] for j in range(rank)]
-        )
+    face0 = [[]] + [_action_columns((coeff,), table.inverse[g]) for g in range(1, table.order)]
     columns = []
     sign_last = -1 if k % 2 else 1
     for widx, word in enumerate(itertools.product(range(1, table.order), repeat=k)):
         # face 0 drops g1 and twists the coefficient
         base0 = (widx % tail) * rank
-        sparse = face0_sparse[word[0]]
+        sparse = face0[word[0]]
         # middle face j merges the letters at positions j - 1 and j: the
         # letters before them are widx // (low * base^2), those after widx % low;
         # the last face drops g_k. Each face writes one block of rank rows,
@@ -601,7 +614,7 @@ def _bar_differential(coeff: GModuleFree, k: int) -> SparseMatrix:
                 if sign:
                     col[face + j] = col.get(face + j, 0) + sign
                 else:
-                    for t, c in sparse[j]:
+                    for t, c in sparse[j].items():
                         col[face + t] = col.get(face + t, 0) + c
             columns.append({i: col[i] for i in sorted(col) if col[i]} if clash else col)
     return SparseMatrix._unchecked(rows, cols, tuple(columns))
@@ -652,20 +665,12 @@ def _check_sequence_budget(rank_r: int, rank_m: int, n: int, blocks: int, budget
         raise ResourceBudgetError(f"coinvariant matrix of R^(x){n} (x) M {size}, budget is {budget}")
 
 
-def _middle_module(relation: GModuleFree, coeff: GModuleFree, n: int) -> GModuleFree:
-    """N = R^(x)(n-1) (x) M, built as R (x) (... (x) (R (x) M)) by n - 1
-    tensor steps onto M; the Kronecker product is associative, so these are
-    the actions of the plain tensor power."""
-    for _ in range(n - 1):
-        coeff = tensor_gmodule(relation, coeff)
-    return coeff
-
-
 def _sequence_complex(
-    pres: FpGroupPresentation, ms: MagnusSequence, module: GModuleFree
+    pres: FpGroupPresentation, ms: MagnusSequence, factors: Sequence[GModuleFree]
 ) -> ChainComplex:
-    """The middle map phi: B -> C of the sequence with N = module, as the
-    complex N <-delta- N^d <-Phi- R (x) N <-P- Z^(|S| rank_R rank_N).
+    """The middle map phi: B -> C of the sequence with N the tensor product
+    of the factors (R, ..., R, M), as the complex
+    N <-delta- N^d <-Phi- R (x) N <-P- Z^(|S| rank_R rank_N).
 
     d is the number of generators, pi the assignment, K the Magnus
     inclusion (row s*|G| + g is the basis element g (x) e_s) and S the
@@ -675,16 +680,19 @@ def _sequence_complex(
     sends r_j (x) x to sum_(s, g) K[s*|G| + g, j] e_s (x) rho_N(g^-1) x:
     K (x) 1 followed by the untwisting (ZG^d (x) N)_G = N^d,
     (g e_s) (x) x -> e_s (x) g^-1 x. P stacks rho_R(s) (x) rho_N(s) - 1
-    over S, so coker P = B. The complex's d(d(x)) = 0 check proves
-    delta Phi = 0, so Phi lands in C, and Phi P = 0, so phi is well defined
-    on B. Then ker phi is the homology at R (x) N and coker phi at N^d.
+    over S, so coker P = B. Every block is written from the factors'
+    actions (_minus_one, _action_columns), so N itself is never built. The
+    complex's d(d(x)) = 0 check proves delta Phi = 0, so Phi lands in C,
+    and Phi P = 0, so phi is well defined on B. Then ker phi is the
+    homology at R (x) N and coker phi at N^d.
     """
-    table = module.group
-    order, rn = table.order, module.rank
+    table = pres.target
+    order = table.order
     gens = len(pres.assignment)
     relation = ms.relation_module
-    delta = _minus_one(module, [table.inverse[s] for s in pres.assignment])
-    untwist = [_sparse_columns(module.action[table.inverse[g]]) for g in range(order)]
+    delta = _minus_one(factors, [table.inverse[s] for s in pres.assignment])
+    rn = delta.rows
+    untwist = [_action_columns(factors, table.inverse[g]) for g in range(order)]
     k = ms.inclusion.entries
     columns = []
     for j in range(relation.rank):
@@ -697,11 +705,11 @@ def _sequence_complex(
         for t in range(rn):
             col: dict[int, int] = {}
             for base, cols, x in terms:
-                for u, y in cols[t]:
+                for u, y in cols[t].items():
                     col[base + u] = col.get(base + u, 0) + x * y
             columns.append({i: v for i, v in col.items() if v})
     phi = SparseMatrix._unchecked(gens * rn, len(columns), tuple(columns))
-    p = _tensor_minus_one(relation, module, table.generating_set)
+    p = _minus_one((relation, *factors), table.generating_set)
     return ChainComplex(0, (rn, phi.rows, phi.cols, p.cols), (delta, phi, p))
 
 
@@ -728,7 +736,7 @@ def homology_four_term(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUD
     letters = tuple(chr(ord("a") + k) for k in range(len(gens)))
     pres = FpGroupPresentation(letters, (), table, gens)
     ms = magnus_sequence(pres)
-    c = _sequence_complex(pres, ms, _middle_module(ms.relation_module, coeff, n))
+    c = _sequence_complex(pres, ms, (ms.relation_module,) * (n - 1) + (coeff,))
     return homology(c, 2 - i % 2)
 
 
@@ -791,12 +799,13 @@ def four_term_report(
 ) -> FourTermReport:
     """Compute the four groups of the degree-n sequence and check them.
 
-    With N = R^(x)(n-1) (x) M, C is H_1(F, N) and B the cokernel of the
-    coinvariant relations of R (x) N, written from R's and N's actions of
-    the group's generating set S with no Kronecker product. A and D come
-    from the periodic route on a cyclic group and from the bar route
-    otherwise, never from homology_four_term: built from the same R and N
-    as B and C, it would make the checks hold by construction. Before any
+    With N = R^(x)(n-1) (x) M, C is H_1(F, N) and B the coinvariants of
+    R (x) N, both written from the actions of the factors R, ..., R, M
+    (coinvariants and h1_free with several modules), so neither N nor a
+    Kronecker product is formed. A and D come from the periodic route on a
+    cyclic group and from the bar route otherwise, never from
+    homology_four_term: built from the same R and N as B and C, it would
+    make the checks hold by construction. Before any
     module is built, n and B's coinvariant matrix, rank_B x |S|*rank_B with
     rank_B = rank_R^n * rank_M and rank_R = |G|*gens - |G| + 1, must fit the
     budget; homology_bar budgets the bar differentials of A and D. magnus,
@@ -808,15 +817,14 @@ def four_term_report(
     if coeff.group != pres.target:
         raise InputError("coefficient module must live over the presented group")
     order = pres.target.order
-    gens = pres.target.generating_set
     rank_r = order * len(pres.generators) - order + 1
-    _check_sequence_budget(rank_r, coeff.rank, n, len(gens), budget)
+    _check_sequence_budget(rank_r, coeff.rank, n, len(pres.target.generating_set), budget)
     relation = (magnus or magnus_sequence(pres)).relation_module
-    c_coeff = _middle_module(relation, coeff, n)
+    factors = (relation,) * (n - 1) + (coeff,)
     method = "periodic" if pres.target.is_cyclic() else "bar"
     a = group_homology(coeff, 2 * n, method=method, budget=budget)
-    b = canonical_form(_tensor_minus_one(relation, c_coeff, gens))
-    c = h1_free(pres, c_coeff)
+    b = coinvariants(relation, *factors)
+    c = h1_free(pres, *factors)
     d = group_homology(coeff, 2 * n - 1, method=method, budget=budget)
     rank_check = a.free_rank - b.free_rank + c.free_rank - d.free_rank == 0
     orders = [x.order() for x in (a, b, c, d)]

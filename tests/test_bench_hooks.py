@@ -3,11 +3,12 @@
 the benchmark's own smoke test. So must a builder that derived reaches
 without passing the wrapper, which would read 0 in the koszul.build spans,
 and so must a grouphom --method bar request whose bar route drops out of
-the trace, an auto one that falls back to the bar route, a
-kernel or solution that goes back through the Smith transforms of snf, Smith
-transforms that swell again, a derive job that needs the bounded modular
-Smith route or a dense product, sparse differentials whose dense view
-the tracer miscounts, or an exterior power that goes back to determinants."""
+the trace, an auto one that falls back to the bar route or builds a tensor
+module, a kernel or solution that goes back through the Smith transforms of
+snf, Smith transforms that swell again, a derive job that needs the bounded
+modular Smith route or a dense product, sparse differentials whose dense
+view the tracer miscounts, or an exterior power that goes back to
+determinants."""
 
 import subprocess
 import sys
@@ -64,7 +65,8 @@ for name, want in (("kernel_basis", 1), ("solve", 1), ("snf", 0)):
     calls = metrics["linalg." + name + ".calls"]
     assert calls == want, (name, calls)
 # two grouphom jobs through the CLI: --method bar must show the bar route in
-# the trace, and auto on a non-cyclic group one Magnus sequence and no bar
+# the trace, and auto on a non-cyclic group one Magnus sequence and no bar;
+# neither builds a tensor module, since the sequence reads the factors' actions
 from exacthom import cli
 for method, bar, magnus in (("bar", 1, 0), ("auto", 0, 1)):
     before = {{name: tracer.stats[name][0] for name in tracer.stats}}
@@ -74,7 +76,8 @@ for method, bar, magnus in (("bar", 1, 0), ("auto", 0, 1)):
     code, text = cli.run(cli.job_from_args(cli.build_parser().parse_args(argv)))
     assert code == 0 and '"group": "Z/2"' in text, text
     tracer.end_job(0.0)
-    wants = (("cli.run", 1), ("grouphom.homology_bar", bar), ("grouphom.magnus_sequence", magnus))
+    wants = (("cli.run", 1), ("grouphom.homology_bar", bar), ("grouphom.magnus_sequence", magnus),
+             ("grouphom.tensor_gmodule", 0))
     for name, want in wants:
         calls = tracer.stats[name][0] - before[name]
         assert calls == want, (method, name, calls)

@@ -1,11 +1,13 @@
 import functools
 import itertools
+import math
 import random
 import time
 
 import pytest
 from bar_oracle import full_bar_differential
 
+from exacthom import grouphom
 from exacthom.abelian import FgAbGroup, canonical_form, homology_at
 from exacthom.errors import InputError, ResourceBudgetError
 from exacthom.grouphom import (
@@ -14,7 +16,6 @@ from exacthom.grouphom import (
     GModuleFree,
     _bar_differential,
     _minus_one,
-    _tensor_minus_one,
     augmentation_ideal,
     coinvariants,
     four_term_report,
@@ -54,6 +55,32 @@ def test_table_validation():
         FiniteGroupTable.from_mult([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
     with pytest.raises(InputError):
         FiniteGroupTable.from_mult([[0, 5], [5, 0]])  # out of range
+
+
+def test_table_validation_rejects_every_swap_of_two_s3_entries():
+    # a group table is a Latin square, so swapping two different entries
+    # outside the identity's row and column never leaves a group; the
+    # associativity check reads the generators' columns only and must
+    # still see every one of them
+    mult = [list(row) for row in _s3_presentation().target.mult]
+    cells = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+    swaps = 0
+    for (i, j), (k, l) in itertools.combinations(cells, 2):
+        if mult[i][j] != mult[k][l]:
+            bad = [row[:] for row in mult]
+            bad[i][j], bad[k][l] = bad[k][l], bad[i][j]
+            with pytest.raises(InputError, match="not associative"):
+                FiniteGroupTable.from_mult(bad)
+            swaps += 1
+    assert swaps == 260
+
+
+def test_table_validation_is_quadratic_in_the_order():
+    # every triple would be 10^9 products; the generators' columns are 10^6
+    start = time.perf_counter()
+    table = FiniteGroupTable.cyclic(1000)
+    assert table.generating_set == (1,) and table.inverse[1] == 999
+    assert time.perf_counter() - start < 5
 
 
 def test_table_basics():
@@ -109,6 +136,8 @@ def test_gmodule_validation():
         GModuleFree(Z2, 1, (IntMatrix.from_rows([[2]]), IntMatrix.identity(1)))
     m = GModuleFree.trivial(Z3, 2)
     assert m.rank == 2 and all(a == IntMatrix.identity(2) for a in m.action)
+    with pytest.raises(InputError, match="rank must be nonnegative"):
+        GModuleFree.trivial(Z3, -1)
 
 
 @pytest.mark.parametrize("rank", [40, 41])
@@ -123,13 +152,17 @@ def test_gmodule_group_law_checked_at_every_rank(rank):
         GModuleFree(FiniteGroupTable.cyclic(6), rank, action)
 
 
-@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("preset", [*PRESET_NAMES, "S3"])
 def test_built_modules_pass_the_full_check(preset):
-    # magnus_sequence and tensor_gmodule skip GModuleFree's check; run it
-    for pres in load_preset(preset).presentations:
+    # magnus_sequence, tensor_gmodule, GModuleFree.trivial, group_ring and
+    # augmentation_ideal skip GModuleFree's check; run it
+    presentations = [_s3_presentation()] if preset == "S3" else load_preset(preset).presentations
+    for pres in presentations:
+        table = pres.target
         relation = magnus_sequence(pres).relation_module
-        built = [relation]
-        for coeff in (GModuleFree.trivial(pres.target, 1), augmentation_ideal(pres.target)):
+        built = [relation, group_ring(table)]
+        built += [GModuleFree.trivial(table, rank) for rank in (0, 3)]
+        for coeff in (GModuleFree.trivial(table, 1), augmentation_ideal(table)):
             built += [_fold(relation, n, coeff) for n in range(3)]
         for m in built:
             assert GModuleFree(m.group, m.rank, m.action) == m
@@ -151,8 +184,13 @@ def test_tensor_gmodule():
     sq = tensor_gmodule(zg, zg)
     assert sq.rank == 4
     assert coinvariants(sq) == FgAbGroup(2)  # ZG (x) ZG = ZG^2 as a G-module
+    assert coinvariants(zg, zg) == FgAbGroup(2)
     with pytest.raises(InputError):
         tensor_gmodule(zg, group_ring(Z3))
+    with pytest.raises(InputError, match="share their group"):
+        coinvariants(zg, group_ring(Z3))
+    with pytest.raises(InputError, match="share their group"):
+        h1_free(load_preset("Z2").presentations[0], zg, group_ring(Z3))
 
 
 def test_fox_derivative_frozen():
@@ -497,16 +535,50 @@ def test_four_term_route_budget():
     assert time.perf_counter() - start < 1
 
 
+# the dense oracle of a tensor product of rank r has r^2 |G| entries; this
+# leaves out only R (x) R (x) R^(x)2 over the two S3 labellings, of rank
+# 7^4 (35 million entries)
+_KRONECKER_CAP = 2_000_000
+
+
 @pytest.mark.parametrize("group", sorted(_PRESENTATIONS))
 @pytest.mark.parametrize("module", sorted(_MODULES))
 def test_tensor_minus_one_matches_the_kronecker_stack(group, module):
+    # _minus_one writes each rho(g) - 1 on a tensor product from the
+    # factors' actions; the oracle is the dense stack of tensor_gmodule's
+    # Kronecker actions, over the generating set and over every element
     pres = _PRESENTATIONS[group]()
     m = _MODULES[module](pres)
+    table = pres.target
     relation = magnus_sequence(pres).relation_module
-    gens = pres.target.generating_set
-    got = _tensor_minus_one(relation, m, gens)
-    want = _minus_one(tensor_gmodule(relation, m), gens)
-    assert (got.rows, got.cols, got.columns) == (want.rows, want.cols, want.columns)
+    for factors in ((m,), (relation, m), (m, relation), (relation, relation, m)):
+        if math.prod(f.rank for f in factors) ** 2 * table.order > _KRONECKER_CAP:
+            continue
+        product = functools.reduce(tensor_gmodule, factors)
+        ident = IntMatrix.identity(product.rank)
+        for elements in (table.generating_set, range(table.order)):
+            blocks = [product.action[g] - ident for g in elements]
+            want = hstack(blocks) if blocks else IntMatrix.zeros(product.rank, 0)
+            got = _minus_one(factors, elements)
+            assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+
+
+def test_sequence_routes_form_no_tensor_module(monkeypatch):
+    # homology_four_term and four_term_report read the tensor factors'
+    # actions; neither may fall back to building R^(x)(n-1) (x) M
+    def refuse(a, b):
+        raise AssertionError("tensor_gmodule was called")
+
+    monkeypatch.setattr(grouphom, "tensor_gmodule", refuse)
+    s3 = GModuleFree.trivial(_s3_presentation().target, 1)
+    assert homology_four_term(s3, 3) == FgAbGroup(0, (6,))
+    assert homology_four_term(s3, 4) == FgAbGroup(0)
+    klein = load_preset("Z2xZ2")
+    coeff = augmentation_ideal(klein.table)
+    report = four_term_report(klein.presentations[0], coeff, 2)
+    assert report.passed
+    assert homology_four_term(coeff, 3) == report.d
+    assert homology_four_term(coeff, 4) == report.a
 
 
 def test_four_term_z2_frozen():
@@ -563,9 +635,10 @@ def test_four_term_budget():
 
 
 def test_four_term_middle_module_matches_tensor_power():
-    # four_term_report builds R^n (x) M as R (x) (... (x) (R (x) M)); by the
-    # associativity of the Kronecker product the actions, and so B, are those
-    # of the plain tensor power (R (x) ... (x) R) (x) M
+    # four_term_report writes B from the factors R, ..., R, M, index order
+    # R (x) (... (x) (R (x) M)); by the associativity of the Kronecker
+    # product the actions, and so B, are those of the plain tensor power
+    # (R (x) ... (x) R) (x) M that tensor_gmodule builds
     for name in PRESET_NAMES:
         preset = load_preset(name)
         coeff = GModuleFree.trivial(preset.table, 1)
