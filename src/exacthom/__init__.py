@@ -37,7 +37,6 @@ from .grouphom import (
 from .koszul import (
     DerivedResult,
     PresentationPair,
-    complex_for,
     derived,
     derived_from_presentation,
     kos,
@@ -53,7 +52,6 @@ from .linalg import (
     SparseMatrix,
     det,
     hnf,
-    hstack,
     kernel_basis,
     smith_diagonal,
     snf,
@@ -92,7 +90,6 @@ __all__ = [
     "basis",
     "canonical_form",
     "coinvariants",
-    "complex_for",
     "derived",
     "derived_from_presentation",
     "det",
@@ -108,7 +105,6 @@ __all__ = [
     "homology_at",
     "homology_bar",
     "homology_cyclic",
-    "hstack",
     "induced_map",
     "kernel_basis",
     "kos",

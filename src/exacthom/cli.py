@@ -151,7 +151,6 @@ class JobSpec:
     command: str
     params: dict[str, Any] = field(default_factory=dict)
     output_format: str = "text"
-    output_path: Optional[str] = None
 
 
 # ---------------------------------------------------------------- executors
@@ -572,12 +571,7 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
         for k, v in vars(args).items()
         if k not in ("command", "format", "output")
     }
-    return JobSpec(
-        command=args.command,
-        params=params,
-        output_format=args.format,
-        output_path=args.output,
-    )
+    return JobSpec(command=args.command, params=params, output_format=args.format)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

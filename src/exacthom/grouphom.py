@@ -30,8 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .abelian import ChainComplex, FgAbGroup, canonical_form, homologies, homology, homology_at
 from .errors import InputError, InvariantViolation, ResourceBudgetError
-from .koszul import _capped_power, _capped_product
-from .linalg import IntMatrix, SparseMatrix, _kron, hstack, kernel_basis, solve
+from .linalg import IntMatrix, SparseMatrix, _capped_power, _capped_product, _kron, kernel_basis, solve
 
 __all__ = [
     "FiniteGroupTable",
@@ -135,25 +134,6 @@ class FiniteGroupTable:
         if m < 1:
             raise InputError("cyclic group order must be at least 1")
         return cls(m, tuple(tuple((i + j) % m for j in range(m)) for i in range(m)))
-
-    @classmethod
-    def direct_product(cls, a: "FiniteGroupTable", b: "FiniteGroupTable") -> "FiniteGroupTable":
-        n = a.order * b.order
-
-        def pack(i: int, j: int) -> int:
-            return i * b.order + j
-
-        rows = []
-        for i1 in range(a.order):
-            for j1 in range(b.order):
-                rows.append(
-                    tuple(
-                        pack(a.mult[i1][i2], b.mult[j1][j2])
-                        for i2 in range(a.order)
-                        for j2 in range(b.order)
-                    )
-                )
-        return cls(n, tuple(rows))
 
     def element_order(self, g: int) -> int:
         k, x = 1, g
@@ -420,32 +400,19 @@ def magnus_sequence(pres: FpGroupPresentation) -> MagnusSequence:
     table = pres.target
     n = table.order
     gens = len(pres.generators)
-    rows = n - 1
-    grid = [[0] * (n * gens) for _ in range(rows)]
-    for s in range(gens):
-        pi_s = pres.assignment[s]
-        for g in range(n):
-            col = s * n + g
-            g_pi = table.mult[g][pi_s]
-            if g_pi != 0:
-                grid[g_pi - 1][col] += 1
-            if g != 0:
-                grid[g - 1][col] -= 1
-    sigma = IntMatrix.from_rows(grid, cols=n * gens)
+    sigma = _sigma(pres)
     kernel = kernel_basis(sigma)
     k = kernel.cols
 
-    # One solve against the kernel for all n translates side by side; the
-    # coordinates of element elt are columns elt*k .. elt*k + k - 1.
-    blocks = []
-    for elt in range(n):
-        permuted: list[tuple[int, ...]] = [()] * (n * gens)
-        for s in range(gens):
-            base = s * n
-            for g in range(n):
-                permuted[base + table.mult[elt][g]] = kernel.entries[base + g]
-        blocks.append(IntMatrix(n * gens, k, tuple(permuted)))
-    coords = solve(kernel, hstack(blocks))
+    # One solve for all n translates side by side: translate g is columns
+    # g*k .. g*k + k - 1, and its row s*n + h is the kernel's row s*n + g^-1 h.
+    rows = kernel.entries
+    translates = tuple(
+        tuple(itertools.chain(*(rows[s * n + table.mult[table.inverse[g]][h]] for g in range(n))))
+        for s in range(gens)
+        for h in range(n)
+    )
+    coords = solve(kernel, IntMatrix(n * gens, n * k, translates))
     if coords is None:
         raise InvariantViolation("relation module is not stable under the action")
     actions = tuple(
@@ -457,6 +424,24 @@ def magnus_sequence(pres: FpGroupPresentation) -> MagnusSequence:
     # follows the group law because rho does
     module = GModuleFree._valid_by_construction(table, k, actions)
     return MagnusSequence(sigma, module, kernel)
+
+
+def _sigma(pres: FpGroupPresentation) -> IntMatrix:
+    """The sigma of magnus_sequence(pres), rows on the basis h - 1, h != 1."""
+    table = pres.target
+    n = table.order
+    gens = len(pres.generators)
+    grid = [[0] * (n * gens) for _ in range(n - 1)]
+    for s in range(gens):
+        pi_s = pres.assignment[s]
+        for g in range(n):
+            col = s * n + g
+            g_pi = table.mult[g][pi_s]
+            if g_pi != 0:
+                grid[g_pi - 1][col] += 1
+            if g != 0:
+                grid[g - 1][col] -= 1
+    return IntMatrix.from_rows(grid, cols=n * gens)
 
 
 def tensor_gmodule(a: GModuleFree, b: GModuleFree) -> GModuleFree:
@@ -647,22 +632,35 @@ def homology_bar(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -
     return homology_at(d_in=d_in, d_out=d_out)
 
 
-def _check_sequence_budget(rank_r: int, rank_m: int, n: int, blocks: int, budget: int) -> None:
-    """ResourceBudgetError unless n and the coinvariant matrix of
-    B = R^(x)n (x) M fit the budget: rank_B x blocks*rank_B entries, with
-    rank_B = rank_R^n * rank_M computed capped just above the budget and
-    blocks, the size of the group's generating set, counted as at least 1."""
+def _sequence_factors(
+    pres: FpGroupPresentation, coeff: GModuleFree, n: int, budget: int, magnus: Optional[MagnusSequence]
+) -> tuple[Optional[MagnusSequence], tuple[GModuleFree, ...]]:
+    """The Magnus sequence of pres and the factors (R, ..., R, M) of
+    B = R^(x)n (x) M, once n and B's coinvariant matrix fit the budget. The
+    matrix is rank_B x blocks*rank_B, with rank_B = rank_R^n * rank_M capped
+    just above the budget, rank_R = |G|*gens - |G| + 1 and blocks = max(|S|, 1)
+    for the generating set S. n = 0 builds no Magnus sequence, and a given
+    magnus must be magnus_sequence(pres)."""
     if n > budget:
         raise ResourceBudgetError(f"the sequence degree n is over the budget of {budget}")
+    order = pres.target.order
+    rank_r = order * len(pres.generators) - order + 1
     cap = budget + 1
-    rank_b = _capped_product((_capped_power(rank_r, n, cap), rank_m), cap)
-    blocks = max(blocks, 1)
+    rank_b = _capped_product((_capped_power(rank_r, n, cap), coeff.rank), cap)
+    blocks = max(len(pres.target.generating_set), 1)
     entries = rank_b * rank_b * blocks
     if entries > budget:
         size = f"has over {budget} rows"
         if rank_b < cap:
             size = f"is {rank_b}x{blocks * rank_b} = {entries} entries"
         raise ResourceBudgetError(f"coinvariant matrix of R^(x){n} (x) M {size}, budget is {budget}")
+    if n == 0:
+        return None, (coeff,)
+    if magnus is None:
+        magnus = magnus_sequence(pres)
+    elif magnus.sigma != _sigma(pres):
+        raise InputError("magnus is not the Magnus sequence of the presentation")
+    return magnus, (magnus.relation_module,) * n + (coeff,)
 
 
 def _sequence_complex(
@@ -721,23 +719,19 @@ def homology_four_term(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUD
     generators' images. H_0 is the coinvariants of coeff. For i = 2n - 1
     and i = 2n, n >= 1, H_i is coker phi and ker phi of the degree-n
     sequence, read off _sequence_complex. Before anything is built, n and
-    B's coinvariant matrix, rank_B x |S|*rank_B with rank_B =
-    rank_R^n * rank_M and rank_R = |G|*|S| - |G| + 1, must fit the budget
-    (n = 0 for H_0, whose B is M).
+    B's coinvariant matrix must fit the budget (_sequence_factors, with
+    n = 0 for H_0, whose B is M).
     """
     if i < 0:
         raise InputError("homology degree must be nonnegative")
     table = coeff.group
     gens = table.generating_set
-    n = (i + 1) // 2
-    _check_sequence_budget(table.order * (len(gens) - 1) + 1, coeff.rank, n, len(gens), budget)
-    if i == 0:
-        return coinvariants(coeff)
     letters = tuple(chr(ord("a") + k) for k in range(len(gens)))
     pres = FpGroupPresentation(letters, (), table, gens)
-    ms = magnus_sequence(pres)
-    c = _sequence_complex(pres, ms, (ms.relation_module,) * (n - 1) + (coeff,))
-    return homology(c, 2 - i % 2)
+    ms, factors = _sequence_factors(pres, coeff, (i + 1) // 2, budget, None)
+    if i == 0:
+        return coinvariants(coeff)
+    return homology(_sequence_complex(pres, ms, factors[1:]), 2 - i % 2)
 
 
 def group_homology(
@@ -805,26 +799,20 @@ def four_term_report(
     Kronecker product is formed. A and D come from the periodic route on a
     cyclic group and from the bar route otherwise, never from
     homology_four_term: built from the same R and N as B and C, it would
-    make the checks hold by construction. Before any
-    module is built, n and B's coinvariant matrix, rank_B x |S|*rank_B with
-    rank_B = rank_R^n * rank_M and rank_R = |G|*gens - |G| + 1, must fit the
-    budget; homology_bar budgets the bar differentials of A and D. magnus,
-    when given, must be magnus_sequence(pres), which is then not computed
-    again.
+    make the checks hold by construction. Before any module is built, n and
+    B's coinvariant matrix must fit the budget (_sequence_factors);
+    homology_bar budgets the bar differentials of A and D. magnus, when
+    given, must be magnus_sequence(pres), which is then not computed again.
     """
     if n < 1:
         raise InputError("the sequence degree n must be at least 1")
     if coeff.group != pres.target:
         raise InputError("coefficient module must live over the presented group")
-    order = pres.target.order
-    rank_r = order * len(pres.generators) - order + 1
-    _check_sequence_budget(rank_r, coeff.rank, n, len(pres.target.generating_set), budget)
-    relation = (magnus or magnus_sequence(pres)).relation_module
-    factors = (relation,) * (n - 1) + (coeff,)
+    _, factors = _sequence_factors(pres, coeff, n, budget, magnus)
     method = "periodic" if pres.target.is_cyclic() else "bar"
     a = group_homology(coeff, 2 * n, method=method, budget=budget)
-    b = coinvariants(relation, *factors)
-    c = h1_free(pres, *factors)
+    b = coinvariants(*factors)
+    c = h1_free(pres, *factors[1:])
     d = group_homology(coeff, 2 * n - 1, method=method, budget=budget)
     rank_check = a.free_rank - b.free_rank + c.free_rank - d.free_rank == 0
     orders = [x.order() for x in (a, b, c, d)]

@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .abelian import ChainComplex, FgAbGroup, _tensor_product, from_cyclic_orders, homologies
 from .errors import InputError, InvariantViolation, ResourceBudgetError, UnsupportedFunctorError
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _capped_power, _capped_product
 from .powers import FunctorKind, PowerKind, _mult_table, _times, basis, div_contract
 
 __all__ = [
@@ -288,11 +288,6 @@ def _builder(f: FunctorKind) -> Callable[[PresentationPair, int], ChainComplex]:
         ) from None
 
 
-def complex_for(f: FunctorKind, p: PresentationPair) -> ChainComplex:
-    """The Koszul-type complex computing f's derived functors over p."""
-    return _builder(f)(p, f.degree)
-
-
 def _comb(a: int, b: int, cap: int) -> int:
     """C(a, b), or cap when it is at least cap; C(-1, 0) is 1."""
     if b == 0:
@@ -306,24 +301,6 @@ def _comb(a: int, b: int, cap: int) -> int:
         if out >= cap:
             return cap
     return out
-
-
-def _capped_product(factors: Sequence[int], cap: int) -> int:
-    """The product of nonnegative factors, or cap when it is at least cap."""
-    if 0 in factors:
-        return 0
-    out = 1
-    for x in factors:
-        out *= x
-        if out >= cap:
-            return cap
-    return out
-
-
-def _capped_power(x: int, e: int, cap: int) -> int:
-    """x^e for x >= 0, or cap when it is at least cap; x^e is past cap for
-    every x >= 2 once e reaches cap's bit length."""
-    return _capped_product((x,) * min(e, cap.bit_length()), cap)
 
 
 def _term_rank(kind: PowerKind, n: int, k: int, h: int, f: int, cap: int) -> int:
@@ -387,8 +364,7 @@ def check_budget(f: FunctorKind, a: FgAbGroup, padding: int, budget: int = DERIV
 
 def derived_from_presentation(f: FunctorKind, p: PresentationPair) -> DerivedResult:
     """Derived functor values computed from an explicit presentation."""
-    c = complex_for(f, p)
-    values = homologies(c)
+    values = homologies(_builder(f)(p, f.degree))
     return DerivedResult(functor=f, group=p.group(), values=values)
 
 

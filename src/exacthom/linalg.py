@@ -57,7 +57,6 @@ __all__ = [
     "kernel_basis",
     "solve",
     "det",
-    "hstack",
 ]
 
 
@@ -162,11 +161,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else tuple(() for _ in range(self.cols)))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
-        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -631,12 +625,19 @@ def det(a: IntMatrix) -> int:
     return pivot if rank == a.rows else 0
 
 
-def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    """Concatenate matrices left to right (equal row counts required)."""
-    if not blocks:
-        raise InputError("hstack requires at least one block")
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise InputError("hstack blocks must share their row count")
-    grid = [sum((list(b.entries[i]) for b in blocks), []) for i in range(rows)]
-    return IntMatrix.from_rows(grid, cols=sum(b.cols for b in blocks))
+def _capped_product(factors: Sequence[int], cap: int) -> int:
+    """The product of nonnegative factors, or cap when it is at least cap."""
+    if 0 in factors:
+        return 0
+    out = 1
+    for x in factors:
+        out *= x
+        if out >= cap:
+            return cap
+    return out
+
+
+def _capped_power(x: int, e: int, cap: int) -> int:
+    """x^e for x >= 0, or cap when it is at least cap; x^e is past cap for
+    every x >= 2 once e reaches cap's bit length."""
+    return _capped_product((x,) * min(e, cap.bit_length()), cap)

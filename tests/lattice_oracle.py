@@ -8,6 +8,11 @@ from exacthom.errors import InputError
 from exacthom.linalg import IntMatrix, SmithDecomposition, _EntrySwell, _smallest_pivot
 
 
+def submatrix(a: IntMatrix, rows, cols) -> IntMatrix:
+    """The entries of a in the given rows and columns, in the order given."""
+    return IntMatrix.from_rows([[a.entries[i][j] for j in cols] for i in rows], cols=len(cols))
+
+
 def _smith_engine(a: IntMatrix, transforms: bool, bit_cap: int = 0, modulus: int = 0):
     """Diagonalize a by unimodular row/column operations.
 

@@ -7,6 +7,8 @@ m at a time into a dict of destination monomials. Ext^n(m) takes entry
 (rows, cols) to be the n x n minor det(m[rows, cols]) (Cauchy-Binet).
 """
 
+from lattice_oracle import submatrix
+
 from exacthom.linalg import IntMatrix, det
 from exacthom.powers import PowerKind, _index_map, basis
 
@@ -41,7 +43,7 @@ def _ext_induced(n: int, m: IntMatrix) -> IntMatrix:
     src = basis(PowerKind.EXT, n, m.cols)
     dst = basis(PowerKind.EXT, n, m.rows)
     grid = [
-        [det(m.submatrix(rows_idx, cols_idx)) for cols_idx in src]
+        [det(submatrix(m, rows_idx, cols_idx)) for cols_idx in src]
         for rows_idx in dst
     ]
     return IntMatrix.from_rows(grid, cols=len(src))

@@ -273,7 +273,7 @@ def _s3() -> FiniteGroupTable:
     )
 
 
-_V4 = FiniteGroupTable.direct_product(FiniteGroupTable.cyclic(2), FiniteGroupTable.cyclic(2))
+_V4 = FiniteGroupTable.from_mult([[i ^ j for j in range(4)] for i in range(4)])  # Z2 x Z2
 _S3 = _s3()
 _COEFFICIENTS = {
     "trivial": lambda g: GModuleFree.trivial(g, 1),

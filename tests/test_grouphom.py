@@ -29,13 +29,13 @@ from exacthom.grouphom import (
     magnus_sequence,
     tensor_gmodule,
 )
-from exacthom.linalg import IntMatrix, hstack, smith_diagonal
+from exacthom.linalg import IntMatrix, smith_diagonal
 from exacthom.presets import PRESET_NAMES, load_preset
 
 Z2 = FiniteGroupTable.cyclic(2)
 Z3 = FiniteGroupTable.cyclic(3)
 Z4 = FiniteGroupTable.cyclic(4)
-V4 = FiniteGroupTable.direct_product(Z2, Z2)
+V4 = FiniteGroupTable.from_mult([[i ^ j for j in range(4)] for i in range(4)])  # Z2 x Z2
 
 
 def _fold(m, n, onto):
@@ -320,6 +320,12 @@ _MODULES = {
 }
 
 
+def _hstack(rows: int, blocks) -> IntMatrix:
+    """The blocks side by side; rows x 0 when there are none."""
+    cols = sum(b.cols for b in blocks)
+    return IntMatrix(rows, cols, tuple(sum((b.entries[i] for b in blocks), ()) for i in range(rows)))
+
+
 def _smith_cokernel(m: IntMatrix) -> FgAbGroup:
     diag = smith_diagonal(m)
     return FgAbGroup(m.rows - sum(1 for x in diag if x), tuple(x for x in diag if x > 1))
@@ -335,11 +341,11 @@ def test_coinvariants_and_h1_match_all_elements_oracle(group, module):
     # block of g = 1 keeps the stack nonempty for the trivial group
     every = [m.action[g] - ident for g in range(m.group.order)]
     assert len(m.group.generating_set) < len(every)
-    assert coinvariants(m) == _smith_cokernel(hstack(every))
+    assert coinvariants(m) == _smith_cokernel(_hstack(m.rank, every))
     # h1_free: the kernel rank from one dense Smith diagonal; with no
     # generators the map Z^0 -> M has kernel 0
     blocks = [m.action[g] - ident for g in pres.assignment]
-    stacked = hstack(blocks) if blocks else IntMatrix.zeros(m.rank, 0)
+    stacked = _hstack(m.rank, blocks)
     kernel_rank = stacked.cols - sum(1 for x in smith_diagonal(stacked) if x)
     assert h1_free(pres, m) == FgAbGroup(kernel_rank)
 
@@ -558,7 +564,7 @@ def test_tensor_minus_one_matches_the_kronecker_stack(group, module):
         ident = IntMatrix.identity(product.rank)
         for elements in (table.generating_set, range(table.order)):
             blocks = [product.action[g] - ident for g in elements]
-            want = hstack(blocks) if blocks else IntMatrix.zeros(product.rank, 0)
+            want = _hstack(product.rank, blocks)
             got = _minus_one(factors, elements)
             assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
 
@@ -612,6 +618,19 @@ def test_four_term_presets():
     with pytest.raises(InputError):
         four_term_report(load_preset("Z2").presentations[0],
                          GModuleFree.trivial(Z2, 1), 0)
+
+
+def test_four_term_report_refuses_another_presentations_magnus():
+    # Z3's presentations have one and two generators, so their relation
+    # modules have ranks 1 and 4; the second one's R would make B = Z^2
+    first, second = load_preset("Z3").presentations
+    coeff = GModuleFree.trivial(Z3, 1)
+    with pytest.raises(InputError, match="not the Magnus sequence of the presentation"):
+        four_term_report(first, coeff, 1, magnus=magnus_sequence(second))
+    # the sequence depends only on the generators' images, not the relators
+    same_images = FpGroupPresentation(first.generators, (), Z3, first.assignment)
+    report = four_term_report(first, coeff, 1, magnus=magnus_sequence(same_images))
+    assert report.b == FgAbGroup(1) and report.passed
 
 
 def test_four_term_budget():

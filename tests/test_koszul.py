@@ -16,10 +16,10 @@ from exacthom.errors import (
 from exacthom.koszul import (
     DERIVE_BUDGET,
     DerivedResult,
+    _builder,
     _term_rank,
     PresentationPair,
     check_budget,
-    complex_for,
     derived,
     derived_from_presentation,
     kos,
@@ -382,13 +382,12 @@ def test_derived_tensor_cube_dense_inclusions():
         assert derived_from_presentation(ten3, minimal).values == expected
 
 
-def test_complex_for_dispatch():
-    p = presentation_from_group(FgAbGroup(0, (2,)))
-    assert complex_for(SYM2, p).ranks == kos(p, 2).ranks
-    assert complex_for(EXT2, p).ranks == kos_prime(p, 2).ranks
-    assert complex_for(TEN2, p).ranks == tensor_complex(p, 2).ranks
+def test_builder_dispatch():
+    assert _builder(SYM2) is kos
+    assert _builder(EXT2) is kos_prime
+    assert _builder(TEN2) is tensor_complex
     with pytest.raises(UnsupportedFunctorError):
-        complex_for(FunctorKind(PowerKind.DIV, 2), p)
+        _builder(FunctorKind(PowerKind.DIV, 2))
 
 
 def test_derived_result_validation():
@@ -410,7 +409,7 @@ def test_check_budget_sits_on_the_built_sizes(kind):
             for n in (1, 2, 3):
                 f = FunctorKind.parse(kind, n)
                 p = presentation_from_group(group, padding)
-                r = complex_for(f, p).ranks
+                r = _builder(f)(p, n).ranks
                 need = max(
                     n + 1, p.f_rank, p.h_rank, p.f_rank * p.h_rank, *r,
                     *(a * b for a, b in zip(r, r[1:])),

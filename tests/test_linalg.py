@@ -5,6 +5,7 @@ from math import gcd
 
 import lattice_oracle
 import pytest
+from lattice_oracle import submatrix
 
 from exacthom import linalg
 from exacthom.abelian import from_cyclic_orders
@@ -17,7 +18,6 @@ from exacthom.linalg import (
     SparseMatrix,
     det,
     hnf,
-    hstack,
     kernel_basis,
     smith_diagonal,
     snf,
@@ -40,7 +40,7 @@ def minor_gcds(a):
         g = 0
         for rows in combinations(range(a.rows), k):
             for cols in combinations(range(a.cols), k):
-                g = gcd(g, det(a.submatrix(rows, cols)))
+                g = gcd(g, det(submatrix(a, rows, cols)))
         out.append(g)
     return out
 
@@ -484,7 +484,7 @@ def test_det():
             rest = tuple(range(1, m.rows))
             for j in range(m.cols):
                 keep = tuple(k for k in range(m.cols) if k != j)
-                total += (-1) ** j * m.entries[0][j] * cofactor(m.submatrix(rest, keep))
+                total += (-1) ** j * m.entries[0][j] * cofactor(submatrix(m, rest, keep))
             return total
 
         assert det(a) == cofactor(a)
@@ -492,14 +492,7 @@ def test_det():
             assert det(a) == 0
 
 
-def test_stacking():
-    a = IntMatrix.from_rows([[1, 2]])
-    b = IntMatrix.from_rows([[3, 4]])
-    assert hstack([a.transpose(), b.transpose()]).entries == ((1, 3), (2, 4))
-    with pytest.raises(InputError):
-        hstack([a, IntMatrix.zeros(2, 1)])
-    with pytest.raises(InputError):
-        hstack([])
+def test_kron_matches_its_definition():
     # the Kronecker product against its definition, a's indices major
     rng = random.Random("kron")
     for (r, c), (s, t) in [((0, 3), (2, 2)), ((3, 0), (2, 2)), ((2, 2), (0, 3)),
