@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
 from .abelian import FgAbGroup, from_cyclic_orders
@@ -24,8 +25,8 @@ from .errors import InputError, InvariantViolation, ResourceBudgetError
 from .grouphom import (
     DEFAULT_BAR_BUDGET,
     GModuleFree,
+    _group_homologies,
     augmentation_ideal,
-    group_homology,
     group_ring,
 )
 from .koszul import check_budget, derived
@@ -297,32 +298,19 @@ def _run_grouphom(params: dict) -> tuple[int, dict]:
     method = params["method"]
     if hi - lo + 1 > budget:
         raise ResourceBudgetError(f"degrees {lo}..{hi} are {hi - lo + 1} degrees, budget is {budget}")
-    rows = []
-    code = 0
-    for i in range(lo, hi + 1):
-        if method == "both":
-            periodic = group_homology(coeff, i, method="periodic", budget=budget)
-            bar = group_homology(coeff, i, method="bar", budget=budget)
-            agree = periodic == bar
-            if not agree:
-                code = 1
-            rows.append(
-                {
-                    "degree": i,
-                    "periodic": str(periodic),
-                    "bar": str(bar),
-                    "agree": agree,
-                }
-            )
-        else:
-            value = group_homology(coeff, i, method=method, budget=budget)
-            rows.append(
-                {
-                    "degree": i,
-                    "group": str(value),
-                    "json": encode_group(value),
-                }
-            )
+    degrees = range(lo, hi + 1)
+    if method == "both":
+        periodic = _group_homologies(coeff, degrees, "periodic", budget)
+        bar = _group_homologies(coeff, degrees, "bar", budget)
+        code = 0 if periodic == bar else 1
+        rows = [
+            {"degree": i, "periodic": str(p), "bar": str(b), "agree": p == b}
+            for i, p, b in zip(degrees, periodic, bar)
+        ]
+    else:
+        values = _group_homologies(coeff, degrees, method, budget)
+        code = 0
+        rows = [{"degree": i, "group": str(v), "json": encode_group(v)} for i, v in zip(degrees, values)]
     report = {
         "command": "grouphom",
         "group": source,
@@ -452,16 +440,47 @@ _TEXT_RENDERERS = {
 }
 
 
+def _json(obj: Any, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with the
+    line break and indent of obj's depth in indent.
+
+    With indent set, json.dumps runs its pure-Python encoder; this writes
+    the containers of a report directly and quotes a list of strings, such
+    as a row of U, D or V, with json's own C string encoder in one join.
+    Any value other than str, int, bool, None, a list or a dict with str
+    keys is written by json.dumps, shifted to the depth."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = indent + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        try:  # the C encoder takes only strings, as json.dumps quotes them
+            return "[" + inner + ("," + inner).join(map(encode_basestring_ascii, obj)) + indent + "]"
+        except TypeError:
+            return "[" + inner + ("," + inner).join(_json(x, inner) for x in obj) + indent + "]"
+    if kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + _json(obj[k], inner) for k in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent)
+
+
 def _render(job: JobSpec, report: dict) -> str:
     if job.output_format == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json(report) + "\n"
     return _TEXT_RENDERERS[job.command](report)
 
 
 def _render_error(job: JobSpec, kind: str, message: str) -> str:
     if job.output_format == "json":
-        payload = {"command": job.command, "error": kind, "message": message}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json({"command": job.command, "error": kind, "message": message}) + "\n"
     return f"error ({kind}): {message}\n"
 
 

@@ -213,11 +213,6 @@ class FpGroupPresentation:
             x = self.target.mult[x][g]
         return x
 
-    def parse_word(self, text: str) -> Word:
-        """Parse a relator string; uppercase letters are inverse letters."""
-        index = {name: i for i, name in enumerate(self.generators)}
-        return _parse_word(text, index)
-
     @classmethod
     def from_strings(
         cls,
@@ -444,12 +439,24 @@ def _sigma(pres: FpGroupPresentation) -> IntMatrix:
     return IntMatrix.from_rows(grid, cols=n * gens)
 
 
+# The most entries tensor_gmodule writes, |G| * (rank_a * rank_b)^2.
+_TENSOR_LIMIT = 2**22
+
+
 def tensor_gmodule(a: GModuleFree, b: GModuleFree) -> GModuleFree:
     """Tensor product over Z with the diagonal action, one Kronecker matrix
     per element. The homology routes never form it: they read the factors'
-    actions through _action_columns."""
+    actions through _action_columns. A product whose action matrices have
+    more than _TENSOR_LIMIT entries in all is refused before any is
+    written."""
     if a.group != b.group:
         raise InputError("tensor factors must share their group")
+    rank = a.rank * b.rank
+    if a.group.order * rank * rank > _TENSOR_LIMIT:
+        raise ResourceBudgetError(
+            f"tensor product of ranks {a.rank} and {b.rank} has {a.group.order} action "
+            f"matrices of {rank}x{rank} entries, over the limit of {_TENSOR_LIMIT} entries"
+        )
     actions = tuple(_kron(x, y) for x, y in zip(a.action, b.action))
     # (x (x) y)(x' (x) y') = xx' (x) yy', so the diagonal action of two
     # valid actions is valid
@@ -639,8 +646,8 @@ def _sequence_factors(
     B = R^(x)n (x) M, once n and B's coinvariant matrix fit the budget. The
     matrix is rank_B x blocks*rank_B, with rank_B = rank_R^n * rank_M capped
     just above the budget, rank_R = |G|*gens - |G| + 1 and blocks = max(|S|, 1)
-    for the generating set S. n = 0 builds no Magnus sequence, and a given
-    magnus must be magnus_sequence(pres)."""
+    for the generating set S. n = 0 builds no Magnus sequence and returns
+    magnus as given; a given magnus must be magnus_sequence(pres)."""
     if n > budget:
         raise ResourceBudgetError(f"the sequence degree n is over the budget of {budget}")
     order = pres.target.order
@@ -655,7 +662,7 @@ def _sequence_factors(
             size = f"is {rank_b}x{blocks * rank_b} = {entries} entries"
         raise ResourceBudgetError(f"coinvariant matrix of R^(x){n} (x) M {size}, budget is {budget}")
     if n == 0:
-        return None, (coeff,)
+        return magnus, (coeff,)
     if magnus is None:
         magnus = magnus_sequence(pres)
     elif magnus.sigma != _sigma(pres):
@@ -712,26 +719,47 @@ def _sequence_complex(
 
 
 def homology_four_term(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:
-    """H_i(G, coeff) from the relation-module sequence.
+    """H_i(G, coeff) from the relation-module sequence: the one-degree case
+    of _homologies_four_term."""
+    return _homologies_four_term(coeff, (i,), budget)[0]
+
+
+def _homologies_four_term(coeff: GModuleFree, degrees: Sequence[int], budget: int) -> list[FgAbGroup]:
+    """H_i(G, coeff) for each i in degrees, from the relation-module sequence.
 
     The presentation takes the group's generating set S as its generators,
     pi(s) = s, and no relators: sigma and its kernel R depend only on the
     generators' images. H_0 is the coinvariants of coeff. For i = 2n - 1
     and i = 2n, n >= 1, H_i is coker phi and ker phi of the degree-n
-    sequence, read off _sequence_complex. Before anything is built, n and
-    B's coinvariant matrix must fit the budget (_sequence_factors, with
-    n = 0 for H_0, whose B is M).
+    sequence, read off _sequence_complex. The degrees are taken in order,
+    and before a degree is computed its n and B's coinvariant matrix must
+    fit the budget (_sequence_factors, with n = 0 for H_0, whose B is M).
+    One Magnus sequence serves every degree, and one complex both degrees
+    of its n.
     """
-    if i < 0:
-        raise InputError("homology degree must be nonnegative")
     table = coeff.group
     gens = table.generating_set
     letters = tuple(chr(ord("a") + k) for k in range(len(gens)))
     pres = FpGroupPresentation(letters, (), table, gens)
-    ms, factors = _sequence_factors(pres, coeff, (i + 1) // 2, budget, None)
-    if i == 0:
-        return coinvariants(coeff)
-    return homology(_sequence_complex(pres, ms, factors[1:]), 2 - i % 2)
+    ms: Optional[MagnusSequence] = None
+    found: dict[int, FgAbGroup] = {}
+    wanted = set(degrees)
+    for i in degrees:
+        if i < 0:
+            raise InputError("homology degree must be nonnegative")
+        if i in found:
+            continue
+        n = (i + 1) // 2
+        ms, factors = _sequence_factors(pres, coeff, n, budget, ms)
+        if i == 0:
+            found[0] = coinvariants(coeff)
+            continue
+        c = _sequence_complex(pres, ms, factors[1:])
+        if {2 * n - 1, 2 * n} <= wanted:
+            found[2 * n - 1], found[2 * n] = homologies(c)[1:3]
+        else:
+            found[i] = homology(c, 2 - i % 2)
+    return [found[i] for i in degrees]
 
 
 def group_homology(
@@ -748,13 +776,19 @@ def group_homology(
     budget then caps B's coinvariant matrix instead of the bar
     differentials.
     """
+    return _group_homologies(coeff, (i,), method, budget)[0]
+
+
+def _group_homologies(coeff: GModuleFree, degrees: Sequence[int], method: str, budget: int) -> list[FgAbGroup]:
+    """group_homology at each of the degrees in turn; the four-term route
+    shares its Magnus sequence and complexes between them."""
     if method not in ("auto", "periodic", "bar"):
         raise InputError(f"unknown homology method {method!r}")
     if method == "bar":
-        return homology_bar(coeff, i, budget=budget)
+        return [homology_bar(coeff, i, budget=budget) for i in degrees]
     if method == "periodic" or coeff.group.is_cyclic():
-        return homology_cyclic(coeff, i)
-    return homology_four_term(coeff, i, budget=budget)
+        return [homology_cyclic(coeff, i) for i in degrees]
+    return _homologies_four_term(coeff, degrees, budget)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ Conventions:
 
 hnf's column loop, _hermite, is the one elimination loop. kernel_basis and
 solve run it on a stacked over the identity (Cohen, GTM 138, section 2.4).
+Each of its column operations runs over the rows where the pivot column is
+nonzero, listed once the pivot is in place, and not over every stacked row.
 The Smith forms come from _diagonalize, which alternates column Hermite
 forms of a and of its transpose until a is diagonal (Kannan and Bachem,
 SIAM J. Comput. 8, 1979); the Hermite reductions keep snf's transforms
@@ -131,7 +133,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        # row i is the slice of zeros, 1, zeros that puts the 1 at i
+        line = (0,) * n + (1,) + (0,) * n
+        return cls(n, n, tuple(line[n - i : 2 * n - i] for i in range(n)))
 
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
@@ -537,22 +541,14 @@ def _hermite(d: list[list[int]], m: int, n: int, modulus: int = 0) -> list[int]:
     """Put the first m rows of the n-column grid d in column Hermite form
     (see hnf), in place, and return the pivot row of each nonzero column.
 
-    Every column operation runs through all rows of d, so rows stacked below
-    the first m record the transform. A nonzero modulus brings the rows not
-    yet reduced back to balanced residues in (-modulus/2, modulus/2] before
-    each pivot row (see _smith_diagonal_bounded); rows above it no longer
-    change."""
-
-    def col_sub(j: int, t: int, q: int) -> None:
-        for row in d:
-            x = row[t]
-            if x:
-                row[j] -= q * x
-
-    def swap_cols(j: int, t: int) -> None:
-        for row in d:
-            row[j], row[t] = row[t], row[j]
-
+    Column operations act on every row of d, so rows stacked below the
+    first m record the transform, but col_j -= q*col_t and the sign flip of
+    column t change only the rows where the pivot column t is nonzero. Those
+    rows are listed each time the pivot is brought to column t, and the
+    operations run over the list, which holds until column t next changes
+    by a swap. A nonzero modulus brings the rows not yet reduced back to
+    balanced residues in (-modulus/2, modulus/2] before each pivot row (see
+    _smith_diagonal_bounded); rows above it no longer change."""
     pivot_rows: list[int] = []
     t = 0
     half = modulus >> 1
@@ -578,9 +574,11 @@ def _hermite(d: list[list[int]], m: int, n: int, modulus: int = 0) -> list[int]:
             if pj < 0:
                 break
             if pj != t:
-                swap_cols(pj, t)
-            if row[t] < 0:
                 for r in d:
+                    r[pj], r[t] = r[t], r[pj]
+            support = [r for r in d if r[t]]
+            if row[t] < 0:
+                for r in support:
                     r[t] = -r[t]
             clean = True
             p = row[t]
@@ -589,7 +587,8 @@ def _hermite(d: list[list[int]], m: int, n: int, modulus: int = 0) -> list[int]:
                 if x:
                     q = (x + (p >> 1)) // p  # nearest quotient limits growth
                     if q:
-                        col_sub(j, t, q)
+                        for r in support:
+                            r[j] -= q * r[t]
                     if row[j]:
                         clean = False
             if clean:
@@ -599,7 +598,8 @@ def _hermite(d: list[list[int]], m: int, n: int, modulus: int = 0) -> list[int]:
             for j in range(t):
                 q = row[j] // p
                 if q:
-                    col_sub(j, t, q)
+                    for r in support:
+                        r[j] -= q * r[t]
             pivot_rows.append(i)
             t += 1
     return pivot_rows

@@ -1,6 +1,9 @@
 """The transform-tracking Smith engine and the Smith forms, kernels and
 solutions it gives: the oracle that exacthom.linalg's Hermite routes for
-snf, smith_diagonal, kernel_basis and solve are checked against."""
+snf, smith_diagonal, kernel_basis and solve are checked against. Also the
+Hermite loop whose column operations run through every row of the grid
+(_hermite), the oracle for exacthom.linalg._hermite, which runs them over
+the pivot column's nonzero rows only."""
 
 from typing import Optional
 
@@ -214,3 +217,75 @@ def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
         if any(c.entries[i]):
             return None
     return dec.v @ IntMatrix.from_rows(y, cols=b.cols)
+
+
+def _hermite(d: list[list[int]], m: int, n: int, modulus: int = 0) -> list[int]:
+    """Put the first m rows of the n-column grid d in column Hermite form
+    (see hnf), in place, and return the pivot row of each nonzero column.
+
+    Every column operation runs through all rows of d, so rows stacked below
+    the first m record the transform. A nonzero modulus brings the rows not
+    yet reduced back to balanced residues in (-modulus/2, modulus/2] before
+    each pivot row (see _smith_diagonal_bounded); rows above it no longer
+    change."""
+
+    def col_sub(j: int, t: int, q: int) -> None:
+        for row in d:
+            x = row[t]
+            if x:
+                row[j] -= q * x
+
+    def swap_cols(j: int, t: int) -> None:
+        for row in d:
+            row[j], row[t] = row[t], row[j]
+
+    pivot_rows: list[int] = []
+    t = 0
+    half = modulus >> 1
+    for i in range(m):
+        if t >= n:
+            break
+        if modulus:
+            for r in d[i:]:
+                r[:] = [x - modulus if x > half else x for x in [y % modulus for y in r]]
+        row = d[i]
+        # Euclidean reduction across columns t.. to put gcd at column t.
+        while True:
+            best = 0
+            pj = -1
+            for j in range(t, n):
+                x = row[j]
+                if x:
+                    ax = -x if x < 0 else x
+                    if best == 0 or ax < best:
+                        best, pj = ax, j
+                        if ax == 1:
+                            break
+            if pj < 0:
+                break
+            if pj != t:
+                swap_cols(pj, t)
+            if row[t] < 0:
+                for r in d:
+                    r[t] = -r[t]
+            clean = True
+            p = row[t]
+            for j in range(t + 1, n):
+                x = row[j]
+                if x:
+                    q = (x + (p >> 1)) // p  # nearest quotient limits growth
+                    if q:
+                        col_sub(j, t, q)
+                    if row[j]:
+                        clean = False
+            if clean:
+                break
+        if row[t]:
+            p = row[t]
+            for j in range(t):
+                q = row[j] // p
+                if q:
+                    col_sub(j, t, q)
+            pivot_rows.append(i)
+            t += 1
+    return pivot_rows

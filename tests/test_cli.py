@@ -1,10 +1,12 @@
 import json
+import random
 import time
 import tracemalloc
 
 import pytest
 
 import exacthom.cli as cli
+from exacthom import grouphom
 from exacthom.abelian import FgAbGroup
 from exacthom.cli import (
     JobSpec,
@@ -358,6 +360,36 @@ def test_run_grouphom_group_file(tmp_path):
     assert report["homology"][1]["bar"] == "Z/2"
 
 
+def test_run_grouphom_builds_one_magnus_sequence_per_request(tmp_path, monkeypatch):
+    # S3 with a 3-cycle first: under auto, H_0..H_6 come from one Magnus
+    # sequence and one sequence complex for each n = 1, 2, 3
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    mult = [[perms.index(tuple(x[y[k]] for k in range(3))) for y in perms] for x in perms]
+    presentation = {"generators": ["a", "b"], "relators": ["aaa", "bb", "abab"], "assignment": [1, 3]}
+    path = tmp_path / "S3.json"
+    path.write_text(json.dumps({"table": {"order": 6, "mult": mult}, "presentations": [presentation]}))
+    calls = {"magnus_sequence": 0, "_sequence_complex": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(grouphom, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(grouphom, name, counted)
+
+    def groups(method, degrees):
+        params = _grouphom_params(preset=None, group_file=str(path), degrees=degrees, method=method)
+        code, text = run(JobSpec("grouphom", params, output_format="json"))
+        assert code == 0, text
+        return [row["group"] for row in json.loads(text)["homology"]]
+
+    got = groups("auto", "0..6")
+    assert calls == {"magnus_sequence": 1, "_sequence_complex": 3}
+    # the bar route refuses H_4 and above at the default budget; H_1..H_6
+    # have period 4 (Brown, Cohomology of Groups, VI.9)
+    assert got[:4] == groups("bar", "0..3")
+    assert got == ["Z", "Z/2", "0", "Z/6", "0", "Z/2", "0"]
+
+
 def _z2_file(**change):
     """The Z2 group file with one field of its table or presentation replaced."""
     table = {"order": 2, "mult": [[0, 1], [1, 0]]}
@@ -417,6 +449,41 @@ def test_run_verify_json_deterministic():
     report = json.loads(first[1])
     assert report["suites"][0]["suite"] == "koszul-d2"
     assert report["passed"] is True
+
+
+class _Label(str):
+    """A str subclass, which json writes as the string it holds."""
+
+
+def _report_like(rng, depth):
+    """A random tree of the values a JSON report holds, and a few it never
+    holds (floats, tuples, int keys), which the writer hands to json."""
+    leaves = (
+        lambda: rng.choice(["", "plain", 'a "quoted" word', "back\\slash", "tab\tand\nline\x00\x1f",
+                            "Z/2 + Z/4", "caf\u00e9 \u2297 \U0001d53e", "\u2028", "-17"]),
+        lambda: rng.randint(-10**6, 10**6),
+        lambda: rng.choice((1, -1)) * rng.randint(10**300, 10**600),
+        lambda: rng.choice((True, False, None)),
+        lambda: rng.choice((0.5, -2.25, 1e300, float("inf"), float("nan"))),
+        lambda: rng.choice(([], {}, (), (1, "x"))),
+        lambda: [str(rng.randint(-99, 99)) for _ in range(rng.randint(1, 6))],
+        lambda: [_Label("a\u00e9"), "b", _Label("")],
+    )
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    if rng.random() < 0.5:
+        return [_report_like(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.1:
+        return {rng.randint(-5, 5): _report_like(rng, depth - 1) for _ in range(rng.randint(1, 3))}
+    keys = ["command", "u", "entries", "Rank", "a b", "\u00fc", "", "z\"q"]
+    return {rng.choice(keys): _report_like(rng, depth - 1) for _ in range(rng.randint(0, 5))}
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(2103)
+    for _ in range(2000):
+        obj = _report_like(rng, rng.randint(0, 5))
+        assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
 
 
 def test_main_output_file(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from bar_oracle import full_bar_differential
@@ -123,9 +124,12 @@ def test_generator_names_are_lowercase_letters(name):
 
 def test_presentation_words():
     pres = FpGroupPresentation.from_strings(("a", "b"), ("aaaa", "bAA"), Z4, (1, 2))
-    assert pres.parse_word("aB") == ((0, 1), (1, -1))
-    assert pres.evaluate(pres.parse_word("ab")) == 3
-    assert pres.evaluate(pres.parse_word("A")) == 3
+    assert pres.relators[1] == ((1, 1), (0, -1), (0, -1))
+    # uppercase letters are inverse letters
+    same = FpGroupPresentation.from_strings(("a", "b"), ("aB",), Z4, (1, 1))
+    assert same.relators == (((0, 1), (1, -1)),)
+    assert pres.evaluate(((0, 1), (1, 1))) == 3
+    assert pres.evaluate(((0, -1),)) == 3
     assert pres.evaluate(()) == 0
 
 
@@ -193,13 +197,29 @@ def test_tensor_gmodule():
         h1_free(load_preset("Z2").presentations[0], zg, group_ring(Z3))
 
 
+def test_tensor_gmodule_refuses_oversized_products():
+    # R^(x)4 over S3 has rank 7^4 = 2401, so its 6 action matrices would
+    # hold 34.6 million entries; the largest product the other tests form
+    # has 1.6 million
+    relation = magnus_sequence(_s3_presentation()).relation_module
+    square = tensor_gmodule(relation, relation)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="ranks 49 and 49 has 6 action matrices of 2401x2401"):
+            functools.reduce(tensor_gmodule, (relation, relation, square))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
 def test_fox_derivative_frozen():
     pres = FpGroupPresentation.from_strings(("a",), ("aa",), Z2, (1,))
-    word = pres.parse_word("aa")
+    (word,) = pres.relators
     # d(aa)/da = 1 + a
     assert fox_derivative(word, 0, pres) == [1, 1]
     # d(a^-1)/da = -a^-1 = -a over Z/2
-    assert fox_derivative(pres.parse_word("A"), 0, pres) == [0, -1]
+    assert fox_derivative(((0, -1),), 0, pres) == [0, -1]
     assert fox_derivative((), 0, pres) == [0, 0]
     with pytest.raises(InputError):
         fox_derivative(word, 1, pres)

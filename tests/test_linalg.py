@@ -394,6 +394,41 @@ def test_snf_and_smith_diagonal_match_the_engine():
         assert smith_diagonal(a) == expected, a
 
 
+def test_hermite_matches_the_row_sweeping_loop():
+    # the loop over the pivot column's nonzero rows makes the oracle's
+    # column operations in the oracle's order, so every grid agrees entry
+    # for entry, the rows stacked below included
+    rng = random.Random(2101)
+    for _ in range(1000):
+        m, n = rng.randint(0, 16), rng.randint(0, 30)
+        density = rng.choice((1.0, 0.2))
+        a = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        d = a + IntMatrix.identity(n).to_lists()[: rng.randint(0, n)]
+        modulus = rng.choice((0, 7, 30))
+        got, want = [row[:] for row in d], [row[:] for row in d]
+        assert linalg._hermite(got, m, n, modulus) == lattice_oracle._hermite(want, m, n, modulus)
+        assert got == want, (a, modulus)
+
+
+def test_snf_transforms_match_the_row_sweeping_loop(monkeypatch):
+    # the snf workload's shapes: (rows, cols, density or None for dense, bound)
+    rng = random.Random(2102)
+    cases = []
+    for rows, cols, density, bound in ((8, 8, None, 9), (9, 9, None, 3), (15, 30, 0.2, 2), (16, 24, 0.2, 2)):
+        nonzero = [x for x in range(-bound, bound + 1) if x]
+        for _ in range(3):
+            if density is None:
+                grid = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+            else:
+                grid = [[rng.choice(nonzero) if rng.random() < density else 0 for _ in range(cols)]
+                        for _ in range(rows)]
+            cases.append(IntMatrix.from_rows(grid, cols=cols))
+    got = [snf(a) for a in cases]
+    monkeypatch.setattr(linalg, "_hermite", lattice_oracle._hermite)
+    for a, dec in zip(cases, got):
+        assert dec == snf(a), a
+
+
 def test_snf_dense_16x16_is_fast():
     # the engine's transforms reached tens of thousands of digits and
     # seconds on the 11 x 11 seeds, and 16 x 16 did not finish
