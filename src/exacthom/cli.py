@@ -94,7 +94,7 @@ def parse_group(text: str) -> FgAbGroup:
 
 def encode_matrix(m: IntMatrix) -> dict:
     try:
-        entries = [[str(x) for x in row] for row in m.entries]
+        entries = [list(map(str, row)) for row in m.entries]
     except ValueError:  # some entry is past the int -> str digit limit
         entries = [[_int_to_decimal(x) for x in row] for row in m.entries]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}

@@ -1,7 +1,8 @@
 """Homology of small finite groups with free Z[G]-module coefficients.
 
 A group is a validated multiplication table with the identity at index 0.
-Modules are free Z-modules with one integer action matrix per element.
+Modules are free Z-modules with one integer action matrix per element,
+stored as sparse columns, the form every route reads.
 Homology comes from the 2-periodic resolution when the group is cyclic and
 otherwise from the relation-module sequence
 0 -> H_2n -> (R^(x)n (x) M)_G -> H_1(F, R^(x)(n-1) (x) M) -> H_(2n-1) -> 0
@@ -12,9 +13,11 @@ as an explicit route: its words have no identity letter, so degree k has
 into the identity is degenerate and dropped. Every route checks a
 configurable entry budget before it builds anything. Every matrix of the
 sequence, coinvariants, H_1 of the free group, the periodic route's t - 1
-and the bar complex's twisted face come from one writer of sparse action
-columns (_action_columns), which reads the actions of the tensor factors
-R, ..., R, M and never forms R^(x)(n-1) (x) M or a Kronecker product. The
+and tensor_gmodule's actions come from one writer of sparse action
+columns (_action_columns), which reads the stored columns of the tensor
+factors R, ..., R, M and never forms R^(x)(n-1) (x) M or a Kronecker
+product; the bar complex's twisted face reads the module's columns
+directly. The
 Magnus embedding realizes the relation module of a finite presentation as
 an explicit kernel lattice inside Z[G]^generators, with Fox derivatives
 giving the words' images there.
@@ -22,6 +25,7 @@ giving the words' images there.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -30,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .abelian import ChainComplex, FgAbGroup, canonical_form, homologies, homology, homology_at
 from .errors import InputError, InvariantViolation, ResourceBudgetError
-from .linalg import IntMatrix, SparseMatrix, _capped_power, _capped_product, _kron, kernel_basis, solve
+from .linalg import IntMatrix, SparseMatrix, _capped_power, _capped_product, kernel_basis, solve
 
 __all__ = [
     "FiniteGroupTable",
@@ -264,16 +268,19 @@ def _parse_word(text: str, index: dict[str, int]) -> Word:
 class GModuleFree:
     """A free Z-module with an integer G-action, one matrix per element.
 
-    The identity must act as the identity matrix, and rho(s) rho(h) must be
-    rho(sh) for every s in the group's generating set and every element h.
-    That is the whole group law: by induction on the length of a word in
-    the generators, rho(g) rho(h) = rho(gh) for all g and h, so in
-    particular rho(g^-1) is the inverse of rho(g).
+    The actions may be given dense or sparse and are stored sparse, as
+    SparseMatrix columns with rows ascending. The stored columns are shared
+    (a trivial module gives every element one matrix), so nothing may
+    change them. The identity must act as the identity matrix, and
+    rho(s) rho(h) must be rho(sh) for every s in the group's generating set
+    and every element h. That is the whole group law: by induction on the
+    length of a word in the generators, rho(g) rho(h) = rho(gh) for all g
+    and h, so in particular rho(g^-1) is the inverse of rho(g).
     """
 
     group: FiniteGroupTable
     rank: int
-    action: tuple[IntMatrix, ...]
+    action: tuple[SparseMatrix, ...]
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -283,21 +290,23 @@ class GModuleFree:
         for m in self.action:
             if m.rows != self.rank or m.cols != self.rank:
                 raise InputError("action matrices must be rank x rank")
-        if self.action[0] != IntMatrix.identity(self.rank):
+        dense = [IntMatrix(self.rank, self.rank, m.entries) for m in self.action]
+        if dense[0] != IntMatrix.identity(self.rank):
             raise InputError("the identity element must act as the identity matrix")
         mult = self.group.mult
         for s in self.group.generating_set:
             for h in range(self.group.order):
-                if self.action[s] @ self.action[h] != self.action[mult[s][h]]:
+                if dense[s] @ dense[h] != dense[mult[s][h]]:
                     raise InputError("action matrices do not follow the group law")
+        object.__setattr__(self, "action", tuple(map(SparseMatrix.from_dense, dense)))
 
     @classmethod
     def _valid_by_construction(
-        cls, group: FiniteGroupTable, rank: int, action: tuple[IntMatrix, ...]
+        cls, group: FiniteGroupTable, rank: int, action: tuple[SparseMatrix, ...]
     ) -> "GModuleFree":
         """A module whose action follows the group law because it was derived
         from checked actions or from the checked table; the check is not
-        repeated."""
+        repeated. Every column must list its rows ascending."""
         module = object.__new__(cls)
         object.__setattr__(module, "group", group)
         object.__setattr__(module, "rank", rank)
@@ -308,22 +317,17 @@ class GModuleFree:
     def trivial(cls, group: FiniteGroupTable, rank: int = 1) -> "GModuleFree":
         if rank < 0:
             raise InputError("module rank must be nonnegative")
-        ident = IntMatrix.identity(rank)
+        ident = SparseMatrix._unchecked(rank, rank, tuple({j: 1} for j in range(rank)))
         return cls._valid_by_construction(group, rank, (ident,) * group.order)
 
 
 def group_ring(g: FiniteGroupTable) -> GModuleFree:
     """Z[G] with basis the elements and the left regular action."""
     n = g.order
-    actions = []
-    for elt in range(n):
-        col_to_row = [g.mult[elt][j] for j in range(n)]
-        grid = [[0] * n for _ in range(n)]
-        for j, i in enumerate(col_to_row):
-            grid[i][j] = 1
-        actions.append(IntMatrix.from_rows(grid, cols=n))
+    # column j of rho(elt) is e_(elt j)
+    actions = tuple(SparseMatrix._unchecked(n, n, tuple({i: 1} for i in row)) for row in g.mult)
     # rho(x) rho(y) e_h = e_(x(yh)) = e_((xy)h) by the table's associativity
-    return GModuleFree._valid_by_construction(g, n, tuple(actions))
+    return GModuleFree._valid_by_construction(g, n, actions)
 
 
 def augmentation_ideal(g: FiniteGroupTable) -> GModuleFree:
@@ -337,15 +341,14 @@ def augmentation_ideal(g: FiniteGroupTable) -> GModuleFree:
     rank = n - 1
     actions = []
     for elt in range(n):
-        grid = [[0] * rank for _ in range(rank)]
+        columns = []
         for h in range(1, n):
-            col = h - 1
-            gh = g.mult[elt][h]
-            if gh != 0:
-                grid[gh - 1][col] += 1
-            if elt != 0:
-                grid[elt - 1][col] -= 1
-        actions.append(IntMatrix.from_rows(grid, cols=rank))
+            # gh != elt since h is not the identity, so the rows differ
+            col = {gh - 1: 1} if (gh := g.mult[elt][h]) else {}
+            if elt:
+                col[elt - 1] = -1
+            columns.append(dict(sorted(col.items())))
+        actions.append(SparseMatrix._unchecked(rank, rank, tuple(columns)))
     # a submodule of Z[G] in the basis h - 1: the regular action restricted
     return GModuleFree._valid_by_construction(g, rank, tuple(actions))
 
@@ -410,10 +413,8 @@ def magnus_sequence(pres: FpGroupPresentation) -> MagnusSequence:
     coords = solve(kernel, IntMatrix(n * gens, n * k, translates))
     if coords is None:
         raise InvariantViolation("relation module is not stable under the action")
-    actions = tuple(
-        IntMatrix(k, k, tuple(row[elt * k : elt * k + k] for row in coords.entries))
-        for elt in range(n)
-    )
+    columns = SparseMatrix.from_dense(coords).columns
+    actions = tuple(SparseMatrix._unchecked(k, k, columns[elt * k : elt * k + k]) for elt in range(n))
     # G permutes Z[G]^generators by left multiplication (rho), and with K of
     # full column rank, K rho_R(g) = rho(g) K determines rho_R(g); so rho_R
     # follows the group law because rho does
@@ -444,11 +445,11 @@ _TENSOR_LIMIT = 2**22
 
 
 def tensor_gmodule(a: GModuleFree, b: GModuleFree) -> GModuleFree:
-    """Tensor product over Z with the diagonal action, one Kronecker matrix
-    per element. The homology routes never form it: they read the factors'
-    actions through _action_columns. A product whose action matrices have
-    more than _TENSOR_LIMIT entries in all is refused before any is
-    written."""
+    """Tensor product over Z with the diagonal action, a's index major, its
+    Kronecker actions written by _action_columns. The homology routes never
+    form it: they read the factors' actions through _action_columns. A
+    product whose action matrices have more than _TENSOR_LIMIT entries in
+    all is refused before any is written."""
     if a.group != b.group:
         raise InputError("tensor factors must share their group")
     rank = a.rank * b.rank
@@ -457,32 +458,29 @@ def tensor_gmodule(a: GModuleFree, b: GModuleFree) -> GModuleFree:
             f"tensor product of ranks {a.rank} and {b.rank} has {a.group.order} action "
             f"matrices of {rank}x{rank} entries, over the limit of {_TENSOR_LIMIT} entries"
         )
-    actions = tuple(_kron(x, y) for x, y in zip(a.action, b.action))
+    actions = tuple(
+        SparseMatrix._unchecked(rank, rank, tuple(_action_columns((a, b), g))) for g in range(a.group.order)
+    )
     # (x (x) y)(x' (x) y') = xx' (x) yy', so the diagonal action of two
     # valid actions is valid
-    return GModuleFree._valid_by_construction(a.group, a.rank * b.rank, actions)
+    return GModuleFree._valid_by_construction(a.group, rank, actions)
 
 
 def _action_columns(factors: Sequence[GModuleFree], g: int) -> list[dict[int, int]]:
     """The sparse columns of rho(g) on the tensor product of the factors,
     the first factor's index major: column (j_1, ..., j_k) is the outer
-    product of column j_i of each factor's rho(g), rows ascending. Only
-    element g's actions are read, and no Kronecker matrix is formed.
+    product of column j_i of each factor's stored rho(g), rows ascending.
+    Only element g's actions are read, no Kronecker matrix is formed, and
+    the columns are new dicts, the caller's to change.
 
     The product grows from the last factor, so the coefficient module M of
     (R, ..., R, M) enters while it is small."""
-
-    def own(m: GModuleFree) -> list[dict[int, int]]:
-        every = range(m.rank)
-        dense = zip(*m.action[g].entries)
-        return [{i: col[i] for i in itertools.compress(every, col)} for col in dense]
-
     *head, last = factors
-    columns, rank = own(last), last.rank
+    columns, rank = list(map(dict, last.action[g].columns)), last.rank
     for m in reversed(head):
         columns = [
             {i * rank + u: x * y for i, x in a.items() for u, y in b.items()}
-            for a in own(m)
+            for a in m.action[g].columns
             for b in columns
         ]
         rank *= m.rank
@@ -548,9 +546,13 @@ def homology_cyclic(coeff: GModuleFree, i: int) -> FgAbGroup:
     t_minus_1 = _minus_one((coeff,), (t,))
     if i == 0:
         return canonical_form(t_minus_1)
-    norm = coeff.action[0]
-    for g in range(1, coeff.group.order):
-        norm = norm + coeff.action[g]
+    columns = []
+    for j in range(coeff.rank):
+        total: collections.Counter[int] = collections.Counter()
+        for m in coeff.action:
+            total.update(m.columns[j])
+        columns.append({r: x for r, x in sorted(total.items()) if x})
+    norm = SparseMatrix._unchecked(coeff.rank, coeff.rank, tuple(columns))
     if i % 2:
         return homology_at(d_in=norm, d_out=t_minus_1)
     return homology_at(d_in=t_minus_1, d_out=norm)
@@ -577,7 +579,7 @@ def _bar_differential(coeff: GModuleFree, k: int) -> SparseMatrix:
     tail = base ** (k - 1)
     rows = rank * tail
     cols = rows * base
-    face0 = [[]] + [_action_columns((coeff,), table.inverse[g]) for g in range(1, table.order)]
+    face0 = [()] + [coeff.action[table.inverse[g]].columns for g in range(1, table.order)]
     columns = []
     sign_last = -1 if k % 2 else 1
     for widx, word in enumerate(itertools.product(range(1, table.order), repeat=k)):

@@ -3,10 +3,10 @@
 Everything works with Python's arbitrary-precision ints; there is no floating
 point, and a product is one loop over the nonzeros of both factors. Matrices
 are immutable value objects, and zero-dimensional matrices (0 rows or 0
-columns) are legal inputs everywhere. IntMatrix is dense and does the
-arithmetic; SparseMatrix holds the differentials of chain complexes as
-columns {row: nonzero}, and its dense entries view is built on each read,
-for tests and tracing.
+columns) are legal inputs everywhere. IntMatrix is dense and has the
+product; SparseMatrix holds the differentials of chain complexes and the
+actions of group modules as columns {row: nonzero}, and its dense entries
+view is built on each read, for tests, checks and tracing.
 
 Conventions:
   * matrices act on column vectors, so a matrix with r rows and c columns is
@@ -36,8 +36,9 @@ alternation then runs with entries kept in balanced residues mod D; the
 diagonal it leaves becomes an invariant chain through _divisibility_chain,
 the gcd/lcm step that abelian.from_cyclic_orders uses too.
 
-_kron, the one Kronecker product, builds powers.induced_map's tensor powers
-and grouphom.tensor_gmodule's diagonal actions.
+_kron, the one dense Kronecker product, builds only powers.induced_map's
+tensor powers and verify's contraction naturality check; module actions
+are sparse, and grouphom writes their tensor products column by column.
 """
 
 from __future__ import annotations
@@ -167,27 +168,6 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else tuple(() for _ in range(self.cols)))
 
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("matrix addition requires equal shapes")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("matrix subtraction requires equal shapes")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.entries, other.entries)),
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

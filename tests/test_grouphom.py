@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -30,13 +31,26 @@ from exacthom.grouphom import (
     magnus_sequence,
     tensor_gmodule,
 )
-from exacthom.linalg import IntMatrix, smith_diagonal
+from exacthom.linalg import IntMatrix, SparseMatrix, _kron, smith_diagonal
 from exacthom.presets import PRESET_NAMES, load_preset
 
 Z2 = FiniteGroupTable.cyclic(2)
 Z3 = FiniteGroupTable.cyclic(3)
 Z4 = FiniteGroupTable.cyclic(4)
 V4 = FiniteGroupTable.from_mult([[i ^ j for j in range(4)] for i in range(4)])  # Z2 x Z2
+
+
+def _dense(action) -> IntMatrix:
+    """A stored module action as a dense IntMatrix, for arithmetic."""
+    return IntMatrix(action.rows, action.cols, action.entries)
+
+
+def _minus_identity(action) -> IntMatrix:
+    """rho(g) - 1, dense, from a stored module action."""
+    rows = [list(row) for row in action.entries]
+    for i, row in enumerate(rows):
+        row[i] -= 1
+    return IntMatrix(action.rows, action.cols, tuple(map(tuple, rows)))
 
 
 def _fold(m, n, onto):
@@ -139,7 +153,7 @@ def test_gmodule_validation():
     with pytest.raises(InputError):
         GModuleFree(Z2, 1, (IntMatrix.from_rows([[2]]), IntMatrix.identity(1)))
     m = GModuleFree.trivial(Z3, 2)
-    assert m.rank == 2 and all(a == IntMatrix.identity(2) for a in m.action)
+    assert m.rank == 2 and all(a.entries == ((1, 0), (0, 1)) for a in m.action)
     with pytest.raises(InputError, match="rank must be nonnegative"):
         GModuleFree.trivial(Z3, -1)
 
@@ -159,7 +173,9 @@ def test_gmodule_group_law_checked_at_every_rank(rank):
 @pytest.mark.parametrize("preset", [*PRESET_NAMES, "S3"])
 def test_built_modules_pass_the_full_check(preset):
     # magnus_sequence, tensor_gmodule, GModuleFree.trivial, group_ring and
-    # augmentation_ideal skip GModuleFree's check; run it
+    # augmentation_ideal skip GModuleFree's check; run it, on the stored
+    # sparse actions and on dense copies. Either way the module stores
+    # SparseMatrix columns, rows ascending and with no stored zero
     presentations = [_s3_presentation()] if preset == "S3" else load_preset(preset).presentations
     for pres in presentations:
         table = pres.target
@@ -170,6 +186,11 @@ def test_built_modules_pass_the_full_check(preset):
             built += [_fold(relation, n, coeff) for n in range(3)]
         for m in built:
             assert GModuleFree(m.group, m.rank, m.action) == m
+            given = GModuleFree(m.group, m.rank, tuple(map(_dense, m.action)))
+            assert given == m
+            for a in m.action + given.action:
+                assert isinstance(a, SparseMatrix)
+                assert all(all(col.values()) and list(col) == sorted(col) for col in a.columns)
 
 
 def test_group_ring_and_augmentation():
@@ -180,7 +201,7 @@ def test_group_ring_and_augmentation():
     assert delta.action[1].entries == ((-1,),)
     d3 = augmentation_ideal(Z3)
     # t(t-1) = t^2 - t = (t^2 - 1) - (t - 1)
-    assert d3.action[1].transpose().entries[0] == (-1, 1)
+    assert d3.action[1].columns[0] == {0: -1, 1: 1}
 
 
 def test_tensor_gmodule():
@@ -191,6 +212,13 @@ def test_tensor_gmodule():
     assert coinvariants(zg, zg) == FgAbGroup(2)
     with pytest.raises(InputError):
         tensor_gmodule(zg, group_ring(Z3))
+    # the actions are the Kronecker products of the factors' dense actions
+    for pres in (_s3_presentation(), load_preset("Z2xZ2").presentations[0]):
+        table = pres.target
+        modules = (group_ring(table), augmentation_ideal(table), magnus_sequence(pres).relation_module)
+        for a, b in itertools.product(modules, repeat=2):
+            want = [_kron(_dense(x), _dense(y)) for x, y in zip(a.action, b.action)]
+            assert [_dense(x) for x in tensor_gmodule(a, b).action] == want
     with pytest.raises(InputError, match="share their group"):
         coinvariants(zg, group_ring(Z3))
     with pytest.raises(InputError, match="share their group"):
@@ -239,7 +267,7 @@ def test_fox_product_rule():
             du = fox_derivative(u, s, pres)
             dv = fox_derivative(v, s, pres)
             duv = fox_derivative(u + v, s, pres)
-            shifted = zg.action[pres.evaluate(u)] @ IntMatrix.column(dv)
+            shifted = _dense(zg.action[pres.evaluate(u)]) @ IntMatrix.column(dv)
             assert duv == [a + b for a, b in zip(du, shifted.transpose().entries[0])]
 
 
@@ -249,7 +277,7 @@ def test_magnus_frozen_z2():
     assert ms.sigma.entries == ((1, -1),)
     assert ms.inclusion.entries == ((1,), (1,))
     assert ms.relation_module.rank == 1
-    assert ms.relation_module.action[1] == IntMatrix.identity(1)
+    assert ms.relation_module.action[1].columns == ({0: 1},)
 
 
 def test_magnus_rank_and_surjectivity():
@@ -272,7 +300,7 @@ def test_magnus_rank_and_surjectivity():
                     ],
                     cols=order * gens,
                 )
-                assert big @ ms.inclusion == ms.inclusion @ ms.relation_module.action[g]
+                assert big @ ms.inclusion == ms.inclusion @ _dense(ms.relation_module.action[g])
 
 
 def test_fox_vectors_span_kernel():
@@ -340,6 +368,31 @@ _MODULES = {
 }
 
 
+@pytest.mark.parametrize("group", ["Z4", "Z2xZ2"])
+def test_routes_leave_the_stored_columns_unchanged(group):
+    # the stored columns are shared (a trivial module gives every element
+    # one matrix), so a route that changed them would corrupt later answers
+    pres = _PRESENTATIONS[group]()
+    table = pres.target
+    relation = magnus_sequence(pres).relation_module
+    modules = [GModuleFree.trivial(table, 1), group_ring(table), augmentation_ideal(table), relation]
+    before = copy.deepcopy([m.action for m in modules])
+    for m in modules:
+        coinvariants(m)
+        coinvariants(relation, m)
+        h1_free(pres, m)
+        h1_free(pres, relation, m)
+        for i in range(3):
+            if table.is_cyclic():
+                homology_cyclic(m, i)
+            homology_bar(m, i)
+            homology_four_term(m, i)
+        four_term_report(pres, m, 1)
+        tensor_gmodule(m, relation)
+        tensor_gmodule(relation, m)
+    assert [m.action for m in modules] == before
+
+
 def _hstack(rows: int, blocks) -> IntMatrix:
     """The blocks side by side; rows x 0 when there are none."""
     cols = sum(b.cols for b in blocks)
@@ -356,15 +409,14 @@ def _smith_cokernel(m: IntMatrix) -> FgAbGroup:
 def test_coinvariants_and_h1_match_all_elements_oracle(group, module):
     pres = _PRESENTATIONS[group]()
     m = _MODULES[module](pres)
-    ident = IntMatrix.identity(m.rank)
     # coinvariants: the old route stacked g - 1 for every g != 1; the zero
     # block of g = 1 keeps the stack nonempty for the trivial group
-    every = [m.action[g] - ident for g in range(m.group.order)]
+    every = [_minus_identity(m.action[g]) for g in range(m.group.order)]
     assert len(m.group.generating_set) < len(every)
     assert coinvariants(m) == _smith_cokernel(_hstack(m.rank, every))
     # h1_free: the kernel rank from one dense Smith diagonal; with no
     # generators the map Z^0 -> M has kernel 0
-    blocks = [m.action[g] - ident for g in pres.assignment]
+    blocks = [_minus_identity(m.action[g]) for g in pres.assignment]
     stacked = _hstack(m.rank, blocks)
     kernel_rank = stacked.cols - sum(1 for x in smith_diagonal(stacked) if x)
     assert h1_free(pres, m) == FgAbGroup(kernel_rank)
@@ -571,20 +623,21 @@ _KRONECKER_CAP = 2_000_000
 @pytest.mark.parametrize("module", sorted(_MODULES))
 def test_tensor_minus_one_matches_the_kronecker_stack(group, module):
     # _minus_one writes each rho(g) - 1 on a tensor product from the
-    # factors' actions; the oracle is the dense stack of tensor_gmodule's
-    # Kronecker actions, over the generating set and over every element
+    # factors' actions; the oracle is the dense stack of the Kronecker
+    # products of the factors' dense actions, over the generating set and
+    # over every element. tensor_gmodule shares _minus_one's column writer,
+    # so it is no oracle here
     pres = _PRESENTATIONS[group]()
     m = _MODULES[module](pres)
     table = pres.target
     relation = magnus_sequence(pres).relation_module
     for factors in ((m,), (relation, m), (m, relation), (relation, relation, m)):
-        if math.prod(f.rank for f in factors) ** 2 * table.order > _KRONECKER_CAP:
+        rank = math.prod(f.rank for f in factors)
+        if rank**2 * table.order > _KRONECKER_CAP:
             continue
-        product = functools.reduce(tensor_gmodule, factors)
-        ident = IntMatrix.identity(product.rank)
+        kron = [functools.reduce(_kron, [_dense(f.action[g]) for f in factors]) for g in range(table.order)]
         for elements in (table.generating_set, range(table.order)):
-            blocks = [product.action[g] - ident for g in elements]
-            want = _hstack(product.rank, blocks)
+            want = _hstack(rank, [_minus_identity(kron[g]) for g in elements])
             got = _minus_one(factors, elements)
             assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
 
