@@ -26,6 +26,7 @@ giving the words' images there.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import operator
@@ -181,7 +182,7 @@ class FpGroupPresentation:
 
     assignment[i] is the element the i-th generator maps to; construction
     checks every relator evaluates to the identity and that the assigned
-    elements generate the whole group.
+    elements generate the whole group. magnus is built once and kept.
     """
 
     generators: tuple[str, ...]
@@ -216,6 +217,11 @@ class FpGroupPresentation:
                 g = self.target.inverse[g]
             x = self.target.mult[x][g]
         return x
+
+    @functools.cached_property
+    def magnus(self) -> "MagnusSequence":
+        """magnus_sequence(self), computed once per presentation object."""
+        return magnus_sequence(self)
 
     @classmethod
     def from_strings(
@@ -641,15 +647,12 @@ def homology_bar(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -
     return homology_at(d_in=d_in, d_out=d_out)
 
 
-def _sequence_factors(
-    pres: FpGroupPresentation, coeff: GModuleFree, n: int, budget: int, magnus: Optional[MagnusSequence]
-) -> tuple[Optional[MagnusSequence], tuple[GModuleFree, ...]]:
-    """The Magnus sequence of pres and the factors (R, ..., R, M) of
-    B = R^(x)n (x) M, once n and B's coinvariant matrix fit the budget. The
-    matrix is rank_B x blocks*rank_B, with rank_B = rank_R^n * rank_M capped
-    just above the budget, rank_R = |G|*gens - |G| + 1 and blocks = max(|S|, 1)
-    for the generating set S. n = 0 builds no Magnus sequence and returns
-    magnus as given; a given magnus must be magnus_sequence(pres)."""
+def _sequence_budget(pres: FpGroupPresentation, coeff: GModuleFree, n: int, budget: int) -> None:
+    """ResourceBudgetError unless n and the coinvariant matrix of
+    B = R^(x)n (x) M fit the budget; nothing is built. The matrix is
+    rank_B x blocks*rank_B, with rank_B = rank_R^n * rank_M capped just
+    above the budget, rank_R = |G|*gens - |G| + 1 and blocks = max(|S|, 1)
+    for the generating set S."""
     if n > budget:
         raise ResourceBudgetError(f"the sequence degree n is over the budget of {budget}")
     order = pres.target.order
@@ -663,49 +666,42 @@ def _sequence_factors(
         if rank_b < cap:
             size = f"is {rank_b}x{blocks * rank_b} = {entries} entries"
         raise ResourceBudgetError(f"coinvariant matrix of R^(x){n} (x) M {size}, budget is {budget}")
-    if n == 0:
-        return magnus, (coeff,)
-    if magnus is None:
-        magnus = magnus_sequence(pres)
-    elif magnus.sigma != _sigma(pres):
-        raise InputError("magnus is not the Magnus sequence of the presentation")
-    return magnus, (magnus.relation_module,) * n + (coeff,)
 
 
-def _sequence_complex(
-    pres: FpGroupPresentation, ms: MagnusSequence, factors: Sequence[GModuleFree]
-) -> ChainComplex:
+def _sequence_complex(pres: FpGroupPresentation, factors: Sequence[GModuleFree]) -> ChainComplex:
     """The middle map phi: B -> C of the sequence with N the tensor product
     of the factors (R, ..., R, M), as the complex
     N <-delta- N^d <-Phi- R (x) N <-P- Z^(|S| rank_R rank_N).
 
-    d is the number of generators, pi the assignment, K the Magnus
-    inclusion (row s*|G| + g is the basis element g (x) e_s) and S the
-    group's generating set. delta's block s is rho_N(pi(s)^-1) - 1; its
-    kernel is C = H_1(F, N) in the coordinates of Gruenberg ("Resolutions
-    by relations", J. London Math. Soc. 35, 1960). Phi, R index major,
-    sends r_j (x) x to sum_(s, g) K[s*|G| + g, j] e_s (x) rho_N(g^-1) x:
-    K (x) 1 followed by the untwisting (ZG^d (x) N)_G = N^d,
-    (g e_s) (x) x -> e_s (x) g^-1 x. P stacks rho_R(s) (x) rho_N(s) - 1
+    d is the number of generators, pi the assignment, R and K the relation
+    module and inclusion of pres.magnus (row s*|G| + g of K is g (x) e_s)
+    and S the group's generating set. delta is h1_free's matrix, the blocks
+    rho_N(pi(s)) - 1, so its kernel is C = H_1(F, N). Phi, R index major,
+    sends r_j (x) x to sum_(s, g) K[s*|G| + g, j] e_s (x) rho_N((g pi(s))^-1) x:
+    K (x) 1, the untwisting (g e_s) (x) x -> e_s (x) g^-1 x of
+    (ZG^d (x) N)_G = N^d, then y_s -> pi(s)^-1 y_s, which carries C in
+    Gruenberg's coordinates (the kernel of the blocks rho_N(pi(s)^-1) - 1;
+    "Resolutions by relations", J. London Math. Soc. 35, 1960) onto ker
+    delta. P is coinvariants' matrix, the blocks rho_R(s) (x) rho_N(s) - 1
     over S, so coker P = B. Every block is written from the factors'
-    actions (_minus_one, _action_columns), so N itself is never built. The
-    complex's d(d(x)) = 0 check proves delta Phi = 0, so Phi lands in C,
-    and Phi P = 0, so phi is well defined on B. Then ker phi is the
-    homology at R (x) N and coker phi at N^d.
+    actions, so N itself is never built. The complex's d(d(x)) = 0 check
+    proves delta Phi = 0, so Phi lands in C, and Phi P = 0, so phi is well
+    defined on B. Then ker phi is the homology at R (x) N and coker phi at
+    N^d.
     """
     table = pres.target
     order = table.order
     gens = len(pres.assignment)
-    relation = ms.relation_module
-    delta = _minus_one(factors, [table.inverse[s] for s in pres.assignment])
+    relation = pres.magnus.relation_module
+    delta = _minus_one(factors, pres.assignment)
     rn = delta.rows
     untwist = [_action_columns(factors, table.inverse[g]) for g in range(order)]
-    k = ms.inclusion.entries
+    k = pres.magnus.inclusion.entries
     columns = []
     for j in range(relation.rank):
         terms = [
-            (s * rn, untwist[g], x)
-            for s in range(gens)
+            (s * rn, untwist[table.mult[g][pi_s]], x)
+            for s, pi_s in enumerate(pres.assignment)
             for g in range(order)
             if (x := k[s * order + g][j])
         ]
@@ -733,30 +729,29 @@ def _homologies_four_term(coeff: GModuleFree, degrees: Sequence[int], budget: in
     pi(s) = s, and no relators: sigma and its kernel R depend only on the
     generators' images. H_0 is the coinvariants of coeff. For i = 2n - 1
     and i = 2n, n >= 1, H_i is coker phi and ker phi of the degree-n
-    sequence, read off _sequence_complex. The degrees are taken in order,
-    and before a degree is computed its n and B's coinvariant matrix must
-    fit the budget (_sequence_factors, with n = 0 for H_0, whose B is M).
-    One Magnus sequence serves every degree, and one complex both degrees
-    of its n.
+    sequence, read off _sequence_complex. Before any degree is computed,
+    every n, ascending, and its B's coinvariant matrix must fit the budget
+    (_sequence_budget, with n = 0 for H_0, whose B is M). The presentation's
+    one Magnus sequence serves every degree, and one complex both of its n.
     """
     table = coeff.group
     gens = table.generating_set
     letters = tuple(chr(ord("a") + k) for k in range(len(gens)))
     pres = FpGroupPresentation(letters, (), table, gens)
-    ms: Optional[MagnusSequence] = None
+    if any(i < 0 for i in degrees):
+        raise InputError("homology degree must be nonnegative")
+    for n in sorted({(i + 1) // 2 for i in degrees}):
+        _sequence_budget(pres, coeff, n, budget)
     found: dict[int, FgAbGroup] = {}
     wanted = set(degrees)
     for i in degrees:
-        if i < 0:
-            raise InputError("homology degree must be nonnegative")
         if i in found:
             continue
-        n = (i + 1) // 2
-        ms, factors = _sequence_factors(pres, coeff, n, budget, ms)
         if i == 0:
             found[0] = coinvariants(coeff)
             continue
-        c = _sequence_complex(pres, ms, factors[1:])
+        n = (i + 1) // 2
+        c = _sequence_complex(pres, (pres.magnus.relation_module,) * (n - 1) + (coeff,))
         if {2 * n - 1, 2 * n} <= wanted:
             found[2 * n - 1], found[2 * n] = homologies(c)[1:3]
         else:
@@ -783,13 +778,16 @@ def group_homology(
 
 def _group_homologies(coeff: GModuleFree, degrees: Sequence[int], method: str, budget: int) -> list[FgAbGroup]:
     """group_homology at each of the degrees in turn; the four-term route
-    shares its Magnus sequence and complexes between them."""
+    shares its Magnus sequence and complexes between them, and the periodic
+    route computes each distinct group, H_0, H_1 or H_2, once."""
     if method not in ("auto", "periodic", "bar"):
         raise InputError(f"unknown homology method {method!r}")
     if method == "bar":
         return [homology_bar(coeff, i, budget=budget) for i in degrees]
     if method == "periodic" or coeff.group.is_cyclic():
-        return [homology_cyclic(coeff, i) for i in degrees]
+        period = [min(i, 2 - i % 2) for i in degrees]
+        groups = {j: homology_cyclic(coeff, j) for j in dict.fromkeys(period)}
+        return [groups[j] for j in period]
     return _homologies_four_term(coeff, degrees, budget)
 
 
@@ -824,27 +822,25 @@ def four_term_report(
     coeff: GModuleFree,
     n: int,
     budget: int = DEFAULT_BAR_BUDGET,
-    *,
-    magnus: Optional[MagnusSequence] = None,
 ) -> FourTermReport:
     """Compute the four groups of the degree-n sequence and check them.
 
-    With N = R^(x)(n-1) (x) M, C is H_1(F, N) and B the coinvariants of
-    R (x) N, both written from the actions of the factors R, ..., R, M
-    (coinvariants and h1_free with several modules), so neither N nor a
-    Kronecker product is formed. A and D come from the periodic route on a
-    cyclic group and from the bar route otherwise, never from
-    homology_four_term: built from the same R and N as B and C, it would
-    make the checks hold by construction. Before any module is built, n and
-    B's coinvariant matrix must fit the budget (_sequence_factors);
-    homology_bar budgets the bar differentials of A and D. magnus, when
-    given, must be magnus_sequence(pres), which is then not computed again.
+    With R = pres.magnus.relation_module and N = R^(x)(n-1) (x) M, C is
+    H_1(F, N) and B the coinvariants of R (x) N, both written from the
+    actions of the factors R, ..., R, M (coinvariants and h1_free with
+    several modules), so neither N nor a Kronecker product is formed. A and
+    D come from the periodic route on a cyclic group and from the bar route
+    otherwise, never from homology_four_term: built from the same R and N
+    as B and C, it would make the checks hold by construction. Before any
+    module is built, n and B's coinvariant matrix must fit the budget
+    (_sequence_budget); homology_bar budgets A's and D's bar differentials.
     """
     if n < 1:
         raise InputError("the sequence degree n must be at least 1")
     if coeff.group != pres.target:
         raise InputError("coefficient module must live over the presented group")
-    _, factors = _sequence_factors(pres, coeff, n, budget, magnus)
+    _sequence_budget(pres, coeff, n, budget)
+    factors = (pres.magnus.relation_module,) * n + (coeff,)
     method = "periodic" if pres.target.is_cyclic() else "bar"
     a = group_homology(coeff, 2 * n, method=method, budget=budget)
     b = coinvariants(*factors)

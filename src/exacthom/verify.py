@@ -16,12 +16,7 @@ from typing import Optional
 
 from .abelian import FgAbGroup, canonical_form
 from .errors import ComplexValidityError
-from .grouphom import (
-    GModuleFree,
-    fox_derivative,
-    four_term_report,
-    magnus_sequence,
-)
+from .grouphom import GModuleFree, fox_derivative, four_term_report
 from .koszul import (
     PresentationPair,
     derived_from_presentation,
@@ -307,7 +302,7 @@ def run_four_term(
         coeff = GModuleFree.trivial(preset.table, 1)
         for pres_idx, pres in enumerate(preset.presentations):
             label = f"{name}/presentation{pres_idx}"
-            ms = magnus_sequence(pres)
+            ms = pres.magnus
             order, gens = preset.table.order, len(pres.generators)
 
             cases += 1
@@ -331,7 +326,7 @@ def run_four_term(
             degrees = (1, 2) if preset.table.is_cyclic() else (1,)
             for n in degrees if only_n is None else (only_n,):
                 cases += 1
-                report = four_term_report(pres, coeff, n, budget=budget, magnus=ms)
+                report = four_term_report(pres, coeff, n, budget=budget)
                 if (name, pres_idx, n) == ("Z2", 0, 1):
                     reference = report
                 quadruple = [str(report.a), str(report.b), str(report.c), str(report.d)]

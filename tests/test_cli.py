@@ -304,6 +304,21 @@ def test_run_grouphom_budget_huge_degree():
     assert time.perf_counter() - start < 1
 
 
+def test_run_grouphom_budgets_every_degree_before_computing_any(monkeypatch):
+    # n = 5 of H_9 is the first over budget: it is refused before H_0..H_8
+    # are computed, with the message a degree-by-degree check would give
+    calls = []
+    monkeypatch.setattr(grouphom, "magnus_sequence", calls.append)
+    start = time.process_time()
+    params = _grouphom_params(preset="Z2xZ2", method="auto", degrees="0..1000")
+    code, text = run(JobSpec("grouphom", params, output_format="json"))
+    assert time.process_time() - start < 0.1
+    assert code == 3 and not calls
+    assert json.loads(text)["message"] == (
+        "coinvariant matrix of R^(x)5 (x) M is 3125x6250 = 19531250 entries, budget is 1000000"
+    )
+
+
 def test_run_grouphom_budget_caps_the_degree_count():
     params = _grouphom_params(preset="Z4", method="auto", degrees="0..10", budget=10)
     code, text = run(JobSpec("grouphom", params, output_format="json"))

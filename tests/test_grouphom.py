@@ -447,6 +447,24 @@ def test_homology_classical_table():
             assert homology_bar(coeff, i) == want
 
 
+def test_periodic_route_computes_each_distinct_group_once(monkeypatch):
+    # H_i for i >= 1 depends only on the parity of i, so 0..99 needs
+    # H_0, H_1 and H_2 only, under periodic and under auto on a cyclic group
+    calls = []
+
+    def spy(coeff, i):
+        calls.append(i)
+        return homology_cyclic(coeff, i)
+
+    monkeypatch.setattr(grouphom, "homology_cyclic", spy)
+    for coeff in (GModuleFree.trivial(Z4, 1), group_ring(Z4), augmentation_ideal(Z3)):
+        for method in ("periodic", "auto"):
+            calls.clear()
+            got = grouphom._group_homologies(coeff, range(100), method, 10**6)
+            assert len(calls) <= 3
+            assert got == [homology_cyclic(coeff, i) for i in range(100)]
+
+
 def test_homology_regular_coefficients_acyclic():
     for table in (Z2, Z3):
         zg = group_ring(table)
@@ -693,16 +711,16 @@ def test_four_term_presets():
                          GModuleFree.trivial(Z2, 1), 0)
 
 
-def test_four_term_report_refuses_another_presentations_magnus():
-    # Z3's presentations have one and two generators, so their relation
-    # modules have ranks 1 and 4; the second one's R would make B = Z^2
-    first, second = load_preset("Z3").presentations
-    coeff = GModuleFree.trivial(Z3, 1)
-    with pytest.raises(InputError, match="not the Magnus sequence of the presentation"):
-        four_term_report(first, coeff, 1, magnus=magnus_sequence(second))
-    # the sequence depends only on the generators' images, not the relators
+def test_four_term_report_depends_only_on_the_generators_images():
+    # the Magnus sequence, kept on the presentation object, depends only on
+    # the generators' images, not the relators
+    first = load_preset("Z3").presentations[0]
     same_images = FpGroupPresentation(first.generators, (), Z3, first.assignment)
-    report = four_term_report(first, coeff, 1, magnus=magnus_sequence(same_images))
+    assert first.magnus is first.magnus
+    assert same_images.magnus.sigma == first.magnus.sigma
+    coeff = GModuleFree.trivial(Z3, 1)
+    report = four_term_report(same_images, coeff, 1)
+    assert report == four_term_report(first, coeff, 1)
     assert report.b == FgAbGroup(1) and report.passed
 
 
