@@ -310,7 +310,9 @@ def _run_grouphom(params: dict) -> tuple[int, dict]:
     else:
         values = _group_homologies(coeff, degrees, method, budget)
         code = 0
-        rows = [{"degree": i, "group": str(v), "json": encode_group(v)} for i, v in zip(degrees, values)]
+        # a long range repeats a few groups: each distinct one is written once
+        text = {v: (str(v), encode_group(v)) for v in set(values)}
+        rows = [{"degree": i, "group": text[v][0], "json": text[v][1]} for i, v in zip(degrees, values)]
     report = {
         "command": "grouphom",
         "group": source,

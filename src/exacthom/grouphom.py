@@ -3,8 +3,10 @@
 A group is a validated multiplication table with the identity at index 0.
 Modules are free Z-modules with one integer action matrix per element,
 stored as sparse columns, the form every route reads.
-Homology comes from the 2-periodic resolution when the group is cyclic and
-otherwise from the relation-module sequence
+When the group splits over its generating set, as Z/o_1 x ... x Z/o_k,
+homology comes from the tensor product of the factors' 2-periodic
+resolutions (_product_homologies; one factor when the group is cyclic).
+Otherwise it comes from the relation-module sequence
 0 -> H_2n -> (R^(x)n (x) M)_G -> H_1(F, R^(x)(n-1) (x) M) -> H_(2n-1) -> 0
 of the table's generating set, whose middle map is built as one sparse
 four-term complex (homology_four_term). The normalized bar complex stays
@@ -12,8 +14,8 @@ as an explicit route: its words have no identity letter, so degree k has
 (|G| - 1)^k of them instead of |G|^k, and a face that merges two letters
 into the identity is degenerate and dropped. Every route checks a
 configurable entry budget before it builds anything. Every matrix of the
-sequence, coinvariants, H_1 of the free group, the periodic route's t - 1
-and tensor_gmodule's actions come from one writer of sparse action
+sequence, coinvariants, H_1 of the free group, the product resolution's
+t - 1 and tensor_gmodule's actions come from one writer of sparse action
 columns (_action_columns), which reads the stored columns of the tensor
 factors R, ..., R, M and never forms R^(x)(n-1) (x) M or a Kronecker
 product; the bar complex's twisted face reads the module's columns
@@ -542,26 +544,113 @@ def homology_cyclic(coeff: GModuleFree, i: int) -> FgAbGroup:
     group. The resolution ... -> ZG -N-> ZG -(t-1)-> ZG -> Z alternates
     t - 1 in odd and the norm N = sum_g g in even differentials, so
     H_0 = coker(t - 1), odd degrees are ker(t - 1)/im(norm), and positive
-    even degrees ker(norm)/im(t - 1).
+    even degrees ker(norm)/im(t - 1). It is the one-factor product
+    resolution, read from the three terms around degree i.
     """
     if i < 0:
         raise InputError("homology degree must be nonnegative")
     t = coeff.group.generator()
     if t is None:
         raise InputError("the periodic resolution needs a cyclic group")
-    t_minus_1 = _minus_one((coeff,), (t,))
-    if i == 0:
-        return canonical_form(t_minus_1)
-    columns = []
-    for j in range(coeff.rank):
-        total: collections.Counter[int] = collections.Counter()
-        for m in coeff.action:
-            total.update(m.columns[j])
-        columns.append({r: x for r, x in sorted(total.items()) if x})
-    norm = SparseMatrix._unchecked(coeff.rank, coeff.rank, tuple(columns))
-    if i % 2:
-        return homology_at(d_in=norm, d_out=t_minus_1)
-    return homology_at(d_in=t_minus_1, d_out=norm)
+    return _product_homologies(coeff, (t,), i, i)[0]
+
+
+def _split_factors(table: FiniteGroupTable) -> Optional[tuple[int, ...]]:
+    """Elements t_1, ..., t_k for which Z/o_1 x ... x Z/o_k -> G, sending
+    the generators to them, is an isomorphism, or None if the generating
+    set gives none.
+
+    A cyclic table gives (generator(),). Otherwise the greedy generating
+    set qualifies when its elements commute pairwise and their orders
+    multiply to |G|: the map is then a homomorphism onto G between two sets
+    of the same size."""
+    t = table.generator()
+    if t is not None:
+        return (t,)
+    gens, mult = table.generating_set, table.mult
+    if all(mult[a][b] == mult[b][a] for a, b in itertools.combinations(gens, 2)) and (
+        math.prod(map(table.element_order, gens)) == table.order
+    ):
+        return gens
+    return None
+
+
+def _compositions(d: int, k: int) -> list[tuple[int, ...]]:
+    """The compositions of d into k nonnegative parts, lexicographically
+    descending."""
+    if k == 1:
+        return [(d,)]
+    return [(first, *rest) for first in range(d, -1, -1) for rest in _compositions(d - first, k - 1)]
+
+
+def _product_budget(rank: int, k: int, lo: int, hi: int, budget: int) -> None:
+    """ResourceBudgetError unless the differentials that _product_homologies
+    writes for H_lo..H_hi with k factors, over a module of the given rank,
+    have at most budget entries (rows*cols) in all; nothing is built. Term d
+    has rank * C(d + k - 1, k - 1) rows, capped just above the budget, and
+    the sum stops once it passes the budget. Rank 0 counts as rank 1, so
+    the blocks are capped too."""
+    cap = budget + 1
+    rank = max(rank, 1)
+    bottom = max(lo - 1, 0)
+    below = _capped_product((rank, math.comb(bottom + k - 1, k - 1)), cap)
+    total = 0
+    for d in range(bottom + 1, hi + 2):
+        above = _capped_product((rank, math.comb(d + k - 1, k - 1)), cap)
+        total += below * above
+        if total > budget:
+            size = f"{total} entries" if d == hi + 1 and above < cap else f"over {budget} entries"
+            raise ResourceBudgetError(
+                f"product resolution differentials in degrees {bottom + 1}..{hi + 1} have {size}, "
+                f"budget is {budget}"
+            )
+        below = above
+
+
+def _product_homologies(coeff: GModuleFree, factors: Sequence[int], lo: int, hi: int) -> tuple[FgAbGroup, ...]:
+    """H_lo, ..., H_hi of G with coefficients in coeff, for factors as
+    _split_factors gives them, from P (x)_G M with P = P_1 (x) ... (x) P_k
+    the tensor product of the factors' 2-periodic resolutions, a free
+    Z[G]-resolution of Z (Brown, Cohomology of Groups, V.1).
+
+    P_d (x)_G M has one block M per composition c of d into k parts. On
+    block c, factor f with c_f > 0 maps to block c - e_f by rho(t_f) - 1
+    when c_f is odd and by the norm sum_j rho(t_f^j) when c_f is even, with
+    the sign (-1)^(c_1 + ... + c_(f-1)). Only the window of degrees
+    max(lo - 1, 0)..hi + 1 is written, as one sparse complex whose
+    d(d(x)) = 0 check proves the signs, and one reduction reads H_lo..H_hi.
+    """
+    mult, rank = coeff.group.mult, coeff.rank
+    maps = []  # maps[f][c_f % 2]: the columns of the norm and of rho(t_f) - 1
+    for t in factors:
+        total = [collections.Counter() for _ in range(rank)]
+        x = 0
+        while True:
+            for acc, col in zip(total, coeff.action[x].columns):
+                acc.update(col)
+            x = mult[x][t]
+            if not x:
+                break
+        norm = [{r: v for r, v in sorted(acc.items()) if v} for acc in total]
+        maps.append((norm, _minus_one((coeff,), (t,)).columns))
+    bottom = max(lo - 1, 0)
+    blocks = [_compositions(d, len(factors)) for d in range(bottom, hi + 2)]
+    diffs = []
+    for below, above in zip(blocks, blocks[1:]):
+        at = {c: i * rank for i, c in enumerate(below)}
+        columns = []
+        for c in above:
+            faces, sign = [], 1
+            for f, part in enumerate(c):
+                if part:
+                    faces.append((at[(*c[:f], part - 1, *c[f + 1 :])], sign, maps[f][part % 2]))
+                    if part % 2:
+                        sign = -sign
+            for j in range(rank):
+                columns.append({base + r: s * v for base, s, m in faces for r, v in m[j].items()})
+        diffs.append(SparseMatrix._unchecked(len(below) * rank, len(above) * rank, tuple(columns)))
+    c = ChainComplex(bottom, tuple(len(b) * rank for b in blocks), tuple(diffs))
+    return homologies(c)[lo - bottom : hi - bottom + 1]
 
 
 def _bar_differential(coeff: GModuleFree, k: int) -> SparseMatrix:
@@ -631,20 +720,25 @@ def homology_bar(coeff: GModuleFree, i: int, budget: int = DEFAULT_BAR_BUDGET) -
     """
     if i < 0:
         raise InputError("homology degree must be nonnegative")
-    base = coeff.group.order - 1
+    _bar_budget(coeff, i, budget)
     rank = coeff.rank
-    cap = budget + 1
-    rows = _capped_product((rank, _capped_power(base, i, cap)), cap)
-    cols = _capped_product((rank, _capped_power(base, i + 1, cap)), cap)
-    if rows * cols > budget:
-        size = f"is {rows}x{cols} = {rows * cols} entries" if cols < cap else f"has over {budget} columns"
-        raise ResourceBudgetError(f"bar differential at degree {i + 1} {size}, budget is {budget}")
     d_in = _bar_differential(coeff, i + 1)
     if i == 0:
         d_out = IntMatrix.zeros(0, rank)
     else:
         d_out = _bar_differential(coeff, i)
     return homology_at(d_in=d_in, d_out=d_out)
+
+
+def _bar_budget(coeff: GModuleFree, i: int, budget: int) -> None:
+    """homology_bar's budget check at degree i >= 0; nothing is built."""
+    base = coeff.group.order - 1
+    cap = budget + 1
+    rows = _capped_product((coeff.rank, _capped_power(base, i, cap)), cap)
+    cols = _capped_product((coeff.rank, _capped_power(base, i + 1, cap)), cap)
+    if rows * cols > budget:
+        size = f"is {rows}x{cols} = {rows * cols} entries" if cols < cap else f"has over {budget} columns"
+        raise ResourceBudgetError(f"bar differential at degree {i + 1} {size}, budget is {budget}")
 
 
 def _sequence_budget(pres: FpGroupPresentation, coeff: GModuleFree, n: int, budget: int) -> None:
@@ -765,30 +859,44 @@ def group_homology(
     method: str = "auto",
     budget: int = DEFAULT_BAR_BUDGET,
 ) -> FgAbGroup:
-    """H_i(G, coeff), choosing the periodic, four-term or bar route.
+    """H_i(G, coeff), choosing the periodic, product, four-term or bar route.
 
     method "periodic" requires a cyclic group and "bar" forces the bar
     complex. "auto" uses the periodic resolution whenever the group is
-    cyclic and the relation-module sequence (homology_four_term) otherwise;
-    budget then caps B's coinvariant matrix instead of the bar
-    differentials.
+    cyclic, the product of its factors' periodic resolutions when it splits
+    over its generating set as a product of cyclic groups (budget then caps
+    the entries of the differentials written), and the relation-module
+    sequence (homology_four_term) otherwise, where budget caps B's
+    coinvariant matrix.
     """
     return _group_homologies(coeff, (i,), method, budget)[0]
 
 
 def _group_homologies(coeff: GModuleFree, degrees: Sequence[int], method: str, budget: int) -> list[FgAbGroup]:
-    """group_homology at each of the degrees in turn; the four-term route
-    shares its Magnus sequence and complexes between them, and the periodic
-    route computes each distinct group, H_0, H_1 or H_2, once."""
+    """group_homology at each of the degrees in turn, every degree budgeted
+    before any is computed. The product route writes one window from the
+    lowest to the highest degree, the four-term route shares its Magnus
+    sequence and complexes between them, and the periodic route computes
+    each distinct group, H_0, H_1 or H_2, once."""
     if method not in ("auto", "periodic", "bar"):
         raise InputError(f"unknown homology method {method!r}")
+    if any(i < 0 for i in degrees):
+        raise InputError("homology degree must be nonnegative")
     if method == "bar":
+        for i in degrees:
+            _bar_budget(coeff, i, budget)
         return [homology_bar(coeff, i, budget=budget) for i in degrees]
     if method == "periodic" or coeff.group.is_cyclic():
         period = [min(i, 2 - i % 2) for i in degrees]
         groups = {j: homology_cyclic(coeff, j) for j in dict.fromkeys(period)}
         return [groups[j] for j in period]
-    return _homologies_four_term(coeff, degrees, budget)
+    factors = _split_factors(coeff.group)
+    if factors is None or not degrees:
+        return _homologies_four_term(coeff, degrees, budget)
+    lo, hi = min(degrees), max(degrees)
+    _product_budget(coeff.rank, len(factors), lo, hi, budget)
+    found = _product_homologies(coeff, factors, lo, hi)
+    return [found[i - lo] for i in degrees]
 
 
 @dataclass(frozen=True)
@@ -800,7 +908,9 @@ class FourTermReport:
     where R is the relation module of the presentation. Exactness forces the
     alternating rank sum to vanish, the order identity |A||C| = |B||D| when
     all four groups are finite, and A to embed into B. The report does not
-    use the middle map; homology_four_term builds it.
+    use the middle map; homology_four_term builds it. A and D come from a
+    route that does not read R: the product resolution when the group
+    splits over its generating set, the bar complex otherwise.
     """
 
     n: int
@@ -829,23 +939,24 @@ def four_term_report(
     H_1(F, N) and B the coinvariants of R (x) N, both written from the
     actions of the factors R, ..., R, M (coinvariants and h1_free with
     several modules), so neither N nor a Kronecker product is formed. A and
-    D come from the periodic route on a cyclic group and from the bar route
-    otherwise, never from homology_four_term: built from the same R and N
-    as B and C, it would make the checks hold by construction. Before any
-    module is built, n and B's coinvariant matrix must fit the budget
-    (_sequence_budget); homology_bar budgets A's and D's bar differentials.
+    D come from the product resolution when the group splits over its
+    generating set (the periodic route when it is cyclic) and from the bar
+    route otherwise, never from homology_four_term: built from the same R
+    and N as B and C, it would make the checks hold by construction. Before
+    any module is built, n and B's coinvariant matrix must fit the budget
+    (_sequence_budget), and A's and D's differentials are budgeted before
+    they are built (the product window, or homology_bar's d_(2n+1) and d_(2n)).
     """
     if n < 1:
         raise InputError("the sequence degree n must be at least 1")
     if coeff.group != pres.target:
         raise InputError("coefficient module must live over the presented group")
     _sequence_budget(pres, coeff, n, budget)
+    method = "bar" if _split_factors(pres.target) is None else "auto"
+    a, d = _group_homologies(coeff, (2 * n, 2 * n - 1), method, budget)
     factors = (pres.magnus.relation_module,) * n + (coeff,)
-    method = "periodic" if pres.target.is_cyclic() else "bar"
-    a = group_homology(coeff, 2 * n, method=method, budget=budget)
     b = coinvariants(*factors)
     c = h1_free(pres, *factors[1:])
-    d = group_homology(coeff, 2 * n - 1, method=method, budget=budget)
     rank_check = a.free_rank - b.free_rank + c.free_rank - d.free_rank == 0
     orders = [x.order() for x in (a, b, c, d)]
     product_check: Optional[bool] = None

@@ -3,8 +3,8 @@
 the benchmark's own smoke test. So must a builder that derived reaches
 without passing the wrapper, which would read 0 in the koszul.build spans,
 and so must a grouphom --method bar request whose bar route drops out of
-the trace, an auto one that falls back to the bar route or builds a tensor
-module, a kernel or solution that goes back through the Smith transforms of
+the trace, an auto one that falls back to the bar route, builds a tensor
+module or, on Z2xZ2, builds a Magnus sequence, a kernel or solution that goes back through the Smith transforms of
 snf, Smith transforms that swell again, a derive job that needs the bounded
 modular Smith route or a dense product, sparse differentials whose dense
 view the tracer miscounts, or an exterior power that goes back to
@@ -64,23 +64,37 @@ metrics = tracer.metrics(1)
 for name, want in (("kernel_basis", 1), ("solve", 1), ("snf", 0)):
     calls = metrics["linalg." + name + ".calls"]
     assert calls == want, (name, calls)
-# two grouphom jobs through the CLI: --method bar must show the bar route in
-# the trace, and auto on a non-cyclic group one Magnus sequence and no bar;
-# neither builds a tensor module, since the sequence reads the factors' actions
+# three grouphom jobs through the CLI: --method bar must show the bar route
+# in the trace, auto on Z2xZ2 the product resolution (no Magnus sequence and
+# no bar), and auto on S3, which does not split, one Magnus sequence and no
+# bar; none builds a tensor module, since the sequence reads the factors'
+# actions
 from exacthom import cli
-for method, bar, magnus in (("bar", 1, 0), ("auto", 0, 1)):
-    before = {{name: tracer.stats[name][0] for name in tracer.stats}}
-    tracer.begin_job(method)
-    argv = ["grouphom", "--preset", "Z2xZ2", "--degrees", "2..2", "--method", method,
-            "--format", "json"]
-    code, text = cli.run(cli.job_from_args(cli.build_parser().parse_args(argv)))
-    assert code == 0 and '"group": "Z/2"' in text, text
-    tracer.end_job(0.0)
-    wants = (("cli.run", 1), ("grouphom.homology_bar", bar), ("grouphom.magnus_sequence", magnus),
-             ("grouphom.tensor_gmodule", 0))
-    for name, want in wants:
-        calls = tracer.stats[name][0] - before[name]
-        assert calls == want, (method, name, calls)
+perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+s3 = {{"table": {{"order": 6, "mult": [[perms.index(tuple(x[y[k]] for k in range(3))) for y in perms]
+                                   for x in perms]}},
+      "presentations": [{{"generators": ["a", "b"], "relators": ["aaa", "bb", "abab"],
+                          "assignment": [1, 3]}}]}}
+with tempfile.TemporaryDirectory() as tmp:
+    s3_path = os.path.join(tmp, "S3.json")
+    with open(s3_path, "w") as fh:
+        json.dump(s3, fh)
+    for source, method, bar, magnus, group in (
+        (["--preset", "Z2xZ2"], "bar", 1, 0, "Z/2"),
+        (["--preset", "Z2xZ2"], "auto", 0, 0, "Z/2"),
+        (["--group-file", s3_path], "auto", 0, 1, "0"),
+    ):
+        before = {{name: tracer.stats[name][0] for name in tracer.stats}}
+        tracer.begin_job(method)
+        argv = ["grouphom", *source, "--degrees", "2..2", "--method", method, "--format", "json"]
+        code, text = cli.run(cli.job_from_args(cli.build_parser().parse_args(argv)))
+        assert code == 0 and f'"group": "{{group}}"' in text, text
+        tracer.end_job(0.0)
+        wants = (("cli.run", 1), ("grouphom.homology_bar", bar), ("grouphom.magnus_sequence", magnus),
+                 ("grouphom.tensor_gmodule", 0))
+        for name, want in wants:
+            calls = tracer.stats[name][0] - before[name]
+            assert calls == want, (source, method, name, calls)
 # one snf job through the CLI on a dense 8 x 8 input: U and V stay short
 rng = random.Random(1)
 rows = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)]

@@ -289,34 +289,58 @@ def test_run_grouphom_budget():
     assert json.loads(text)["error"] == "budget"
 
 
-def test_run_grouphom_budget_huge_degree():
-    # auto on Z2xZ2 budgets B = R^(x)2500 (x) Z, rank 5^2500, capped
+def _s3_file(tmp_path) -> str:
+    """S3 as a group file, with the 3-cycle a = (1, 2, 0) first."""
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    mult = [[perms.index(tuple(x[y[k]] for k in range(3))) for y in perms] for x in perms]
+    presentation = {"generators": ["a", "b"], "relators": ["aaa", "bb", "abab"], "assignment": [1, 3]}
+    path = tmp_path / "S3.json"
+    path.write_text(json.dumps({"table": {"order": 6, "mult": mult}, "presentations": [presentation]}))
+    return str(path)
+
+
+def test_run_grouphom_budget_huge_degree(tmp_path):
+    # auto on S3 budgets B = R^(x)2500 (x) Z, rank 7^2500, capped; on Z2xZ2
+    # the product window's d_5000 alone is 5000x5001
     start = time.perf_counter()
-    params = _grouphom_params(preset="Z2xZ2", method="auto", degrees="5000..5000")
-    code, text = run(JobSpec("grouphom", params, output_format="json"))
-    assert code == 3
-    assert json.loads(text)["message"] == (
-        "coinvariant matrix of R^(x)2500 (x) M has over 1000000 rows, budget is 1000000"
-    )
-    params = _grouphom_params(preset="Z2xZ2", method="auto", degrees="100000000..100000000")
-    code, _ = run(JobSpec("grouphom", params))
-    assert code == 3
+    for source, message in (
+        ({"preset": None, "group_file": _s3_file(tmp_path)},
+         "coinvariant matrix of R^(x)2500 (x) M has over 1000000 rows, budget is 1000000"),
+        ({"preset": "Z2xZ2"},
+         "product resolution differentials in degrees 5000..5001 have over 1000000 entries, budget is 1000000"),
+    ):
+        params = _grouphom_params(**source, method="auto", degrees="5000..5000")
+        code, text = run(JobSpec("grouphom", params, output_format="json"))
+        assert code == 3
+        assert json.loads(text)["message"] == message
+        params = _grouphom_params(**source, method="auto", degrees="100000000..100000000")
+        code, _ = run(JobSpec("grouphom", params))
+        assert code == 3
     assert time.perf_counter() - start < 1
 
 
-def test_run_grouphom_budgets_every_degree_before_computing_any(monkeypatch):
-    # n = 5 of H_9 is the first over budget: it is refused before H_0..H_8
-    # are computed, with the message a degree-by-degree check would give
+def test_run_grouphom_budgets_every_degree_before_computing_any(tmp_path, monkeypatch):
+    # on S3, n = 4 of H_7 is the first over budget: it is refused before
+    # H_0..H_6 are computed, with the message a degree-by-degree check would
+    # give. On Z2xZ2 the product window 0..1001 is refused before it is
+    # written, and the bar route checks d_1..d_1001 before it builds any
     calls = []
-    monkeypatch.setattr(grouphom, "magnus_sequence", calls.append)
-    start = time.process_time()
-    params = _grouphom_params(preset="Z2xZ2", method="auto", degrees="0..1000")
-    code, text = run(JobSpec("grouphom", params, output_format="json"))
-    assert time.process_time() - start < 0.1
-    assert code == 3 and not calls
-    assert json.loads(text)["message"] == (
-        "coinvariant matrix of R^(x)5 (x) M is 3125x6250 = 19531250 entries, budget is 1000000"
-    )
+    for name in ("magnus_sequence", "_product_homologies", "_bar_differential"):
+        monkeypatch.setattr(grouphom, name, lambda *args, name=name: calls.append(name))
+    for source, method, message in (
+        ({"preset": None, "group_file": _s3_file(tmp_path)}, "auto",
+         "coinvariant matrix of R^(x)4 (x) M is 2401x4802 = 11529602 entries, budget is 1000000"),
+        ({"preset": "Z2xZ2"}, "auto",
+         "product resolution differentials in degrees 1..1001 have over 1000000 entries, budget is 1000000"),
+        ({"preset": "Z2xZ2"}, "bar",
+         "bar differential at degree 7 is 729x2187 = 1594323 entries, budget is 1000000"),
+    ):
+        start = time.process_time()
+        params = _grouphom_params(**source, method=method, degrees="0..1000")
+        code, text = run(JobSpec("grouphom", params, output_format="json"))
+        assert time.process_time() - start < 0.1
+        assert code == 3 and not calls
+        assert json.loads(text)["message"] == message
 
 
 def test_run_grouphom_budget_caps_the_degree_count():
@@ -330,6 +354,25 @@ def test_run_grouphom_budget_caps_the_degree_count():
     params = _grouphom_params(preset="Z4", method="auto", degrees="0..100000000")
     assert run(JobSpec("grouphom", params))[0] == 3
     assert time.perf_counter() - start < 1
+
+
+def test_run_grouphom_long_range_is_written_row_by_row_as_before():
+    # each distinct group is rendered once and shared between its rows; the
+    # report must be byte for byte the one that renders every row anew
+    for preset, coeff, method, degrees in (
+        ("Z4", "trivial", "periodic", range(3000)),
+        ("Z2xZ2", "augmentation", "auto", range(30)),
+    ):
+        params = _grouphom_params(preset=preset, coeff=coeff, method=method,
+                                  degrees=f"{degrees[0]}..{degrees[-1]}")
+        code, text = run(JobSpec("grouphom", params, output_format="json"))
+        table = cli.load_preset(preset).table
+        module = cli._coefficient_module(table, coeff)
+        values = grouphom._group_homologies(module, degrees, method, 10**6)
+        rows = [{"degree": i, "group": str(v), "json": encode_group(v)} for i, v in zip(degrees, values)]
+        report = {"command": "grouphom", "group": preset, "order": table.order,
+                  "coefficients": coeff, "method": method, "homology": rows}
+        assert code == 0 and text == cli._json(report) + "\n"
 
 
 def test_run_verify_four_term_budget():
@@ -378,11 +421,7 @@ def test_run_grouphom_group_file(tmp_path):
 def test_run_grouphom_builds_one_magnus_sequence_per_request(tmp_path, monkeypatch):
     # S3 with a 3-cycle first: under auto, H_0..H_6 come from one Magnus
     # sequence and one sequence complex for each n = 1, 2, 3
-    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
-    mult = [[perms.index(tuple(x[y[k]] for k in range(3))) for y in perms] for x in perms]
-    presentation = {"generators": ["a", "b"], "relators": ["aaa", "bb", "abab"], "assignment": [1, 3]}
-    path = tmp_path / "S3.json"
-    path.write_text(json.dumps({"table": {"order": 6, "mult": mult}, "presentations": [presentation]}))
+    path = _s3_file(tmp_path)
     calls = {"magnus_sequence": 0, "_sequence_complex": 0}
     for name in calls:
         def counted(*args, fn=getattr(grouphom, name), name=name):
@@ -392,7 +431,7 @@ def test_run_grouphom_builds_one_magnus_sequence_per_request(tmp_path, monkeypat
         monkeypatch.setattr(grouphom, name, counted)
 
     def groups(method, degrees):
-        params = _grouphom_params(preset=None, group_file=str(path), degrees=degrees, method=method)
+        params = _grouphom_params(preset=None, group_file=path, degrees=degrees, method=method)
         code, text = run(JobSpec("grouphom", params, output_format="json"))
         assert code == 0, text
         return [row["group"] for row in json.loads(text)["homology"]]

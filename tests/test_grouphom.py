@@ -13,6 +13,7 @@ from exacthom import grouphom
 from exacthom.abelian import FgAbGroup, canonical_form, homology_at
 from exacthom.errors import InputError, ResourceBudgetError
 from exacthom.grouphom import (
+    DEFAULT_BAR_BUDGET,
     FiniteGroupTable,
     FpGroupPresentation,
     GModuleFree,
@@ -385,6 +386,7 @@ def test_routes_leave_the_stored_columns_unchanged(group):
         for i in range(3):
             if table.is_cyclic():
                 homology_cyclic(m, i)
+            group_homology(m, i)
             homology_bar(m, i)
             homology_four_term(m, i)
         four_term_report(pres, m, 1)
@@ -480,12 +482,14 @@ def test_homology_klein_four():
     assert group_homology(coeff, 2, method="bar") == FgAbGroup(0, (2,))
     with pytest.raises(InputError):
         group_homology(coeff, 1, method="periodic")
-    # auto takes the relation-module sequence for non-cyclic tables
+    # auto takes the product of the two Z/2 factors' periodic resolutions
     assert group_homology(coeff, 1) == FgAbGroup(0, (2, 2))
     # Kunneth: H_5 = (Z/2)^4; the normalized d_6 is 243 x 729 entries, inside
-    # the default budget (the full bar complex would need 1024 x 4096), and
-    # the auto route's B at n = 3 is 125 x 250
+    # the default budget (the full bar complex would need 1024 x 4096), the
+    # four-term route's B at n = 3 is 125 x 250, and the product window
+    # 4..6 is 5 x 6 and 6 x 7
     assert group_homology(coeff, 5, method="bar") == FgAbGroup(0, (2, 2, 2, 2))
+    assert homology_four_term(coeff, 5) == FgAbGroup(0, (2, 2, 2, 2))
     assert group_homology(coeff, 5) == FgAbGroup(0, (2, 2, 2, 2))
 
 
@@ -571,6 +575,11 @@ def test_normalized_bar_shapes_and_square_zero(group, module):
         assert (lower @ upper).is_zero()
 
 
+def _bar_fits(table: FiniteGroupTable, rank: int, i: int) -> bool:
+    """Whether homology_bar computes H_i at the default budget."""
+    return rank * rank * (table.order - 1) ** (2 * i + 1) <= DEFAULT_BAR_BUDGET
+
+
 def _four_term_route_cases():
     """Every preset, S3 in two labellings and the trivial group, M in
     {Z, I, ZG}, at every degree up to 7 that the bar route fits at the
@@ -580,7 +589,7 @@ def _four_term_route_cases():
         for module in sorted(_BAR_MODULES):
             rank = _BAR_MODULES[module](table).rank
             for i in range(8):
-                if rank * rank * (table.order - 1) ** (2 * i + 1) <= 10**6:
+                if _bar_fits(table, rank, i):
                     yield group, module, i
 
 
@@ -606,29 +615,180 @@ def test_four_term_route_s3_frozen():
 
 def test_four_term_route_budget():
     # H_3 and H_4 of V4 take n = 2: rank_B = 5^2 over the two generators
-    # of the greedy generating set
+    # of the greedy generating set. auto takes the product route on V4, so
+    # the four-term route is called directly
     coeff = GModuleFree.trivial(V4, 1)
     assert homology_four_term(coeff, 3, budget=1250) == FgAbGroup(0, (2, 2, 2))
     message = r"R\^\(x\)2 \(x\) M is 25x50 = 1250 entries, budget is 1249"
     with pytest.raises(ResourceBudgetError, match=message):
-        group_homology(coeff, 4, budget=1249)
+        homology_four_term(coeff, 4, budget=1249)
     # H_1 with ZG coefficients: B = R (x) ZG needs 20 x 40 entries, where
     # the bar route's d_2 needs 12 x 36
     zg = group_ring(V4)
-    assert group_homology(zg, 1, budget=800) == homology_bar(zg, 1, budget=432) == FgAbGroup(0)
+    assert homology_four_term(zg, 1, budget=800) == homology_bar(zg, 1, budget=432) == FgAbGroup(0)
     with pytest.raises(ResourceBudgetError, match="is 20x40 = 800 entries, budget is 799"):
-        group_homology(zg, 1, budget=799)
+        homology_four_term(zg, 1, budget=799)
     # H_0 is the coinvariants of M, n = 0
     with pytest.raises(ResourceBudgetError, match=r"R\^\(x\)0 \(x\) M is 4x8 = 32 entries"):
-        group_homology(zg, 0, budget=31)
+        homology_four_term(zg, 0, budget=31)
     start = time.perf_counter()
     with pytest.raises(ResourceBudgetError, match=r"R\^\(x\)2500 \(x\) M has over 1000000 rows"):
-        group_homology(coeff, 5000)
+        homology_four_term(coeff, 5000)
     # a rank-0 module has rank_B = 0 at every n, so n itself is capped
     for module in (coeff, GModuleFree.trivial(V4, 0)):
         with pytest.raises(ResourceBudgetError, match="degree n is over the budget of 1000000"):
-            group_homology(module, 10**8)
+            homology_four_term(module, 10**8)
     assert time.perf_counter() - start < 1
+
+
+def _product_table(orders, elements=None) -> FiniteGroupTable:
+    """Z/o_1 x ... x Z/o_k with index i standing for elements[i], a tuple of
+    residues; by default the tuples in itertools.product order."""
+    elements = elements or list(itertools.product(*map(range, orders)))
+    index = {e: i for i, e in enumerate(elements)}
+    return FiniteGroupTable.from_mult(
+        [[index[tuple((x + y) % o for x, y, o in zip(a, b, orders))] for b in elements] for a in elements]
+    )
+
+
+_SPLIT_GROUPS = {
+    "V4": lambda: V4,
+    # greedy generating set (1, 1), (0, 1) instead of V4's (0, 1), (1, 0)
+    "V4-relabelled": lambda: _product_table((2, 2), [(0, 0), (1, 1), (0, 1), (1, 0)]),
+    "Z2xZ4": lambda: _product_table((2, 4)),
+    "Z3xZ3": lambda: _product_table((3, 3)),
+    "Z2^3": lambda: _product_table((2, 2, 2)),
+}
+
+# Z/2 x Z/4 labelled so that the greedy generating set is (0, 1) and
+# (1, 1), both of order 4: 4 * 4 != 8, so it does not split over them
+_Z2XZ4_UNSPLIT = (
+    (2, 4), [(0, 0), (0, 1), (1, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3)]
+)
+
+
+def test_split_factors():
+    assert grouphom._split_factors(V4) == (1, 2)
+    assert grouphom._split_factors(_SPLIT_GROUPS["V4-relabelled"]()) == (1, 2)
+    assert grouphom._split_factors(_SPLIT_GROUPS["Z2xZ4"]()) == (1, 4)
+    assert grouphom._split_factors(_SPLIT_GROUPS["Z2^3"]()) == (1, 2, 4)
+    assert grouphom._split_factors(Z4) == (1,)
+    assert grouphom._split_factors(FiniteGroupTable.cyclic(1)) == (0,)
+    assert grouphom._split_factors(_PRESENTATIONS["Z6-relabelled"]().target) == (3,)
+    assert grouphom._split_factors(_product_table(*_Z2XZ4_UNSPLIT)) is None
+    assert grouphom._split_factors(_s3_presentation().target) is None
+
+
+def _product_route_cases():
+    for group, make in _SPLIT_GROUPS.items():
+        table = make()
+        for module in sorted(_BAR_MODULES):
+            rank = _BAR_MODULES[module](table).rank
+            for i in range(8):
+                if _bar_fits(table, rank, i):
+                    yield group, module, i
+
+
+@pytest.mark.parametrize("group, module, degree", list(_product_route_cases()))
+def test_product_route_matches_bar(group, module, degree, monkeypatch):
+    table = _SPLIT_GROUPS[group]()
+    coeff = _BAR_MODULES[module](table)
+    want = homology_bar(coeff, degree)
+    # auto reaches neither the four-term route nor the bar route
+    for name in ("_homologies_four_term", "homology_bar"):
+        monkeypatch.setattr(grouphom, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    assert group_homology(coeff, degree) == want
+    # the window of one degree agrees with a window from 0
+    assert grouphom._group_homologies(coeff, range(degree + 1), "auto", DEFAULT_BAR_BUDGET)[-1] == want
+    if group.startswith("V4"):
+        monkeypatch.undo()
+        assert homology_four_term(coeff, degree) == want
+
+
+def test_product_route_klein_four_kunneth():
+    # H_2j(V4; Z) = (Z/2)^j and H_(2j-1)(V4; Z) = (Z/2)^(j+1) (Brown,
+    # Cohomology of Groups, V.6), read off one window of degrees 0..41
+    coeff = GModuleFree.trivial(V4, 1)
+    want = [FgAbGroup(1)]
+    for j in range(1, 21):
+        want += [FgAbGroup(0, (2,) * (j + 1)), FgAbGroup(0, (2,) * j)]
+    assert grouphom._group_homologies(coeff, range(41), "auto", DEFAULT_BAR_BUDGET) == want
+    assert [group_homology(coeff, i) for i in (39, 40)] == want[39:]
+
+
+def test_unsplit_labelling_takes_the_four_term_route(monkeypatch):
+    table = _product_table(*_Z2XZ4_UNSPLIT)
+    assert [table.element_order(g) for g in table.generating_set] == [4, 4]
+    calls = []
+    monkeypatch.setattr(
+        grouphom, "_product_homologies", lambda *args: pytest.fail("product route on an unsplit table")
+    )
+    four_term = grouphom._homologies_four_term
+    monkeypatch.setattr(
+        grouphom, "_homologies_four_term", lambda *args: calls.append(args[1]) or four_term(*args)
+    )
+    degrees = []
+    for module in sorted(_BAR_MODULES):
+        coeff = _BAR_MODULES[module](table)
+        for i in range(4):
+            if _bar_fits(table, coeff.rank, i):
+                assert group_homology(coeff, i) == homology_bar(coeff, i)
+                degrees.append((i,))
+    assert calls == degrees and len(degrees) == 9
+
+
+def test_four_term_report_takes_a_and_d_from_a_route_without_r(monkeypatch):
+    # on a split group A and D come from the product resolution, with no bar
+    # differential; on S3, which does not split, from the bar route
+    built = []
+    bar = grouphom._bar_differential
+    monkeypatch.setattr(grouphom, "_bar_differential", lambda *args: built.append(args[1]) or bar(*args))
+    monkeypatch.setattr(grouphom, "_homologies_four_term", lambda *args: pytest.fail("phi route called"))
+    klein = load_preset("Z2xZ2")
+    report = four_term_report(klein.presentations[0], augmentation_ideal(klein.table), 2)
+    assert (report.a, report.d) == (FgAbGroup(0, (2,) * 4), FgAbGroup(0, (2, 2)))
+    assert report.passed and not built
+    s3 = _s3_presentation()
+    report = four_term_report(s3, GModuleFree.trivial(s3.target, 1), 1)
+    assert (report.a, report.d) == (FgAbGroup(0), FgAbGroup(0, (2,)))
+    assert report.passed and sorted(built) == [1, 2, 2, 3]
+
+
+def test_product_route_budget(monkeypatch):
+    # H_0..H_4 of V4 write d_1..d_5, of p x (p + 1) entries each: 70 in all
+    coeff = GModuleFree.trivial(V4, 1)
+    homologies = grouphom._group_homologies
+    assert homologies(coeff, range(5), "auto", 70)[4] == FgAbGroup(0, (2, 2))
+    with pytest.raises(ResourceBudgetError, match=r"degrees 1\.\.5 have 70 entries, budget is 69$"):
+        homologies(coeff, range(5), "auto", 69)
+    # H_3 with ZG coefficients writes d_3 and d_4 of the window 2..4, of
+    # rank 4 per block: 12 x 16 + 16 x 20 = 512 entries
+    zg = group_ring(V4)
+    assert group_homology(zg, 3, budget=512) == FgAbGroup(0)
+    with pytest.raises(ResourceBudgetError, match=r"degrees 3\.\.4 have 512 entries, budget is 511$"):
+        group_homology(zg, 3, budget=511)
+    # a long or a high window is refused before any term is written
+    monkeypatch.setattr(grouphom, "_product_homologies", lambda *args: pytest.fail("window written"))
+    start = time.process_time()
+    with pytest.raises(ResourceBudgetError, match=r"degrees 1\.\.1001 have over 1000000 entries"):
+        homologies(coeff, range(1001), "auto", DEFAULT_BAR_BUDGET)
+    # a rank-0 module writes no entries, but its blocks are counted as rank 1
+    for module in (coeff, GModuleFree.trivial(V4, 0)):
+        for degree in (5000, 10**8, 10**100):
+            with pytest.raises(ResourceBudgetError, match="have over 1000000 entries"):
+                group_homology(module, degree)
+    assert time.process_time() - start < 0.1
+    # the one-factor case, the periodic route, reads three terms and is not
+    # budgeted: H_(10^8)(Z/4; Z) = 0 at a budget of 1
+    monkeypatch.undo()
+    assert homology_cyclic(GModuleFree.trivial(Z4, 1), 10**8) == FgAbGroup(0)
+    assert group_homology(GModuleFree.trivial(Z4, 1), 10**8 + 1, budget=1) == FgAbGroup(0, (4,))
+
+
+def test_bar_route_budgets_every_degree_before_computing_any(monkeypatch):
+    monkeypatch.setattr(grouphom, "_bar_differential", lambda *args: pytest.fail("bar differential built"))
+    with pytest.raises(ResourceBudgetError, match="bar differential at degree 7 is 729x2187 = 1594323 entries"):
+        grouphom._group_homologies(GModuleFree.trivial(V4, 1), range(1001), "bar", DEFAULT_BAR_BUDGET)
 
 
 # the dense oracle of a tensor product of rank r has r^2 |G| entries; this
