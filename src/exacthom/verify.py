@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
-from operator import add, mul, neg
+from itertools import chain
+from operator import mul
+from struct import Struct
 from typing import Optional
 
 from .abelian import FgAbGroup, canonical_form
-from .errors import ComplexValidityError
+from .errors import ComplexValidityError, InputError
 from .grouphom import GModuleFree, fox_derivative, four_term_report
 from .koszul import (
     PresentationPair,
@@ -111,25 +112,29 @@ def _mode_products(a: IntMatrix, n: int, x: IntMatrix) -> IntMatrix:
     The rows of x are words over range(a.cols), first letter major, and
     a.cols > 0. Each product applies a to the leading letter of every row
     index and moves that letter to the end, so after n products every
-    letter is back in place. Rows are lazy sums, and coefficients +-1 skip
-    the multiply.
+    letter is back in place. Each row is packed into one integer with a
+    signed 64-bit slot per column (Kronecker substitution), so a row
+    operation is one big-integer multiply-add. No entry of any partial sum
+    exceeds max(row abs-sum of a, 1)**n * max|x|, and InputError is raised
+    unless that is below 2**63, which keeps every slot apart.
     """
-    rows = x.entries
-    zero = (0,) * x.cols
+    reach = max(1, max((sum(map(abs, row)) for row in a.entries), default=0)) ** n
+    if reach * max(map(abs, chain.from_iterable(x.entries)), default=0) >> 63:
+        raise InputError("mode product entries may not fit in 64-bit slots")
+    slots = Struct(f"<{x.cols}q")
+    ones = int.from_bytes(slots.pack(*[1] * x.cols), "little")
+    rows = [int.from_bytes(slots.pack(*row), "little") for row in x.entries]
+    # the bytes read a negative slot v as v + 2**64: take that 2**64 back
+    # off, as a 1 in the next slot up
+    rows = [u - ((u >> 63 & ones) << 64) for u in rows]
     for _ in range(n):
         rest = len(rows) // a.cols
-        out = []
-        for s in range(rest):
-            block = rows[s::rest]
-            for arow in a.entries:
-                acc = None
-                for c, row in zip(arow, block):
-                    if c:
-                        term = row if c == 1 else map(neg, row) if c == -1 else map(mul, repeat(c), row)
-                        acc = term if acc is None else map(add, acc, term)
-                out.append(zero if acc is None else tuple(acc))
-        rows = out
-    return IntMatrix(a.rows**n, x.cols, tuple(rows))
+        rows = [sum(map(mul, arow, rows[s::rest])) for s in range(rest) for arow in a.entries]
+    # + 2**63 makes every slot nonnegative, so no slot borrows from the
+    # next, and the xor leaves each slot's two's complement bytes
+    bias = ones << 63
+    out = tuple(slots.unpack(((p + bias) ^ bias).to_bytes(slots.size, "little")) for p in rows)
+    return IntMatrix(a.rows**n, x.cols, out)
 
 
 def run_functoriality(seed: int) -> dict:

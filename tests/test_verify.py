@@ -88,13 +88,34 @@ def test_mode_products_match_the_plain_product():
     # x is random, not a Kronecker power, so this checks the helper on
     # every input the composites could give it
     rng = random.Random("verify-mode-products")
+    cases = []
     for _ in range(200):
         n = rng.randint(1, 4)
         r1, r2 = rng.randint(1, 4), rng.randint(1, 4)
         a = verify.random_matrix(rng, r1, r2)
-        x = verify.random_matrix(rng, r2**n, rng.randint(1, 6), -9, 9)
+        cases.append((a, n, verify.random_matrix(rng, r2**n, rng.randint(1, 6), -9, 9)))
+    # a signed permutation keeps the slots' extreme values, so every sign
+    # bit of the packed rows is hit
+    extremes = [2**63 - 1, -(2**63 - 1), 2**62, -(2**62)]
+    signed_permutation = IntMatrix.from_rows([[0, -1, 0], [0, 0, 1], [-1, 0, 0]])
+    big = IntMatrix.from_rows([[extremes[(i + j) % 4] for j in range(8)] for i in range(9)])
+    cases.append((signed_permutation, 2, big))
+    cases.append((verify.random_matrix(rng, 3, 2), 3, IntMatrix.zeros(8, 0)))
+    cases.append((IntMatrix.from_rows([[2, -1], [0, 0], [1, 3]]), 2, verify.random_matrix(rng, 4, 3)))
+    # the suite's extreme input: (4 * 3)**4 * 3**4 = 1 679 616
+    threes = IntMatrix.from_rows([[-3] * 4] * 4)
+    cases.append((threes, 4, powers.induced_map(powers.FunctorKind(powers.PowerKind.TENSOR, 4), threes)))
+    for a, n, x in cases:
         power = powers.induced_map(powers.FunctorKind(powers.PowerKind.TENSOR, n), a)
         assert verify._mode_products(a, n, x) == power @ x
+
+
+def test_mode_products_refuse_entries_past_their_slots():
+    with pytest.raises(InputError):
+        verify._mode_products(IntMatrix.from_rows([[2]]), 1, IntMatrix.from_rows([[2**62]]))
+    # a zero a still packs x itself
+    with pytest.raises(InputError):
+        verify._mode_products(IntMatrix.zeros(2, 2), 1, IntMatrix.from_rows([[1], [2**63]]))
 
 
 def test_determinant_check_catches_a_wrong_ext_sign(monkeypatch):
