@@ -8,19 +8,22 @@ First the complex is reduced (Kaczynski, Mischaikow and Mrozek,
 *Computational Homology*, 2004; Dumas, Heckenbach, Saunders and Welker,
 "Computing simplicial homology based on efficient Smith normal form
 algorithms", 2003): going up the degrees, each differential is cancelled
-pivot by pivot by Schur-complement updates. One rule picks every pivot x:
-the first unit of a row or, in a row with none, its first entry of least
-|x| when that divides its whole row and column, from the row with the
-fewest nonzeros. Each cancellation drops one basis element from each of
-the two terms it joins; a unit keeps the homology over Z unchanged, and
-any other pivot splits off Z --x--> Z, whose Z/|x| is recorded as torsion
-of the lower term. Then each surviving differential, the small remainder
-that the cancellations could not split, is eliminated once by a
-transform-free Smith diagonal (one with no nonzero entry is skipped: it
-has rank 0 and no invariant factors): H_p is free
-of rank r_p - rank d_p - rank d_(p-1), and its torsion is the recorded
-factors of the differential d_p arriving at degree p together with the
-remainder's invariant factors > 1, merged by the gcd/lcm step of linalg.
+pivot by pivot by Schur-complement updates. One rule picks every pivot x,
+from the shortest row that offers one: among the row's units, the one
+whose column has the fewest nonzeros (Markowitz, "The elimination form of
+the inverse and its application to linear programming", 1957), which
+keeps the fill-in of the updates down; in a row with no unit, its first
+entry of least |x| when that divides its whole row and column. Each
+cancellation drops one basis element from each of the two terms it joins;
+a unit keeps the homology over Z unchanged, and any other pivot splits off
+Z --x--> Z, whose Z/|x| is recorded as torsion of the lower term. Then
+each surviving differential, the small remainder that the cancellations
+could not split, is eliminated once by a transform-free Smith diagonal
+(one with no nonzero entry is skipped: it has rank 0 and no invariant
+factors): H_p is free of rank r_p - rank d_p - rank d_(p-1), and its
+torsion is the recorded factors of the differential d_p arriving at
+degree p together with the remainder's invariant factors > 1, merged by
+the gcd/lcm step of linalg.
 homologies reads every degree of a complex off one reduction; homology and
 homology_at reduce only the terms around one degree.
 
@@ -40,6 +43,7 @@ and passes its nonzero orders through the gcd/lcm step of linalg.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .errors import ComplexValidityError, InputError
@@ -242,11 +246,13 @@ def _reduce(
     differentials[p] maps the term of index p + 1 to the term of index p.
     Each differential's columns are copied once into working columns
     {col: {row: value}}, with a row -> columns index. Going up the degrees,
-    d_p is cancelled pivot by pivot, each pivot x = d[a][b] found by one
-    scan of the rows in order. Only a row with fewer nonzeros than the best
-    row so far is read; it offers its first unit, or, when it has none, its
-    first entry x of least |x|, accepted when x divides every entry of row
-    a and of column b. The scan stops at an accepted row with one nonzero.
+    d_p is cancelled pivot by pivot. Its rows are kept in buckets by their
+    number of nonzeros, and each pivot x = d[a][b] comes from the first row
+    a, read from the bucket of length 1 upwards, that offers one: the unit
+    of a whose column has the fewest nonzeros, stopping at a column with
+    one, or, when a has no unit, its first entry x of least |x|, accepted
+    when x divides every entry of row a and of column b. A cancellation
+    changes only the rows of column b, so only they move between buckets.
     A unit divides everything, so it is the easiest divisor pivot. The bases
     e'_a = d_p(f_b) / x and f'_j = f_j - (d[a][j] / x) f_b are integral,
     and in them d_p is (x) + d' with the Schur complement
@@ -277,28 +283,36 @@ def _reduce(
     factors: list[tuple[int, ...]] = []
     for p in range(len(differentials)):
         dc, dr = cols[p], rows[p]
+        short: list[set[int]] = [set() for _ in range(len(dc) + 1)]  # by nonzeros
+        for a, support in dr.items():
+            short[len(support)].add(a)
         cancelled: list[int] = []
         while True:
             best = None
-            best_len = len(dc) + 1
-            for a, support in dr.items():
-                n = len(support)
-                if n < best_len:
-                    m = 0
+            for bucket in islice(short, 1, None):
+                for a in bucket:
+                    support = dr[a]
+                    unit, m = None, 0
                     for b in support:
                         x = dc[b][a]
                         if x == 1 or x == -1:
-                            best, best_len = (a, b, x), n
-                            break
-                        if not m or -m < x < m:
+                            n = len(dc[b])
+                            if unit is None or n < unit_len:
+                                unit, unit_len = b, n
+                                if n == 1:
+                                    break
+                        elif unit is None and (not m or -m < x < m):
                             m, pick = abs(x), b
-                    else:
-                        if m and all(dc[j][a] % m == 0 for j in support) and all(
-                            y % m == 0 for y in dc[pick].values()
-                        ):
-                            best, best_len = (a, pick, dc[pick][a]), n
-                    if best_len == 1:
+                    if unit is not None:
+                        best = (a, unit, dc[unit][a])
+                    elif m and all(dc[j][a] % m == 0 for j in support) and all(
+                        y % m == 0 for y in dc[pick].values()
+                    ):
+                        best = (a, pick, dc[pick][a])
+                    if best:
                         break
+                if best:
+                    break
             if best is None:
                 break
             a, b, x = best
@@ -306,9 +320,11 @@ def _reduce(
                 cancelled.append(abs(x))
             col_b = dc.pop(b)
             del col_b[a]
-            for i in col_b:
+            for i in col_b:  # the only rows whose length can change
+                short[len(dr[i])].discard(i)
                 dr[i].discard(b)
             row_a = dr.pop(a)
+            short[len(row_a)].discard(a)
             row_a.discard(b)
             for j in row_a:
                 col_j = dc[j]
@@ -322,6 +338,8 @@ def _reduce(
                     elif i in col_j:
                         del col_j[i]
                         dr[i].discard(j)
+            for i in col_b:
+                short[len(dr[i])].add(i)
             if p + 1 < len(differentials):  # row b of the differential above
                 above_c, above_r = cols[p + 1], rows[p + 1]
                 for j in above_r.pop(b):

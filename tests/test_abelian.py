@@ -321,6 +321,30 @@ def _random_case(kind):
     return make
 
 
+def _random_sparse_case(seed):
+    """Four terms of ranks 10-12: five blocks Z --x--> Z (x in 1, 2, 3, 4, 6)
+    per differential and free summands, each term's basis then changed by
+    4 * rank elementary operations. In every seed's reduction the Schur
+    updates both lengthen rows and shorten them, so rows move up and down
+    the length buckets."""
+    def make():
+        rng = random.Random(f"oracle-sparse-{seed}")
+        ranks = [rng.randint(10, 12) for _ in range(4)]
+        unpaired = [rng.sample(range(r), r) for r in ranks]
+        diffs = []
+        for p in range(3):  # d_p maps term p + 1 to term p
+            d = [[0] * ranks[p + 1] for _ in range(ranks[p])]
+            for _ in range(5):
+                d[unpaired[p].pop()][unpaired[p + 1].pop()] = rng.choice((1, 2, 3, 4, 6))
+            diffs.append(IntMatrix.from_rows(d, cols=ranks[p + 1]))
+        change = [random_unimodular(r, rng, steps=4 * r) for r in ranks]
+        return ChainComplex(0, tuple(ranks), tuple(
+            change[p] @ d @ solve(change[p + 1], IntMatrix.identity(ranks[p + 1]))
+            for p, d in enumerate(diffs)
+        ))
+    return make
+
+
 _Z2_Z4 = FgAbGroup(0, (2, 4))
 _Z3_Z3 = FgAbGroup(0, (3, 3))
 _Z_Z2 = FgAbGroup(1, (2,))
@@ -359,6 +383,7 @@ _ORACLE_CASES = {
         for name, m in _TWO_TERM.items()
     },
     **{f"random-{kind}": _random_case(kind) for kind in ("generic", "no-unit", "acyclic")},
+    **{f"random-sparse-{seed}": _random_sparse_case(seed) for seed in range(4)},
     # no entry divides both its row and its column, so nothing cancels
     "no-pivot": lambda: ChainComplex(0, (1, 3, 3), (
         IntMatrix.from_rows([[6, 10, 15]]),
@@ -369,6 +394,11 @@ _ORACLE_CASES = {
     "divisor-before-unit": lambda: ChainComplex(0, (2, 3, 1), (
         IntMatrix.from_rows([[2, 0, 0], [4, 1, 1]]),
         IntMatrix.from_rows([[0], [2], [-2]]),
+    )),
+    # row 0's first unit has a column of three nonzeros, its second a column
+    # of one: that one is taken, and rows 1 and 2 are left as they were
+    "short-column-unit": lambda: ChainComplex(0, (3, 3), (
+        IntMatrix.from_rows([[1, 1, 0], [2, 0, 3], [4, 0, 5]]),
     )),
     # the first least entry of each row of d_0 fails its column test, though
     # the 2 at (0, 1) would divide its row and column; d_0 goes to the Smith
@@ -408,6 +438,9 @@ def test_reduced_homology_matches_dense_oracle(name):
         assert reduced_ranks == (0, 0, 0)
     if name == "divisor-before-unit":
         assert expected == (FgAbGroup(0, (2,)), FgAbGroup(0, (2,)), FgAbGroup(0))
+    if name == "short-column-unit":
+        assert remainder[0] == IntMatrix.from_rows([[2, 3], [4, 5]])
+        assert expected == (FgAbGroup(0, (2,)), FgAbGroup(0))
     if name == "missed-divisor":
         assert reduced_ranks == (2, 2, 0) and not remainder[0].is_zero()
         assert expected == (FgAbGroup(0, (6,)), FgAbGroup(0, (2,)), FgAbGroup(0))
