@@ -562,9 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BAR_BUDGET,
-        help="max entries (rows*cols) of each normalized bar differential (bar, both) "
-        "or of the relation-module coinvariant matrix (auto on a non-cyclic group), "
-        "and max number of degrees",
+        help="max entries (rows*cols) of each normalized bar differential (bar, both), "
+        "of the product window's differentials together (auto on a non-cyclic group "
+        "that splits over its generating set) or of the relation-module coinvariant "
+        "matrix (auto on a group that does not split), and max number of degrees; the "
+        "periodic route (periodic, auto on a cyclic group) has no entry budget",
     )
 
     p_verify = sub.add_parser("verify", parents=[common], help="self-verification suites")
@@ -574,7 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BAR_BUDGET,
-        help="max entries (rows*cols) of each normalized bar differential and "
+        help="max entries (rows*cols) of the differentials that give A and D (the "
+        "product window on a group that splits over its generating set, as every "
+        "preset does, each normalized bar differential otherwise) and of each "
         "four-term coinvariant matrix, and max four-term degree n",
     )
     p_verify.add_argument(

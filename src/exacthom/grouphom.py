@@ -12,8 +12,10 @@ of the table's generating set, whose middle map is built as one sparse
 four-term complex (homology_four_term). The normalized bar complex stays
 as an explicit route: its words have no identity letter, so degree k has
 (|G| - 1)^k of them instead of |G|^k, and a face that merges two letters
-into the identity is degenerate and dropped. Every route checks a
-configurable entry budget before it builds anything. Every matrix of the
+into the identity is degenerate and dropped. The product, four-term and
+bar routes check a configurable entry budget before they build anything;
+the periodic route reads three terms of the module's rank at any degree
+and has no budget. Every matrix of the
 sequence, coinvariants, H_1 of the free group, the product resolution's
 t - 1 and tensor_gmodule's actions come from one writer of sparse action
 columns (_action_columns), which reads the stored columns of the tensor

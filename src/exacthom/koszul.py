@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .abelian import ChainComplex, FgAbGroup, _tensor_product, from_cyclic_orders, homologies
+from .abelian import ChainComplex, FgAbGroup, _tensor_product, homologies
 from .errors import InputError, InvariantViolation, ResourceBudgetError, UnsupportedFunctorError
 from .linalg import SparseMatrix, _capped_power, _capped_product
 from .powers import FunctorKind, PowerKind, _mult_table, _times, basis, div_contract
@@ -239,12 +239,25 @@ def power_of_group(f: FunctorKind, a: FgAbGroup) -> FgAbGroup:
     tensor power sums Z/gcd over all degree-n words, the symmetric power
     over all multisets, and the exterior power over all n-element subsets;
     divided powers of torsion groups are outside this rule and rejected.
+    The basis is counted, not listed: with the pieces ordered
+    d_1 | d_2 | ... | d_t, then Z, ..., Z, the gcd over a basis element's
+    letters is the order of its least letter.
     """
     if f.kind is PowerKind.DIV:
         raise UnsupportedFunctorError("no direct formula for divided powers of torsion groups")
-    orders = [0] * a.free_rank + list(a.invariant_factors)
-    picks = basis(f.kind, f.degree, len(orders))
-    return from_cyclic_orders([math.gcd(*(orders[i] for i in pick)) for pick in picks])
+    n, factors = f.degree, a.invariant_factors
+    size = {  # the basis size over k letters
+        PowerKind.TENSOR: lambda k: k**n,
+        PowerKind.SYM: lambda k: math.comb(k + n - 1, n),
+        PowerKind.EXT: lambda k: math.comb(k, n),
+    }[f.kind]
+    r = len(factors) + a.free_rank
+    torsion: list[int] = []
+    for i, d in enumerate(factors):
+        # the basis elements over letters i, ..., r - 1 that use letter i;
+        # the factors divide one another, so the repeats are the chain
+        torsion += [d] * (size(r - i) - size(r - i - 1))
+    return FgAbGroup(size(a.free_rank), tuple(torsion))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
 """The column-by-column expansion of Sym^n(m) and the minor expansion of
 Ext^n(m): the oracles that exacthom.powers, which builds both as shared
-products over one multiplication table, is checked against.
+products over one multiplication table, is checked against. Also the
+functor value on a group summed over a listed basis, the oracle for
+koszul.power_of_group, which counts the basis instead.
 
 Sym^n(m) expands each source monomial on its own, multiplying one column of
 m at a time into a dict of destination monomials. Ext^n(m) takes entry
 (rows, cols) to be the n x n minor det(m[rows, cols]) (Cauchy-Binet).
 """
 
+import math
+
 from lattice_oracle import submatrix
 
+from exacthom.abelian import FgAbGroup, from_cyclic_orders
 from exacthom.linalg import IntMatrix, det
-from exacthom.powers import PowerKind, _index_map, basis
+from exacthom.powers import FunctorKind, PowerKind, _index_map, basis
 
 
 def _sym_induced(n: int, m: IntMatrix) -> IntMatrix:
@@ -47,3 +52,11 @@ def _ext_induced(n: int, m: IntMatrix) -> IntMatrix:
         for rows_idx in dst
     ]
     return IntMatrix.from_rows(grid, cols=len(src))
+
+
+def power_of_group(f: FunctorKind, a: FgAbGroup) -> FgAbGroup:
+    """Z/gcd of the orders of each basis element's letters, summed over the
+    whole basis of the power of Z^r, r the number of cyclic pieces of a."""
+    orders = [0] * a.free_rank + list(a.invariant_factors)
+    picks = basis(f.kind, f.degree, len(orders))
+    return from_cyclic_orders([math.gcd(*(orders[i] for i in pick)) for pick in picks])

@@ -714,6 +714,8 @@ def test_product_route_klein_four_kunneth():
         want += [FgAbGroup(0, (2,) * (j + 1)), FgAbGroup(0, (2,) * j)]
     assert grouphom._group_homologies(coeff, range(41), "auto", DEFAULT_BAR_BUDGET) == want
     assert [group_homology(coeff, i) for i in (39, 40)] == want[39:]
+    # one degree far out needs only the window 99..101
+    assert group_homology(coeff, 100) == FgAbGroup(0, (2,) * 50)
 
 
 def test_unsplit_labelling_takes_the_four_term_route(monkeypatch):

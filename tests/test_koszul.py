@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 
+import power_oracle
 import pytest
 
 from exacthom.abelian import ChainComplex, FgAbGroup
@@ -320,6 +321,41 @@ def test_power_of_group_frozen():
     assert power_of_group(TEN2, b) == FgAbGroup(1, (3, 3, 3))
     with pytest.raises(UnsupportedFunctorError):
         power_of_group(FunctorKind(PowerKind.DIV, 2), a)
+
+
+_POWER_GROUPS = [
+    FgAbGroup(0),
+    FgAbGroup(0, (2,)),
+    FgAbGroup(0, (6,)),
+    FgAbGroup(0, (2, 2)),
+    FgAbGroup(0, (2, 4, 12)),
+    FgAbGroup(1),
+    FgAbGroup(2),
+    FgAbGroup(1, (3,)),
+    FgAbGroup(2, (2, 4)),
+]
+
+
+@pytest.mark.parametrize("group", _POWER_GROUPS, ids=str)
+def test_power_of_group_counts_what_the_listed_basis_sums(group):
+    for kind in (PowerKind.TENSOR, PowerKind.SYM, PowerKind.EXT):
+        for n in range(1, 6):
+            f = FunctorKind(kind, n)
+            assert power_of_group(f, group) == power_oracle.power_of_group(f, group), f
+
+
+def test_power_of_group_lists_no_basis():
+    # listing the 8001 monomials of Sym^8000(Z^2), n letters each, peaked
+    # at 490 MiB; derive --functor sym --n 100000 --group Z^2 ran out of
+    # memory there, in the check of L_0
+    tracemalloc.start()
+    try:
+        got = power_of_group(FunctorKind(PowerKind.SYM, 8000), FgAbGroup(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == FgAbGroup(8001)
+    assert peak < 2**20, peak
 
 
 def test_derived_div_unsupported():

@@ -65,6 +65,15 @@ def test_contraction_naturality_catches_a_wrong_sym(monkeypatch):
     assert any(f.startswith("divided-power contraction naturality failed") for f in failures)
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_functoriality_passes_on_other_seeds(seed):
+    # the tensor composites pack each row into one integer; run them on
+    # other seeds' matrices as well as the hashed seed 42
+    report = run_functoriality(seed)
+    assert report["passed"], report["failures"][:5]
+    assert report["cases"] == 1030
+
+
 def test_composition_catches_a_wrong_tensor_power(monkeypatch):
     # the tensor composites are checked by mode products, not by __matmul__;
     # an off-by-one tensor power must still fail them
