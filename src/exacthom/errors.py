@@ -6,6 +6,15 @@ configured size budget was exceeded (exit 3), and InvariantViolation means a
 mathematical identity that must hold failed to hold (exit 1).
 """
 
+__all__ = [
+    "ExactHomError",
+    "InputError",
+    "ComplexValidityError",
+    "UnsupportedFunctorError",
+    "ResourceBudgetError",
+    "InvariantViolation",
+]
+
 
 class ExactHomError(Exception):
     """Base class for all errors raised by this package."""

@@ -127,11 +127,18 @@ def random_padded_presentation(
     return _padded(a, padding, lambda g: {old: c for old in range(g) if (c := -rng.randint(-2, 2))})
 
 
-def _power_rank(kind: PowerKind, k: int, r: int) -> int:
-    """Rank of kind^k(Z^r) for the exterior, symmetric and divided powers."""
-    if kind is PowerKind.EXT:
-        return math.comb(r, k)
-    return math.comb(r + k - 1, k) if r else int(k == 0)
+def _power_rank(kind: PowerKind, k: int, r: int, cap: int = 0) -> int:
+    """Rank of kind^k(Z^r) for the exterior, symmetric and divided powers,
+    or cap when a positive cap is at most that rank."""
+    a = r if kind is PowerKind.EXT else r + k - 1
+    if k == 0:
+        return 1
+    if k > a:
+        return 0
+    # C(a, j) >= 2^j when j <= a - j, so past cap's bit length it is past cap
+    if cap and min(k, a - k) >= cap.bit_length():
+        return cap
+    return min(math.comb(a, k), cap) if cap else math.comb(a, k)
 
 
 def _koszul(
@@ -301,32 +308,20 @@ def _builder(f: FunctorKind) -> Callable[[PresentationPair, int], ChainComplex]:
         ) from None
 
 
-def _comb(a: int, b: int, cap: int) -> int:
-    """C(a, b), or cap when it is at least cap; C(-1, 0) is 1."""
-    if b == 0:
-        return 1
-    if b < 0 or b > a:
-        return 0
-    out = 1
-    # C(a, i) grows with i up to a / 2, so the first value past cap is final
-    for i in range(min(b, a - b)):
-        out = out * (a - i) // (i + 1)
-        if out >= cap:
-            return cap
-    return out
-
-
 def _term_rank(kind: PowerKind, n: int, k: int, h: int, f: int, cap: int) -> int:
     """Rank of the degree-k term that the builder for kind^n makes over
     Z^h -> Z^f, or cap when it is at least cap."""
     if kind is PowerKind.SYM:  # Ext^k(H) (x) Sym^(n-k)(F)
-        return _capped_product((_comb(h, k, cap), _comb(f + n - k - 1, n - k, cap)), cap)
-    if kind is PowerKind.EXT:  # Div^k(H) (x) Ext^(n-k)(F)
-        return _capped_product((_comb(h + k - 1, k, cap), _comb(f, n - k, cap)), cap)
-    # tensor: C(n, k) placements of the H letters, h^k f^(n-k) words each
-    return _capped_product(
-        (_comb(n, k, cap), _capped_power(h, k, cap), _capped_power(f, n - k, cap)), cap
-    )
+        ranks = (_power_rank(PowerKind.EXT, k, h, cap), _power_rank(PowerKind.SYM, n - k, f, cap))
+    elif kind is PowerKind.EXT:  # Div^k(H) (x) Ext^(n-k)(F)
+        ranks = (_power_rank(PowerKind.DIV, k, h, cap), _power_rank(PowerKind.EXT, n - k, f, cap))
+    else:
+        # tensor: C(n, k) placements of the H letters (the rank of Ext^k(Z^n)),
+        # h^k f^(n-k) words each
+        ranks = (
+            _power_rank(PowerKind.EXT, k, n, cap), _capped_power(h, k, cap), _capped_power(f, n - k, cap)
+        )
+    return _capped_product(ranks, cap)
 
 
 # The most rows*cols of one differential, rank of one term and number of
@@ -346,17 +341,20 @@ def check_budget(f: FunctorKind, a: FgAbGroup, padding: int, budget: int = DERIV
     builders' rank formulas: Ext^k(H) (x) Sym^(n-k)(F) for sym,
     Div^k(H) (x) Ext^(n-k)(F) for ext and C(n, k) h^k f^(n-k) for tensor.
     Every term rank, every differential's rows*cols and the term count
-    n + 1 must be at most budget. Ranks are computed capped just above the
-    budget and checked in degree order, so a huge request forms no huge
-    number and is refused at its first term or differential past the budget.
+    n + 1 must be at most budget. Only the degrees k where a term can be
+    nonzero are visited, an interval: k <= h for sym, n - g <= k for ext,
+    and k = 0 alone when h = 0 for ext and tensor. Ranks are computed
+    capped just above the budget and checked in degree order, so a huge
+    request forms no huge number and is refused at its first term or
+    differential past the budget.
     """
     _builder(f)
     h, g = _padded_ranks(a, padding)
     n = f.degree
 
-    def fits(stage: str, ranks: Iterable[int]) -> None:
+    def fits(stage: str, ranks: Iterable[int], start: int = 0) -> None:
         prev = 0
-        for k, r in enumerate(ranks):
+        for k, r in enumerate(ranks, start):
             if r > budget:
                 raise ResourceBudgetError(f"{stage}: term {k} has rank over the budget of {budget}")
             if prev * r > budget:
@@ -369,9 +367,13 @@ def check_budget(f: FunctorKind, a: FgAbGroup, padding: int, budget: int = DERIV
     if n + 1 > budget:
         raise ResourceBudgetError(f"the {f} complex has {n + 1} terms, budget is {budget}")
     cap = budget + 1
+    # a term outside [lo, hi] has rank 0, so it passes and zeroes d_k on both sides
+    top = n if h else 0
+    lo, hi = {PowerKind.SYM: (0, min(n, h)), PowerKind.EXT: (max(0, n - g), top)}.get(f.kind, (0, top))
     fits(
         f"{f} complex over Z^{h} -> Z^{g}",
-        (_term_rank(f.kind, n, k, h, g, cap) for k in range(n + 1)),
+        (_term_rank(f.kind, n, k, h, g, cap) for k in range(lo, hi + 1)),
+        lo,
     )
 
 

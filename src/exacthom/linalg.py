@@ -296,41 +296,23 @@ class _EntrySwell(Exception):
     """Internal: the integral elimination is blowing up, switch strategies."""
 
 
-def _smallest_pivot(d: list[list[int]], t: int) -> tuple[int, int]:
-    """Position of the first smallest-magnitude nonzero entry of the block
-    d[t:][t:] in row-major order, stopping at the first unit; (-1, -1) when
-    the block is zero."""
-    best = 0
-    pi = pj = -1
-    for i in range(t, len(d)):
-        row = d[i]
-        for j in range(t, len(row)):
-            x = row[j]
-            if x:
-                ax = -x if x < 0 else x
-                if best == 0 or ax < best:
-                    best, pi, pj = ax, i, j
-                    if ax == 1:
-                        return pi, pj
-    return pi, pj
-
-
 def _bareiss(a: IntMatrix) -> tuple[int, int]:
     """The rank r of a and the signed last pivot of fraction-free (Bareiss)
-    elimination with full pivoting.
+    elimination, each pivot the first nonzero entry of the remaining block
+    in row-major order.
 
     The sign flips on every row swap and every column swap, so for a square
     a of full rank the signed pivot is det(a). In every case its absolute
     value is a nonzero r x r minor of a (1 when r = 0). Every intermediate
-    entry is itself a minor of a, so nothing here can swell past the
-    Hadamard bound.
+    entry is itself a minor of a, whatever the pivots, so nothing here can
+    swell past the Hadamard bound.
     """
     m, n = a.rows, a.cols
     d = a.to_lists()
     prev = sign = 1
     r = 0
     while r < min(m, n):
-        pi, pj = _smallest_pivot(d, r)
+        pi, pj = next(((i, j) for i in range(r, m) for j in range(r, n) if d[i][j]), (-1, -1))
         if pi < 0:
             break
         if pi != r:
@@ -378,15 +360,40 @@ def _smith_diagonal_bounded(a: IntMatrix) -> tuple[int, ...]:
 def _divisibility_chain(values: list[int]) -> list[int]:
     """The invariant chain of diag(values), for positive values, in place.
 
-    One pairwise gcd/lcm pass suffices: once position i has met every later
-    one it divides all of them, and later steps only replace a later entry
-    by a gcd or lcm of two multiples of it.
+    Each value is inserted from the top of the chain built so far, kept as
+    runs [entry, count] with the largest entry first: an entry and the value
+    carried down become their lcm and gcd, a run whose entry the carry
+    divides is passed over whole, and the last carry is the new bottom
+    entry. Prime by prime this is insertion into a sorted list of
+    exponents, and a repeated order costs one step per run, not per value.
     """
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[j] % values[i]:
-                g = math.gcd(values[i], values[j])
-                values[i], values[j] = g, values[i] * values[j] // g
+    if len(values) < 2:
+        return values
+    runs: list[list[int]] = []
+    for carry in values:
+        i = 0
+        while carry > 1 and i < len(runs):
+            run = runs[i]
+            if run[0] % carry:
+                # the run's top entry becomes the lcm, and its gcd goes on down
+                g = math.gcd(run[0], carry)
+                top = run[0] // g * carry
+                if i and runs[i - 1][0] == top:
+                    runs[i - 1][1] += 1
+                else:
+                    runs.insert(i, [top, 1])
+                    i += 1
+                run[1] -= 1
+                if not run[1]:
+                    del runs[i]
+                    i -= 1
+                carry = g
+            i += 1
+        if runs and runs[-1][0] == carry:
+            runs[-1][1] += 1
+        else:
+            runs.append([carry, 1])
+    values[:] = chain.from_iterable(repeat(e, c) for e, c in reversed(runs))
     return values
 
 
@@ -433,7 +440,7 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     v = IntMatrix.identity(n).to_lists()
     ut = IntMatrix.identity(m).to_lists()
     diag = _diagonalize(a.to_lists(), m, n, v, ut)
-    # _divisibility_chain's pass, each step a unimodular operation on rows
+    # a pairwise gcd/lcm pass, each step a unimodular operation on rows
     # i, j of u and columns i, j of v: with g = gcd(x, y), s*(x/g) = 1 mod
     # y/g and s*x + t*y = g, it turns diag(x, y) into diag(g, x*y/g).
     rank = len(diag) - diag.count(0)

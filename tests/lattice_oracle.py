@@ -3,12 +3,49 @@ solutions it gives: the oracle that exacthom.linalg's Hermite routes for
 snf, smith_diagonal, kernel_basis and solve are checked against. Also the
 Hermite loop whose column operations run through every row of the grid
 (_hermite), the oracle for exacthom.linalg._hermite, which runs them over
-the pivot column's nonzero rows only."""
+the pivot column's nonzero rows only. And the pairwise gcd/lcm pass
+(divisibility_chain), the oracle for exacthom.linalg._divisibility_chain,
+which inserts each value into runs of equal entries."""
 
+import math
 from typing import Optional
 
 from exacthom.errors import InputError
-from exacthom.linalg import IntMatrix, SmithDecomposition, _EntrySwell, _smallest_pivot
+from exacthom.linalg import IntMatrix, SmithDecomposition, _EntrySwell
+
+
+def divisibility_chain(values: list[int]) -> list[int]:
+    """The invariant chain of diag(values), for positive values, in place.
+
+    One pairwise gcd/lcm pass suffices: once position i has met every later
+    one it divides all of them, and later steps only replace a later entry
+    by a gcd or lcm of two multiples of it.
+    """
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if values[j] % values[i]:
+                g = math.gcd(values[i], values[j])
+                values[i], values[j] = g, values[i] * values[j] // g
+    return values
+
+
+def _smallest_pivot(d: list[list[int]], t: int) -> tuple[int, int]:
+    """Position of the first smallest-magnitude nonzero entry of the block
+    d[t:][t:] in row-major order, stopping at the first unit; (-1, -1) when
+    the block is zero."""
+    best = 0
+    pi = pj = -1
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x:
+                ax = -x if x < 0 else x
+                if best == 0 or ax < best:
+                    best, pi, pj = ax, i, j
+                    if ax == 1:
+                        return pi, pj
+    return pi, pj
 
 
 def submatrix(a: IntMatrix, rows, cols) -> IntMatrix:

@@ -482,6 +482,32 @@ def test_term_rank_is_the_capped_formula(kind):
                     assert _term_rank(kind, n, k, h, f, cap) == min(exact(n, k, h, f), cap)
 
 
+@pytest.mark.parametrize("kind", ["sym", "ext", "tensor"])
+def test_check_budget_visits_every_nonzero_term(kind, monkeypatch):
+    import exacthom.koszul as koszul
+
+    term_rank, seen = koszul._term_rank, []
+    monkeypatch.setattr(koszul, "_term_rank", lambda *args: seen.append(args[2]) or term_rank(*args))
+    for group in (FgAbGroup(0), FgAbGroup(1), FgAbGroup(3), FgAbGroup(1, (2,)), FgAbGroup(0, (2, 4))):
+        for padding in (0, 1, 3):
+            for n in (1, 2, 4, 6):
+                f = FunctorKind.parse(kind, n)
+                h, g = koszul._padded_ranks(group, padding)
+                seen.clear()
+                check_budget(f, group, padding, 2**80)
+                nonzero = [k for k in range(n + 1) if term_rank(f.kind, n, k, h, g, 2**80)]
+                assert set(nonzero) <= set(seen) and seen == sorted(seen)
+
+
+@pytest.mark.parametrize("kind", ["sym", "ext", "tensor"])
+def test_check_budget_of_a_huge_power_over_z_is_quick(kind):
+    # over Z only degree 0 has a term; visiting all 10^6 + 1 degrees took
+    # 0.5 s (ext) to 3.3 s (tensor) of CPU
+    start = time.process_time()
+    check_budget(FunctorKind.parse(kind, 10**6), FgAbGroup(1), 0)
+    assert time.process_time() - start < 0.1
+
+
 def test_check_budget_refuses_before_building():
     huge = FgAbGroup(2**63 - 1)
     with pytest.raises(ResourceBudgetError, match="presentation Z\\^0 -> Z\\^9223372036854775807"):
