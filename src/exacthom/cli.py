@@ -300,12 +300,12 @@ def _run_grouphom(params: dict) -> tuple[int, dict]:
         raise ResourceBudgetError(f"degrees {lo}..{hi} are {hi - lo + 1} degrees, budget is {budget}")
     degrees = range(lo, hi + 1)
     if method == "both":
-        periodic = _group_homologies(coeff, degrees, "periodic", budget)
+        auto = _group_homologies(coeff, degrees, "auto", budget)
         bar = _group_homologies(coeff, degrees, "bar", budget)
-        code = 0 if periodic == bar else 1
+        code = 0 if auto == bar else 1
         rows = [
-            {"degree": i, "periodic": str(p), "bar": str(b), "agree": p == b}
-            for i, p, b in zip(degrees, periodic, bar)
+            {"degree": i, "auto": str(a), "bar": str(b), "agree": a == b}
+            for i, a, b in zip(degrees, auto, bar)
         ]
     else:
         values = _group_homologies(coeff, degrees, method, budget)
@@ -407,9 +407,7 @@ def _text_grouphom(report: dict) -> str:
     for row in report["homology"]:
         if "agree" in row:
             mark = "ok" if row["agree"] else "MISMATCH"
-            lines.append(
-                f"  H_{row['degree']} periodic={row['periodic']} bar={row['bar']} [{mark}]"
-            )
+            lines.append(f"  H_{row['degree']} auto={row['auto']} bar={row['bar']} [{mark}]")
         else:
             lines.append(f"  H_{row['degree']} = {row['group']}")
     return "\n".join(lines) + "\n"
@@ -555,9 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--coeff", choices=("trivial", "regular", "augmentation"), default="trivial"
     )
     p_gh.add_argument("--degrees", default="0..2", metavar="A..B")
-    p_gh.add_argument(
-        "--method", choices=("auto", "periodic", "bar", "both"), default="auto"
-    )
+    p_gh.add_argument("--method", choices=("auto", "bar", "both"), default="auto")
     p_gh.add_argument(
         "--budget",
         type=int,
@@ -566,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         "of the product window's differentials together (auto on a non-cyclic group "
         "that splits over its generating set) or of the relation-module coinvariant "
         "matrix (auto on a group that does not split), and max number of degrees; the "
-        "periodic route (periodic, auto on a cyclic group) has no entry budget",
+        "periodic route (auto on a cyclic group) has no entry budget",
     )
 
     p_verify = sub.add_parser("verify", parents=[common], help="self-verification suites")

@@ -855,32 +855,26 @@ def _homologies_four_term(coeff: GModuleFree, degrees: Sequence[int], budget: in
     return [found[i] for i in degrees]
 
 
-def group_homology(
-    coeff: GModuleFree,
-    i: int,
-    method: str = "auto",
-    budget: int = DEFAULT_BAR_BUDGET,
-) -> FgAbGroup:
-    """H_i(G, coeff), choosing the periodic, product, four-term or bar route.
-
-    method "periodic" requires a cyclic group and "bar" forces the bar
-    complex. "auto" uses the periodic resolution whenever the group is
-    cyclic, the product of its factors' periodic resolutions when it splits
-    over its generating set as a product of cyclic groups (budget then caps
-    the entries of the differentials written), and the relation-module
-    sequence (homology_four_term) otherwise, where budget caps B's
-    coinvariant matrix.
+def group_homology(coeff: GModuleFree, i: int, *, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:
+    """H_i(G, coeff) from the route the group chooses: the periodic
+    resolution when it is cyclic, the product of its factors' periodic
+    resolutions when it splits over its generating set as a product of
+    cyclic groups (budget then caps the entries of the differentials
+    written), and the relation-module sequence (homology_four_term)
+    otherwise, where budget caps B's coinvariant matrix. To force a route,
+    call homology_cyclic, homology_bar or homology_four_term.
     """
-    return _group_homologies(coeff, (i,), method, budget)[0]
+    return _group_homologies(coeff, (i,), "auto", budget)[0]
 
 
 def _group_homologies(coeff: GModuleFree, degrees: Sequence[int], method: str, budget: int) -> list[FgAbGroup]:
-    """group_homology at each of the degrees in turn, every degree budgeted
+    """H_i(G, coeff) at each of the degrees in turn, by group_homology's
+    route ("auto") or the bar complex ("bar"), every degree budgeted
     before any is computed. The product route writes one window from the
     lowest to the highest degree, the four-term route shares its Magnus
     sequence and complexes between them, and the periodic route computes
     each distinct group, H_0, H_1 or H_2, once."""
-    if method not in ("auto", "periodic", "bar"):
+    if method not in ("auto", "bar"):
         raise InputError(f"unknown homology method {method!r}")
     if any(i < 0 for i in degrees):
         raise InputError("homology degree must be nonnegative")
@@ -888,7 +882,7 @@ def _group_homologies(coeff: GModuleFree, degrees: Sequence[int], method: str, b
         for i in degrees:
             _bar_budget(coeff, i, budget)
         return [homology_bar(coeff, i, budget=budget) for i in degrees]
-    if method == "periodic" or coeff.group.is_cyclic():
+    if coeff.group.is_cyclic():
         period = [min(i, 2 - i % 2) for i in degrees]
         groups = {j: homology_cyclic(coeff, j) for j in dict.fromkeys(period)}
         return [groups[j] for j in period]

@@ -232,6 +232,12 @@ def tensor_complex(p: PresentationPair, n: int) -> ChainComplex:
     """
     if n < 1:
         raise InputError("functor degree must be at least 1")
+    if not p.h_rank:
+        # only F^(x)n in degree 0 is nonzero; folding the n factors would
+        # take time quadratic in n over n + 1 terms
+        top = p.f_rank**n
+        diffs = (SparseMatrix._unchecked(top, 0, ()),) + (SparseMatrix._unchecked(0, 0, ()),) * (n - 1)
+        return ChainComplex(0, (top,) + (0,) * n, diffs)
     two_term = ((p.f_rank, p.h_rank), (p.inclusion,))
     ranks, diffs = two_term
     for _ in range(n - 1):

@@ -20,6 +20,7 @@ from .errors import ComplexValidityError, InputError
 from .grouphom import GModuleFree, fox_derivative, four_term_report
 from .koszul import (
     PresentationPair,
+    _div_contractions,
     derived_from_presentation,
     kos,
     kos_prime,
@@ -33,7 +34,6 @@ from .powers import (
     PowerKind,
     basis,
     basis_index,
-    div_contract,
     induced_map,
     norm_diagonal,
 )
@@ -96,13 +96,13 @@ _ALL_KINDS = (PowerKind.TENSOR, PowerKind.SYM, PowerKind.EXT, PowerKind.DIV)
 
 def _div_contraction(n: int, r: int) -> IntMatrix:
     """The contraction Div^n(Z^r) -> Div^(n-1)(Z^r) (x) Z^r that kos_prime
-    differentiates by: a -> sum over the distinct gen in a of
-    div_contract(a, gen) (x) e_gen, each with coefficient 1."""
+    differentiates by, read from koszul._div_contractions: a -> the sum of
+    coefficient * rest (x) e_gen over the (gen, rest, coefficient) it lists."""
     src = basis(PowerKind.DIV, n, r)
     rows = [[0] * len(src) for _ in range(len(basis(PowerKind.DIV, n - 1, r)) * r)]
     for j, mono in enumerate(src):
-        for gen in set(mono):
-            rows[basis_index(PowerKind.DIV, n - 1, r, div_contract(mono, gen)) * r + gen][j] = 1
+        for gen, rest, c in _div_contractions(mono):
+            rows[basis_index(PowerKind.DIV, n - 1, r, rest) * r + gen][j] = c
     return IntMatrix.from_rows(rows, cols=len(src))
 
 

@@ -21,7 +21,8 @@ from exacthom.grouphom import (
     GModuleFree,
     four_term_report,
     fox_derivative,
-    group_homology,
+    homology_bar,
+    homology_cyclic,
     magnus_sequence,
 )
 from exacthom.koszul import derived, power_of_group
@@ -144,13 +145,11 @@ def test_criterion_6_group_homology_ground_truth():
             FgAbGroup(0),
         ]
         for i, want in enumerate(expected):
-            periodic = group_homology(coeff, i, method="periodic")
-            bar = group_homology(coeff, i, method="bar")
+            periodic = homology_cyclic(coeff, i)
+            bar = homology_bar(coeff, i)
             ok &= periodic == want and bar == want
     v4 = FiniteGroupTable.from_mult([[i ^ j for j in range(4)] for i in range(4)])  # Z2 x Z2
-    ok &= group_homology(
-        GModuleFree.trivial(v4, 1), 1, method="bar"
-    ) == FgAbGroup(0, (2, 2))
+    ok &= homology_bar(GModuleFree.trivial(v4, 1), 1) == FgAbGroup(0, (2, 2))
     assert _report(6, "group homology ground truth", ok)
 
 

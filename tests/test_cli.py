@@ -277,9 +277,12 @@ def test_run_grouphom():
     assert code == 0
     report = json.loads(text)
     degrees = {row["degree"]: row for row in report["homology"]}
-    assert degrees[0]["periodic"] == "Z" and degrees[0]["agree"]
+    assert degrees[0]["auto"] == "Z" and degrees[0]["agree"]
     assert degrees[1]["bar"] == "Z/3"
-    assert degrees[2]["periodic"] == "0"
+    assert degrees[2]["auto"] == "0"
+    assert set(degrees[2]) == {"degree", "auto", "bar", "agree"}
+    _, text = run(JobSpec("grouphom", _grouphom_params()))
+    assert "  H_1 auto=Z/3 bar=Z/3 [ok]\n" in text
 
 
 def test_run_grouphom_budget():
@@ -360,7 +363,7 @@ def test_run_grouphom_long_range_is_written_row_by_row_as_before():
     # each distinct group is rendered once and shared between its rows; the
     # report must be byte for byte the one that renders every row anew
     for preset, coeff, method, degrees in (
-        ("Z4", "trivial", "periodic", range(3000)),
+        ("Z4", "trivial", "auto", range(3000)),
         ("Z2xZ2", "augmentation", "auto", range(30)),
     ):
         params = _grouphom_params(preset=preset, coeff=coeff, method=method,
@@ -442,6 +445,25 @@ def test_run_grouphom_builds_one_magnus_sequence_per_request(tmp_path, monkeypat
     # have period 4 (Brown, Cohomology of Groups, VI.9)
     assert got[:4] == groups("bar", "0..3")
     assert got == ["Z", "Z/2", "0", "Z/6", "0", "Z/2", "0"]
+
+
+def test_run_grouphom_both_compares_auto_with_bar_on_every_group(tmp_path):
+    # both runs the route auto chooses (periodic, product or four-term)
+    # next to the bar complex; on a cyclic group its auto values are the
+    # periodic route's. The bar route's d_4 over S3 with regular
+    # coefficients is 750 x 3750 entries, over the default budget
+    sources = [({"preset": name}, "0..4", 10**6) for name in cli.PRESET_NAMES]
+    sources.append(({"preset": None, "group_file": _s3_file(tmp_path)}, "0..3", 3 * 10**6))
+    for source, degrees, budget in sources:
+        for coeff in ("trivial", "regular", "augmentation"):
+            params = _grouphom_params(**source, coeff=coeff, degrees=degrees, budget=budget)
+            code, text = run(JobSpec("grouphom", params, output_format="json"))
+            rows = json.loads(text)["homology"]
+            assert code == 0 and all(row["agree"] for row in rows), (source, coeff, rows)
+            if source.get("preset") in ("Z2", "Z3", "Z4"):
+                module = cli._coefficient_module(cli.load_preset(source["preset"]).table, coeff)
+                want = [str(grouphom.homology_cyclic(module, i)) for i in range(5)]
+                assert [row["auto"] for row in rows] == want
 
 
 def _z2_file(**change):
@@ -594,6 +616,10 @@ def test_main_exit_codes(tmp_path):
         )
         == 3
     )
+    # auto is the only way to let grouphom choose a route: periodic is retired
+    with pytest.raises(SystemExit) as refused:
+        main(["grouphom", "--preset", "Z4", "--method", "periodic"])
+    assert refused.value.code == 2
     # a budget below 1 is malformed input, even where nothing reads it
     assert main(["grouphom", "--preset", "Z2", "--budget", "-1"]) == 2
     assert main(["verify", "four-term", "--budget", "-1"]) == 2

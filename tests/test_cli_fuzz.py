@@ -128,6 +128,7 @@ def _grouphom(rng, tmp_path, k):
         group = _mutate(rng, rng.choice([Z3_FILE, S3_FILE]), _pick(rng, [0], [1, 2]))
         argv = ["grouphom", "--group-file", _write(tmp_path, k, group, rng)]
     argv += ["--coeff", _pick(rng, ["trivial", "regular", "augmentation"], ["sign"])]
+    # periodic, a retired method, now draws an argparse refusal
     argv += ["--method", _pick(rng, ["auto", "periodic", "bar", "both"], ["fast"])]
     # 0..1000001 is one degree over the default budget
     degrees = ["0..2", "0..4", "3", " 1 .. 2 ", "0..1000001", "0.." + str(10**20)]

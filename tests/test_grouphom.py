@@ -451,7 +451,7 @@ def test_homology_classical_table():
 
 def test_periodic_route_computes_each_distinct_group_once(monkeypatch):
     # H_i for i >= 1 depends only on the parity of i, so 0..99 needs
-    # H_0, H_1 and H_2 only, under periodic and under auto on a cyclic group
+    # H_0, H_1 and H_2 only, which auto computes once each on a cyclic group
     calls = []
 
     def spy(coeff, i):
@@ -460,35 +460,34 @@ def test_periodic_route_computes_each_distinct_group_once(monkeypatch):
 
     monkeypatch.setattr(grouphom, "homology_cyclic", spy)
     for coeff in (GModuleFree.trivial(Z4, 1), group_ring(Z4), augmentation_ideal(Z3)):
-        for method in ("periodic", "auto"):
-            calls.clear()
-            got = grouphom._group_homologies(coeff, range(100), method, 10**6)
-            assert len(calls) <= 3
-            assert got == [homology_cyclic(coeff, i) for i in range(100)]
+        calls.clear()
+        got = grouphom._group_homologies(coeff, range(100), "auto", 10**6)
+        assert len(calls) <= 3
+        assert got == [homology_cyclic(coeff, i) for i in range(100)]
 
 
 def test_homology_regular_coefficients_acyclic():
     for table in (Z2, Z3):
         zg = group_ring(table)
-        assert group_homology(zg, 0, method="periodic") == FgAbGroup(1)
+        assert homology_cyclic(zg, 0) == FgAbGroup(1)
         for i in (1, 2, 3):
-            assert group_homology(zg, i, method="periodic") == FgAbGroup(0)
-            assert group_homology(zg, i, method="bar") == FgAbGroup(0)
+            assert homology_cyclic(zg, i) == FgAbGroup(0)
+            assert homology_bar(zg, i) == FgAbGroup(0)
 
 
 def test_homology_klein_four():
     coeff = GModuleFree.trivial(V4, 1)
-    assert group_homology(coeff, 1, method="bar") == FgAbGroup(0, (2, 2))
-    assert group_homology(coeff, 2, method="bar") == FgAbGroup(0, (2,))
-    with pytest.raises(InputError):
-        group_homology(coeff, 1, method="periodic")
+    assert homology_bar(coeff, 1) == FgAbGroup(0, (2, 2))
+    assert homology_bar(coeff, 2) == FgAbGroup(0, (2,))
+    with pytest.raises(InputError, match="needs a cyclic group"):
+        homology_cyclic(coeff, 1)
     # auto takes the product of the two Z/2 factors' periodic resolutions
     assert group_homology(coeff, 1) == FgAbGroup(0, (2, 2))
     # Kunneth: H_5 = (Z/2)^4; the normalized d_6 is 243 x 729 entries, inside
     # the default budget (the full bar complex would need 1024 x 4096), the
     # four-term route's B at n = 3 is 125 x 250, and the product window
     # 4..6 is 5 x 6 and 6 x 7
-    assert group_homology(coeff, 5, method="bar") == FgAbGroup(0, (2, 2, 2, 2))
+    assert homology_bar(coeff, 5) == FgAbGroup(0, (2, 2, 2, 2))
     assert homology_four_term(coeff, 5) == FgAbGroup(0, (2, 2, 2, 2))
     assert group_homology(coeff, 5) == FgAbGroup(0, (2, 2, 2, 2))
 
@@ -496,10 +495,10 @@ def test_homology_klein_four():
 def test_homology_trivial_group():
     one = FiniteGroupTable.cyclic(1)
     coeff = GModuleFree.trivial(one, 1)
-    assert group_homology(coeff, 0, method="periodic") == FgAbGroup(1)
+    assert homology_cyclic(coeff, 0) == FgAbGroup(1)
     for i in (1, 2):
-        assert group_homology(coeff, i, method="periodic") == FgAbGroup(0)
-        assert group_homology(coeff, i, method="bar") == FgAbGroup(0)
+        assert homology_cyclic(coeff, i) == FgAbGroup(0)
+        assert homology_bar(coeff, i) == FgAbGroup(0)
 
 
 def test_homology_bar_budget():
@@ -510,8 +509,14 @@ def test_homology_bar_budget():
     assert homology_bar(coeff, 3, budget=2187) == FgAbGroup(0, (4,))
     with pytest.raises(ResourceBudgetError, match="is 27x81 = 2187 entries, budget is 2186"):
         homology_bar(coeff, 3, budget=2186)
-    with pytest.raises(InputError):
-        group_homology(coeff, 1, method="nonsense")
+    # auto chooses the route and homology_cyclic, homology_bar and
+    # homology_four_term force one: no other method is read
+    for method in ("nonsense", "periodic"):
+        with pytest.raises(InputError, match="unknown homology method"):
+            grouphom._group_homologies(coeff, (1,), method, 10**6)
+    # budget is keyword-only, so a method string cannot be read as a budget
+    with pytest.raises(TypeError):
+        group_homology(coeff, 1, "periodic")
     # 3^(10^8) would take minutes to form and cannot be printed: the sizes
     # are capped just above the budget and left out of the message
     start = time.perf_counter()

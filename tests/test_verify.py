@@ -3,8 +3,10 @@ import random
 import pytest
 
 import exacthom.grouphom as grouphom
+import exacthom.koszul as koszul
 import exacthom.powers as powers
 import exacthom.verify as verify
+from exacthom.abelian import FgAbGroup
 from exacthom.errors import InputError
 from exacthom.linalg import IntMatrix, det
 from exacthom.verify import (
@@ -61,6 +63,22 @@ def test_contraction_naturality_catches_a_wrong_sym(monkeypatch):
         return IntMatrix.from_rows(rows, cols=out.cols)
 
     monkeypatch.setattr(powers, "_product_induced", off_by_one)
+    failures = run_functoriality(42)["failures"]
+    assert any(f.startswith("divided-power contraction naturality failed") for f in failures)
+
+
+def test_functoriality_checks_the_contraction_kos_prime_uses(monkeypatch):
+    # a coefficient a.count(gen) in koszul._div_contractions turns
+    # L_1 Ext^2(Z/4) into Z/8; the naturality check reads the same
+    # contractions and must fail. verify binds the name when it is
+    # imported, so both names are patched, as an edit of the source would
+    def counted(a):
+        return [(gen, powers.div_contract(a, gen), a.count(gen)) for gen in dict.fromkeys(a)]
+
+    monkeypatch.setattr(koszul, "_div_contractions", counted)
+    monkeypatch.setattr(verify, "_div_contractions", counted)
+    ext2 = koszul.derived(powers.FunctorKind(powers.PowerKind.EXT, 2), FgAbGroup(0, (4,)))
+    assert ext2.values[1] == FgAbGroup(0, (8,))
     failures = run_functoriality(42)["failures"]
     assert any(f.startswith("divided-power contraction naturality failed") for f in failures)
 
