@@ -30,8 +30,9 @@ homology_at reduce only the terms around one degree.
 Complexes store their differentials sparse, as linalg.SparseMatrix
 columns {row: nonzero}: the Koszul, tensor and bar builders write columns
 directly, d(d(x)) = 0 is checked by an exact sparse column product, and
-the reduction copies the columns once into its working dicts. Only the
-survivors handed to the Smith diagonal are dense.
+the reduction copies the columns once into its working dicts and returns
+its survivors as columns too. Only the survivors handed to the Smith
+diagonal are made dense.
 
 This is the only route from a matrix to a group: canonical_form takes the
 cokernel of a presentation matrix as H_0 of the two-term complex
@@ -239,7 +240,7 @@ def _tensor_product(
 
 def _reduce(
     ranks: Sequence[int], differentials: Sequence[SparseMatrix]
-) -> tuple[tuple[int, ...], tuple[IntMatrix, ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[int, ...], tuple[SparseMatrix, ...], tuple[tuple[int, ...], ...]]:
     """Cancel pivots that divide their row and their column; the homology
     over Z is unchanged apart from the torsion the pivots record.
 
@@ -265,9 +266,11 @@ def _reduce(
     row whose first entry of least |x| fails the column test. Those go to
     the Smith diagonal, which is exact on whatever remains.
 
-    Returns the surviving ranks, the dense surviving differentials with
-    their basis order kept, and for each differential the |x| > 1 it
-    cancelled.
+    Returns the surviving ranks, the surviving differentials as sparse
+    columns with their basis order kept, and for each differential the
+    |x| > 1 it cancelled. _reduced_homologies makes the survivors dense for
+    the Smith diagonal; _equivalent_reduction puts the cancelled divisor
+    blocks back beside them for derive's tensor folds.
     """
     cols: list[dict[int, dict[int, int]]] = []
     rows: list[dict[int, set[int]]] = []
@@ -356,12 +359,35 @@ def _reduce(
     out = []
     for dc, dr in zip(cols, rows):
         row_pos = {a: k for k, a in enumerate(dr)}
-        grid = [[0] * len(dc) for _ in row_pos]
-        for k, col in enumerate(dc.values()):
-            for i, v in col.items():
-                grid[row_pos[i]][k] = v
-        out.append(IntMatrix(len(row_pos), len(dc), tuple(map(tuple, grid))))
+        out.append(SparseMatrix._unchecked(len(row_pos), len(dc), tuple(
+            {row_pos[i]: v for i, v in col.items()} for col in dc.values()
+        )))
     return tuple(new_ranks), tuple(out), tuple(factors)
+
+
+def _equivalent_reduction(
+    ranks: Sequence[int], differentials: Sequence[SparseMatrix]
+) -> tuple[tuple[int, ...], tuple[SparseMatrix, ...]]:
+    """A complex chain-homotopy equivalent to the given one, from one
+    reduction.
+
+    The reduction's changes of basis split the complex as its survivors,
+    plus one block Z --x--> Z per divisor pivot x that it cancelled, plus a
+    contractible pair Z --1--> Z per unit. So the survivors with the blocks
+    put back are equivalent to it, and so is their tensor product with any
+    free complex to its product. A block of d_p appends its target to term p
+    after the survivors and its source to term p + 1 after the targets there.
+    """
+    ranks, survivors, factors = _reduce(ranks, differentials)
+    targets = [len(xs) for xs in factors] + [0]
+    sources = [0] + targets
+    ranks = tuple(r + t + s for r, t, s in zip(ranks, targets, sources))
+    diffs = []
+    for p, d in enumerate(survivors):
+        blocks = tuple({d.rows + k: x} for k, x in enumerate(factors[p]))
+        columns = d.columns + ({},) * targets[p + 1] + blocks
+        diffs.append(SparseMatrix._unchecked(ranks[p], ranks[p + 1], columns))
+    return ranks, tuple(diffs)
 
 
 def _reduced_homologies(
@@ -373,7 +399,10 @@ def _reduced_homologies(
     survivor with no nonzero entry, empty shapes included, adds image rank
     0 and no torsion."""
     ranks, differentials, factors = _reduce(ranks, differentials)
-    diagonals = [() if d.is_zero() else smith_diagonal(d) for d in differentials]
+    diagonals = [
+        () if d.is_zero() else smith_diagonal(IntMatrix(d.rows, d.cols, d.entries))
+        for d in differentials
+    ]
     image = [sum(1 for x in diag if x) for diag in diagonals] + [0]
     groups = []
     for p, r in enumerate(ranks):

@@ -19,7 +19,9 @@ power is the (n-1)-fold tensor product of H -> F with itself, with the
 Koszul sign; its term in homological degree p is the direct sum over the
 colexicographically ordered p-element subsets S of the tensor positions,
 each block holding the words with H letters at the positions in S in
-lexicographic order.
+lexicographic order. tensor_complex is that full complex, which verify and
+the tests read; derived reads the same homology off products folded one
+factor at a time over reduced complexes (_folded_tensor_power).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .abelian import ChainComplex, FgAbGroup, _tensor_product, homologies
+from .abelian import ChainComplex, FgAbGroup, _equivalent_reduction, _tensor_product, homologies
 from .errors import InputError, InvariantViolation, ResourceBudgetError, UnsupportedFunctorError
 from .linalg import SparseMatrix, _capped_power, _capped_product
 from .powers import FunctorKind, PowerKind, _mult_table, _times, basis, div_contract
@@ -228,7 +230,8 @@ def tensor_complex(p: PresentationPair, n: int) -> ChainComplex:
     the p-element subsets S of the tensor positions, in colexicographic
     order, of the blocks of words with H letters at the positions in S,
     each block lexicographic. Its homology at degree i is L_i Tensor^n of
-    the presented group.
+    the presented group. This is the full complex of rank (f + h)^n; derive
+    builds it whole only for n <= 2 or when F <- H has no unit entry.
     """
     if n < 1:
         raise InputError("functor degree must be at least 1")
@@ -243,6 +246,29 @@ def tensor_complex(p: PresentationPair, n: int) -> ChainComplex:
     for _ in range(n - 1):
         ranks, diffs = _tensor_product(ranks, diffs, *two_term)
     return ChainComplex(0, ranks, diffs)
+
+
+def _folded_tensor_power(p: PresentationPair, n: int) -> ChainComplex:
+    """A complex chain-homotopy equivalent to tensor_complex(p, n), which
+    derive reduces in its place, folded in one factor at a time.
+
+    From tensor_complex(p, 2) on, each product is replaced by an equivalent
+    reduced complex (abelian._equivalent_reduction) before the next factor,
+    F <- H of p itself, is tensored on: tensoring preserves chain-homotopy
+    equivalences of free complexes. Each product is checked as a
+    ChainComplex. A reduction pays through its unit pivots, and the products
+    have units exactly when F <- H has one; without one, h = 0 included,
+    this is the full tensor_complex(p, n).
+    """
+    units = any(x == 1 or x == -1 for col in p.inclusion.columns for x in col.values())
+    if n < 3 or not units:
+        return tensor_complex(p, n)
+    c = tensor_complex(p, 2)
+    two_term = ((p.f_rank, p.h_rank), (p.inclusion,))
+    for _ in range(n - 2):
+        reduced = _equivalent_reduction(c.ranks, c.differentials)
+        c = ChainComplex(0, *_tensor_product(*reduced, *two_term))
+    return c
 
 
 def power_of_group(f: FunctorKind, a: FgAbGroup) -> FgAbGroup:
@@ -331,10 +357,11 @@ def _term_rank(kind: PowerKind, n: int, k: int, h: int, f: int, cap: int) -> int
 
 
 # The most rows*cols of one differential, rank of one term and number of
-# terms that derive builds. Differentials are stored sparse, so memory grows
-# with the term ranks and the nonzeros; a term of rank 2^36 needs 4 TiB for
-# its empty column dicts alone (64 bytes each), so only requests that no
-# ordinary host could hold are refused.
+# terms of the builders' full complexes (for Tensor^n, tensor_complex, even
+# where derive folds smaller products). Differentials are stored sparse, so
+# memory grows with the term ranks and the nonzeros; a term of rank 2^36
+# needs 4 TiB for its empty column dicts alone (64 bytes each), so only
+# requests that no ordinary host could hold are refused.
 DERIVE_BUDGET = 2**36
 
 
@@ -384,8 +411,11 @@ def check_budget(f: FunctorKind, a: FgAbGroup, padding: int, budget: int = DERIV
 
 
 def derived_from_presentation(f: FunctorKind, p: PresentationPair) -> DerivedResult:
-    """Derived functor values computed from an explicit presentation."""
-    values = homologies(_builder(f)(p, f.degree))
+    """Derived functor values computed from an explicit presentation: the
+    homology of the builder's complex, or for Tensor^n of the equivalent
+    _folded_tensor_power."""
+    build = _folded_tensor_power if f.kind is PowerKind.TENSOR else _builder(f)
+    values = homologies(build(p, f.degree))
     return DerivedResult(functor=f, group=p.group(), values=values)
 
 
@@ -393,6 +423,8 @@ def derived(f: FunctorKind, a: FgAbGroup, padding: int = 0) -> DerivedResult:
     """Derived functor values L_0 .. L_n of f on the group a.
 
     The answer does not depend on the padding; the parameter exists to make
-    presentation independence observable.
+    presentation independence observable. Tensor^n over a padded
+    presentation is folded one factor at a time over reduced complexes, so
+    padding costs it little; check_budget still sizes the full complex.
     """
     return derived_from_presentation(f, presentation_from_group(a, padding))

@@ -242,7 +242,8 @@ class SparseMatrix:
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        """The dense rows, built on every call: a view for tests and tracing."""
+        """The dense rows, built on every call: for the Smith diagonal, tests
+        and tracing."""
         grid = [[0] * self.cols for _ in range(self.rows)]
         for j, col in enumerate(self.columns):
             for i, x in col.items():

@@ -439,7 +439,7 @@ def test_reduced_homology_matches_dense_oracle(name):
     if name == "divisor-before-unit":
         assert expected == (FgAbGroup(0, (2,)), FgAbGroup(0, (2,)), FgAbGroup(0))
     if name == "short-column-unit":
-        assert remainder[0] == IntMatrix.from_rows([[2, 3], [4, 5]])
+        assert remainder[0] == SparseMatrix.from_dense(IntMatrix.from_rows([[2, 3], [4, 5]]))
         assert expected == (FgAbGroup(0, (2,)), FgAbGroup(0))
     if name == "missed-divisor":
         assert reduced_ranks == (2, 2, 0) and not remainder[0].is_zero()
