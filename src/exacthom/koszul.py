@@ -231,7 +231,7 @@ def tensor_complex(p: PresentationPair, n: int) -> ChainComplex:
     order, of the blocks of words with H letters at the positions in S,
     each block lexicographic. Its homology at degree i is L_i Tensor^n of
     the presented group. This is the full complex of rank (f + h)^n; derive
-    builds it whole only for n <= 2 or when F <- H has no unit entry.
+    builds it whole only for n <= 2 or h = 0.
     """
     if n < 1:
         raise InputError("functor degree must be at least 1")
@@ -256,12 +256,10 @@ def _folded_tensor_power(p: PresentationPair, n: int) -> ChainComplex:
     reduced complex (abelian._equivalent_reduction) before the next factor,
     F <- H of p itself, is tensored on: tensoring preserves chain-homotopy
     equivalences of free complexes. Each product is checked as a
-    ChainComplex. A reduction pays through its unit pivots, and the products
-    have units exactly when F <- H has one; without one, h = 0 included,
-    this is the full tensor_complex(p, n).
+    ChainComplex. For n <= 2, and for h = 0, where tensor_complex writes
+    F^(x)n in degree 0 directly, this is the full tensor_complex(p, n).
     """
-    units = any(x == 1 or x == -1 for col in p.inclusion.columns for x in col.values())
-    if n < 3 or not units:
+    if n < 3 or not p.h_rank:
         return tensor_complex(p, n)
     c = tensor_complex(p, 2)
     two_term = ((p.f_rank, p.h_rank), (p.inclusion,))
@@ -423,8 +421,8 @@ def derived(f: FunctorKind, a: FgAbGroup, padding: int = 0) -> DerivedResult:
     """Derived functor values L_0 .. L_n of f on the group a.
 
     The answer does not depend on the padding; the parameter exists to make
-    presentation independence observable. Tensor^n over a padded
-    presentation is folded one factor at a time over reduced complexes, so
-    padding costs it little; check_budget still sizes the full complex.
+    presentation independence observable. Tensor^n for n >= 3 over H != 0
+    is folded one factor at a time over reduced complexes, so padding costs
+    it little; check_budget still sizes the full complex.
     """
     return derived_from_presentation(f, presentation_from_group(a, padding))
