@@ -264,7 +264,9 @@ def _reduce(
     below it, so no unit is left when the pass ends. A divisor pivot can be
     left, though: one that a removed column frees in d_(p-1), or one in a
     row whose first entry of least |x| fails the column test. Those go to
-    the Smith diagonal, which is exact on whatever remains.
+    the Smith diagonal, which is exact on whatever remains. Once the pass
+    over d_p is over, its row index is no longer kept up to date: only its
+    keys, the surviving rows, are read again.
 
     Returns the surviving ranks, the surviving differentials as sparse
     columns with their basis order kept, and for each differential the
@@ -347,10 +349,8 @@ def _reduce(
                 above_c, above_r = cols[p + 1], rows[p + 1]
                 for j in above_r.pop(b):
                     del above_c[j][b]
-            if p:  # column a of the differential below
-                below_c, below_r = cols[p - 1], rows[p - 1]
-                for i in below_c.pop(a):
-                    below_r[i].discard(a)
+            if p:  # column a of the differential below, whose pass is over
+                del cols[p - 1][a]
         factors.append(tuple(cancelled))
 
     if not differentials:

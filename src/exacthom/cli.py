@@ -25,6 +25,7 @@ from .errors import InputError, InvariantViolation, ResourceBudgetError
 from .grouphom import (
     DEFAULT_BAR_BUDGET,
     GModuleFree,
+    _bar_homologies,
     _group_homologies,
     augmentation_ideal,
     group_ring,
@@ -112,7 +113,7 @@ def decode_matrix(obj: Any) -> IntMatrix:
     grid_in = obj["entries"]
     if not isinstance(grid_in, list) or len(grid_in) != rows:
         raise InputError("entry grid does not match the declared row count")
-    grid: list[list[int]] = []
+    grid: list[tuple[int, ...]] = []
     for row in grid_in:
         if not isinstance(row, list) or len(row) != cols:
             raise InputError("entry grid does not match the declared column count")
@@ -125,8 +126,8 @@ def decode_matrix(obj: Any) -> IntMatrix:
                 parsed.append(x if isinstance(x, int) else _decimal_to_int(x))
             except ValueError:
                 raise InputError(f"bad matrix entry {x!r}") from None
-        grid.append(parsed)
-    return IntMatrix.from_rows(grid, cols=cols)
+        grid.append(tuple(parsed))
+    return IntMatrix(rows, cols, tuple(grid))
 
 
 def _encode_order(x: int) -> int | str:
@@ -299,16 +300,19 @@ def _run_grouphom(params: dict) -> tuple[int, dict]:
     if hi - lo + 1 > budget:
         raise ResourceBudgetError(f"degrees {lo}..{hi} are {hi - lo + 1} degrees, budget is {budget}")
     degrees = range(lo, hi + 1)
+    routes = {"auto": _group_homologies, "bar": _bar_homologies}
     if method == "both":
-        auto = _group_homologies(coeff, degrees, "auto", budget)
-        bar = _group_homologies(coeff, degrees, "bar", budget)
+        auto = _group_homologies(coeff, degrees, budget)
+        bar = _bar_homologies(coeff, degrees, budget)
         code = 0 if auto == bar else 1
         rows = [
             {"degree": i, "auto": str(a), "bar": str(b), "agree": a == b}
             for i, a, b in zip(degrees, auto, bar)
         ]
+    elif method not in routes:
+        raise InputError(f"unknown homology method {method!r}")
     else:
-        values = _group_homologies(coeff, degrees, method, budget)
+        values = routes[method](coeff, degrees, budget)
         code = 0
         # a long range repeats a few groups: each distinct one is written once
         text = {v: (str(v), encode_group(v)) for v in set(values)}

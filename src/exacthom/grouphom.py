@@ -9,13 +9,14 @@ resolutions (_product_homologies; one factor when the group is cyclic).
 Otherwise it comes from the relation-module sequence
 0 -> H_2n -> (R^(x)n (x) M)_G -> H_1(F, R^(x)(n-1) (x) M) -> H_(2n-1) -> 0
 of the table's generating set, whose middle map is built as one sparse
-four-term complex (homology_four_term). The normalized bar complex stays
-as an explicit route: its words have no identity letter, so degree k has
-(|G| - 1)^k of them instead of |G|^k, and a face that merges two letters
-into the identity is degenerate and dropped. The product, four-term and
-bar routes check a configurable entry budget before they build anything;
-the periodic route reads three terms of the module's rank at any degree
-and has no budget. Every matrix of the
+four-term complex (_homologies_four_term). The normalized bar complex
+stays as an explicit route (_bar_homologies): its words have no identity
+letter, so degree k has (|G| - 1)^k of them instead of |G|^k, and a face
+that merges two letters into the identity is degenerate and dropped. The
+product, four-term and bar routes check a configurable entry budget
+before they build anything; on a cyclic group the degrees fold to their
+period, so the product window has at most four terms of the module's rank
+at any degree and no budget. Every matrix of the
 sequence, coinvariants, H_1 of the free group, the product resolution's
 t - 1 and tensor_gmodule's actions come from one writer of sparse action
 columns (_action_columns), which reads the stored columns of the tensor
@@ -856,43 +857,46 @@ def _homologies_four_term(coeff: GModuleFree, degrees: Sequence[int], budget: in
 
 
 def group_homology(coeff: GModuleFree, i: int, *, budget: int = DEFAULT_BAR_BUDGET) -> FgAbGroup:
-    """H_i(G, coeff) from the route the group chooses: the periodic
-    resolution when it is cyclic, the product of its factors' periodic
-    resolutions when it splits over its generating set as a product of
-    cyclic groups (budget then caps the entries of the differentials
-    written), and the relation-module sequence (homology_four_term)
+    """H_i(G, coeff) from the route the group chooses: the product of its
+    factors' periodic resolutions when it splits over its generating set as
+    a product of cyclic groups (one factor when it is cyclic; budget then
+    caps the entries of the differentials written, except on a cyclic
+    group), and the relation-module sequence (homology_four_term)
     otherwise, where budget caps B's coinvariant matrix. To force a route,
     call homology_cyclic, homology_bar or homology_four_term.
     """
-    return _group_homologies(coeff, (i,), "auto", budget)[0]
+    return _group_homologies(coeff, (i,), budget)[0]
 
 
-def _group_homologies(coeff: GModuleFree, degrees: Sequence[int], method: str, budget: int) -> list[FgAbGroup]:
+def _group_homologies(coeff: GModuleFree, degrees: Sequence[int], budget: int) -> list[FgAbGroup]:
     """H_i(G, coeff) at each of the degrees in turn, by group_homology's
-    route ("auto") or the bar complex ("bar"), every degree budgeted
-    before any is computed. The product route writes one window from the
-    lowest to the highest degree, the four-term route shares its Magnus
-    sequence and complexes between them, and the periodic route computes
-    each distinct group, H_0, H_1 or H_2, once."""
-    if method not in ("auto", "bar"):
-        raise InputError(f"unknown homology method {method!r}")
+    route, every degree budgeted before any is computed. The product route
+    writes one window from the lowest to the highest degree; on a cyclic
+    group, where H_i = H_(2 - i % 2) for i >= 1, the degrees fold to their
+    period first, so the window has at most four terms of the module's rank
+    and is not budgeted. The four-term route shares its Magnus sequence and
+    complexes between the degrees."""
     if any(i < 0 for i in degrees):
         raise InputError("homology degree must be nonnegative")
-    if method == "bar":
-        for i in degrees:
-            _bar_budget(coeff, i, budget)
-        return [homology_bar(coeff, i, budget=budget) for i in degrees]
-    if coeff.group.is_cyclic():
-        period = [min(i, 2 - i % 2) for i in degrees]
-        groups = {j: homology_cyclic(coeff, j) for j in dict.fromkeys(period)}
-        return [groups[j] for j in period]
     factors = _split_factors(coeff.group)
     if factors is None or not degrees:
         return _homologies_four_term(coeff, degrees, budget)
+    if len(factors) == 1:
+        degrees = [min(i, 2 - i % 2) for i in degrees]
+    else:
+        _product_budget(coeff.rank, len(factors), min(degrees), max(degrees), budget)
     lo, hi = min(degrees), max(degrees)
-    _product_budget(coeff.rank, len(factors), lo, hi, budget)
     found = _product_homologies(coeff, factors, lo, hi)
     return [found[i - lo] for i in degrees]
+
+
+def _bar_homologies(coeff: GModuleFree, degrees: Sequence[int], budget: int) -> list[FgAbGroup]:
+    """H_i(G, coeff) at each of the nonnegative degrees in turn from the
+    normalized bar complex (homology_bar), every degree budgeted before any
+    is computed."""
+    for i in degrees:
+        _bar_budget(coeff, i, budget)
+    return [homology_bar(coeff, i, budget=budget) for i in degrees]
 
 
 @dataclass(frozen=True)
@@ -936,20 +940,21 @@ def four_term_report(
     actions of the factors R, ..., R, M (coinvariants and h1_free with
     several modules), so neither N nor a Kronecker product is formed. A and
     D come from the product resolution when the group splits over its
-    generating set (the periodic route when it is cyclic) and from the bar
-    route otherwise, never from homology_four_term: built from the same R
-    and N as B and C, it would make the checks hold by construction. Before
-    any module is built, n and B's coinvariant matrix must fit the budget
-    (_sequence_budget), and A's and D's differentials are budgeted before
-    they are built (the product window, or homology_bar's d_(2n+1) and d_(2n)).
+    generating set (one window of at most four terms when it is cyclic) and
+    from the bar route (_bar_homologies) otherwise, never from
+    homology_four_term: built from the same R and N as B and C, it would
+    make the checks hold by construction. Before any module is built, n and
+    B's coinvariant matrix must fit the budget (_sequence_budget), and A's
+    and D's differentials are budgeted before they are built (the product
+    window of a non-cyclic group, or homology_bar's d_(2n+1) and d_(2n)).
     """
     if n < 1:
         raise InputError("the sequence degree n must be at least 1")
     if coeff.group != pres.target:
         raise InputError("coefficient module must live over the presented group")
     _sequence_budget(pres, coeff, n, budget)
-    method = "bar" if _split_factors(pres.target) is None else "auto"
-    a, d = _group_homologies(coeff, (2 * n, 2 * n - 1), method, budget)
+    route = _bar_homologies if _split_factors(pres.target) is None else _group_homologies
+    a, d = route(coeff, (2 * n, 2 * n - 1), budget)
     factors = (pres.magnus.relation_module,) * n + (coeff,)
     b = coinvariants(*factors)
     c = h1_free(pres, *factors[1:])

@@ -371,7 +371,7 @@ def test_run_grouphom_long_range_is_written_row_by_row_as_before():
         code, text = run(JobSpec("grouphom", params, output_format="json"))
         table = cli.load_preset(preset).table
         module = cli._coefficient_module(table, coeff)
-        values = grouphom._group_homologies(module, degrees, method, 10**6)
+        values = grouphom._group_homologies(module, degrees, 10**6)
         rows = [{"degree": i, "group": str(v), "json": encode_group(v)} for i, v in zip(degrees, values)]
         report = {"command": "grouphom", "group": preset, "order": table.order,
                   "coefficients": coeff, "method": method, "homology": rows}

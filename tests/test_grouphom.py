@@ -450,20 +450,44 @@ def test_homology_classical_table():
 
 
 def test_periodic_route_computes_each_distinct_group_once(monkeypatch):
-    # H_i for i >= 1 depends only on the parity of i, so 0..99 needs
-    # H_0, H_1 and H_2 only, which auto computes once each on a cyclic group
-    calls = []
+    # H_i for i >= 1 depends only on the parity of i, so on a cyclic group
+    # auto folds 0..99 to H_0, H_1 and H_2 and reads them off one product
+    # window inside degrees 0..3
+    windows = []
+    product = grouphom._product_homologies
 
-    def spy(coeff, i):
-        calls.append(i)
-        return homology_cyclic(coeff, i)
+    def spy(coeff, factors, lo, hi):
+        windows.append((lo, hi))
+        return product(coeff, factors, lo, hi)
 
-    monkeypatch.setattr(grouphom, "homology_cyclic", spy)
+    monkeypatch.setattr(grouphom, "_product_homologies", spy)
     for coeff in (GModuleFree.trivial(Z4, 1), group_ring(Z4), augmentation_ideal(Z3)):
-        calls.clear()
-        got = grouphom._group_homologies(coeff, range(100), "auto", 10**6)
-        assert len(calls) <= 3
+        windows.clear()
+        got = grouphom._group_homologies(coeff, range(100), 10**6)
+        assert windows == [(0, 2)]
         assert got == [homology_cyclic(coeff, i) for i in range(100)]
+        # one high degree of each parity folds to the window 1..2
+        want = [got[2], got[1]]
+        windows.clear()
+        assert grouphom._group_homologies(coeff, (10**8, 10**8 + 1), 1) == want
+        assert windows == [(1, 2)]
+
+
+def test_four_term_report_reads_a_and_d_off_one_window_on_a_cyclic_group(monkeypatch):
+    # A = H_2n and D = H_(2n-1) fold to H_2 and H_1, one window 1..2
+    windows = []
+    product = grouphom._product_homologies
+    monkeypatch.setattr(
+        grouphom, "_product_homologies", lambda *args: windows.append(args[2:]) or product(*args)
+    )
+    for name in ("Z2", "Z3", "Z4"):
+        preset = load_preset(name)
+        for n in (1, 2):
+            windows.clear()
+            report = four_term_report(preset.presentations[0], GModuleFree.trivial(preset.table, 1), n)
+            order = preset.table.order
+            assert (report.a, report.d) == (FgAbGroup(0), FgAbGroup(0, (order,)))
+            assert report.passed and windows == [(1, 2)]
 
 
 def test_homology_regular_coefficients_acyclic():
@@ -509,11 +533,6 @@ def test_homology_bar_budget():
     assert homology_bar(coeff, 3, budget=2187) == FgAbGroup(0, (4,))
     with pytest.raises(ResourceBudgetError, match="is 27x81 = 2187 entries, budget is 2186"):
         homology_bar(coeff, 3, budget=2186)
-    # auto chooses the route and homology_cyclic, homology_bar and
-    # homology_four_term force one: no other method is read
-    for method in ("nonsense", "periodic"):
-        with pytest.raises(InputError, match="unknown homology method"):
-            grouphom._group_homologies(coeff, (1,), method, 10**6)
     # budget is keyword-only, so a method string cannot be read as a budget
     with pytest.raises(TypeError):
         group_homology(coeff, 1, "periodic")
@@ -704,7 +723,7 @@ def test_product_route_matches_bar(group, module, degree, monkeypatch):
         monkeypatch.setattr(grouphom, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     assert group_homology(coeff, degree) == want
     # the window of one degree agrees with a window from 0
-    assert grouphom._group_homologies(coeff, range(degree + 1), "auto", DEFAULT_BAR_BUDGET)[-1] == want
+    assert grouphom._group_homologies(coeff, range(degree + 1), DEFAULT_BAR_BUDGET)[-1] == want
     if group.startswith("V4"):
         monkeypatch.undo()
         assert homology_four_term(coeff, degree) == want
@@ -717,7 +736,7 @@ def test_product_route_klein_four_kunneth():
     want = [FgAbGroup(1)]
     for j in range(1, 21):
         want += [FgAbGroup(0, (2,) * (j + 1)), FgAbGroup(0, (2,) * j)]
-    assert grouphom._group_homologies(coeff, range(41), "auto", DEFAULT_BAR_BUDGET) == want
+    assert grouphom._group_homologies(coeff, range(41), DEFAULT_BAR_BUDGET) == want
     assert [group_homology(coeff, i) for i in (39, 40)] == want[39:]
     # one degree far out needs only the window 99..101
     assert group_homology(coeff, 100) == FgAbGroup(0, (2,) * 50)
@@ -765,9 +784,9 @@ def test_product_route_budget(monkeypatch):
     # H_0..H_4 of V4 write d_1..d_5, of p x (p + 1) entries each: 70 in all
     coeff = GModuleFree.trivial(V4, 1)
     homologies = grouphom._group_homologies
-    assert homologies(coeff, range(5), "auto", 70)[4] == FgAbGroup(0, (2, 2))
+    assert homologies(coeff, range(5), 70)[4] == FgAbGroup(0, (2, 2))
     with pytest.raises(ResourceBudgetError, match=r"degrees 1\.\.5 have 70 entries, budget is 69$"):
-        homologies(coeff, range(5), "auto", 69)
+        homologies(coeff, range(5), 69)
     # H_3 with ZG coefficients writes d_3 and d_4 of the window 2..4, of
     # rank 4 per block: 12 x 16 + 16 x 20 = 512 entries
     zg = group_ring(V4)
@@ -778,15 +797,15 @@ def test_product_route_budget(monkeypatch):
     monkeypatch.setattr(grouphom, "_product_homologies", lambda *args: pytest.fail("window written"))
     start = time.process_time()
     with pytest.raises(ResourceBudgetError, match=r"degrees 1\.\.1001 have over 1000000 entries"):
-        homologies(coeff, range(1001), "auto", DEFAULT_BAR_BUDGET)
+        homologies(coeff, range(1001), DEFAULT_BAR_BUDGET)
     # a rank-0 module writes no entries, but its blocks are counted as rank 1
     for module in (coeff, GModuleFree.trivial(V4, 0)):
         for degree in (5000, 10**8, 10**100):
             with pytest.raises(ResourceBudgetError, match="have over 1000000 entries"):
                 group_homology(module, degree)
     assert time.process_time() - start < 0.1
-    # the one-factor case, the periodic route, reads three terms and is not
-    # budgeted: H_(10^8)(Z/4; Z) = 0 at a budget of 1
+    # the one-factor case, the periodic route, reads a window of at most
+    # four terms and is not budgeted: H_(10^8)(Z/4; Z) = 0 at a budget of 1
     monkeypatch.undo()
     assert homology_cyclic(GModuleFree.trivial(Z4, 1), 10**8) == FgAbGroup(0)
     assert group_homology(GModuleFree.trivial(Z4, 1), 10**8 + 1, budget=1) == FgAbGroup(0, (4,))
@@ -795,7 +814,7 @@ def test_product_route_budget(monkeypatch):
 def test_bar_route_budgets_every_degree_before_computing_any(monkeypatch):
     monkeypatch.setattr(grouphom, "_bar_differential", lambda *args: pytest.fail("bar differential built"))
     with pytest.raises(ResourceBudgetError, match="bar differential at degree 7 is 729x2187 = 1594323 entries"):
-        grouphom._group_homologies(GModuleFree.trivial(V4, 1), range(1001), "bar", DEFAULT_BAR_BUDGET)
+        grouphom._bar_homologies(GModuleFree.trivial(V4, 1), range(1001), DEFAULT_BAR_BUDGET)
 
 
 # the dense oracle of a tensor product of rank r has r^2 |G| entries; this
